@@ -6,10 +6,9 @@ diurnal arrival process through the resizable front door
 :class:`repro.engine.autoscale.Autoscaler`) and merges the resulting rows
 into ``BENCH_serve.json`` under the ``autoscale`` section.  The sweep's wall
 time is also published as the top-level ``autoscale_wall_seconds`` scalar so
-the CI perf gate (``benchmarks/check_perf_gate.py --key
-autoscale_wall_seconds``) regression-gates the control-tick sampling, scale
-actuation, and shard-warmup machinery alongside the serve hot path and the
-shard sweep.
+the CI perf gate (``benchmarks/check_perf_gate.py``) regression-gates the
+control-tick sampling, scale actuation, and shard-warmup machinery alongside
+the serve hot path and the shard sweep.
 """
 
 import time

@@ -6,9 +6,9 @@ clauses, remediation controller on and off) through the serving tier
 resulting rows into ``BENCH_serve.json`` under the ``fault_recovery``
 section.  The grid's wall time is also published as the top-level
 ``fault_wall_seconds`` scalar so the CI perf gate
-(``benchmarks/check_perf_gate.py --key fault_wall_seconds``) regression-gates
-the fault-event scheduling, anomaly detection, and shadow-simulation
-machinery alongside the serve hot path and the other sweeps.
+(``benchmarks/check_perf_gate.py``) regression-gates the fault-event
+scheduling, anomaly detection, and shadow-simulation machinery alongside the
+serve hot path and the other sweeps.
 """
 
 import time

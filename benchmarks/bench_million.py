@@ -6,10 +6,9 @@ vectorized arrival generation, the closed-form queueing fast path, and the
 streaming report — and merges the measurement into ``BENCH_serve.json``
 under the ``engine_core`` section.  The wall time is also published as the
 top-level ``engine_core_wall_seconds`` scalar so the CI perf gate
-(``benchmarks/check_perf_gate.py --key engine_core_wall_seconds``)
-regression-gates the raw request throughput of the event core alongside the
-serve hot path; the hard acceptance bound (<= 9 s wall) is asserted here
-directly.
+(``benchmarks/check_perf_gate.py``) regression-gates the raw request
+throughput of the event core alongside the serve hot path; the hard
+acceptance bound (<= 9 s wall) is asserted here directly.
 """
 
 import resource

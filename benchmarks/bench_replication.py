@@ -5,9 +5,8 @@ Sweeps ``tier.replication.factor`` over the ``hotkey-replicated`` scenario
 merges the rows into ``BENCH_serve.json`` under the ``replication``
 section.  The sweep's wall time is published as the top-level
 ``replication_wall_seconds`` scalar so the CI perf gate
-(``benchmarks/check_perf_gate.py --key replication_wall_seconds``)
-regression-gates the replica-routing overhead alongside the other serving
-benchmarks.
+(``benchmarks/check_perf_gate.py``) regression-gates the replica-routing
+overhead alongside the other serving benchmarks.
 """
 
 import time

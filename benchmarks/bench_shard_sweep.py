@@ -5,9 +5,8 @@ Runs the shard count x utilization sweep through the routed front door
 merges the resulting rows into ``BENCH_serve.json`` under the
 ``shard_sweep`` section.  The sweep's wall time is also published as the
 top-level ``shard_sweep_wall_seconds`` scalar so the CI perf gate
-(``benchmarks/check_perf_gate.py --key shard_sweep_wall_seconds``)
-regression-gates the routing + admission-control overhead alongside the
-closed-loop serve hot path.
+(``benchmarks/check_perf_gate.py``) regression-gates the routing +
+admission-control overhead alongside the closed-loop serve hot path.
 """
 
 import time

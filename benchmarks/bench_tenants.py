@@ -5,9 +5,9 @@ steady Poisson tenant sharing one warm slot with a bursty neighbour at
 twice its arrival rate) and merges the rows into ``BENCH_serve.json``
 under the ``tenants`` section.  The sweep's wall time is published as the
 top-level ``tenants_wall_seconds`` scalar so the CI perf gate
-(``benchmarks/check_perf_gate.py --key tenants_wall_seconds``)
-regression-gates the per-flow scheduling and per-tenant SLO-accounting
-overhead alongside the other serving benchmarks.
+(``benchmarks/check_perf_gate.py``) regression-gates the per-flow
+scheduling and per-tenant SLO-accounting overhead alongside the other
+serving benchmarks.
 """
 
 import time

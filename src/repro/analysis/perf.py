@@ -161,9 +161,10 @@ def merge_bench_json(section: str, payload: dict, path: str = "BENCH_serve.json"
 def merge_bench_scalar(key: str, value: float, path: str = "BENCH_serve.json") -> str:
     """Merge one top-level scalar into the perf record at ``path``.
 
-    ``benchmarks/check_perf_gate.py`` compares top-level numeric keys, so
-    benchmarks that want their wall time regression-gated (e.g. the shard
-    sweep) publish it through this helper.
+    ``benchmarks/check_perf_gate.py`` compares the top-level numeric keys
+    named in its ``PERF_BUDGETS`` table, so benchmarks that want their wall
+    time regression-gated (e.g. the shard sweep) publish it through this
+    helper and add the key, with its budget, to that table.
     """
     data = _read_bench_json(path)
     data[key] = value

@@ -536,10 +536,11 @@ def _run_scenario_command(args) -> int:
         rows = []
         for name in list_scenarios():
             spec = get_scenario(name)
-            tier = spec.tier
-            topology = "engine" if not tier.sharded else f"{tier.shards}x {tier.router_kind}"
-            if tier.autoscaler.enabled:
-                topology += f" + {tier.autoscaler.policy} autoscaler"
+            topology = (
+                f"{spec.tier.shards}x {spec.tier.router_kind}" if spec.tier.sharded else "engine"
+            )
+            if spec.tier.autoscaler.enabled:
+                topology += f" + {spec.tier.autoscaler.policy} autoscaler"
             rows.append(
                 {
                     "scenario": name,

@@ -1,18 +1,21 @@
 """Discrete-event concurrency engine for the FLStore simulator.
 
 :mod:`repro.engine.kernel` provides the generic substrate (event heap,
-:class:`SimTask` futures, generator processes); :mod:`repro.engine.flstore`
-builds the serving semantics on top: overlapping requests, per-function
-concurrency limits with FIFO/priority queues, admission control with
-shedding (drop / degrade-to-objstore), and keep-alive/reclamation as
-scheduled events.  :mod:`repro.engine.sharded` puts a routing front door
-over N independent engine-backed shards on one shared event loop, and
-:mod:`repro.engine.autoscale` closes the control loop over it: policies
-sample queue-depth/arrival-rate signals on scheduled control ticks and
-spawn/retire warm capacity (per-function slots, whole shards) online.
-:mod:`repro.engine.faults` schedules typed fault clauses (shard crashes,
-reclamation storms, gray slowdowns, network spikes) as events on the same
-timeline, and :mod:`repro.engine.remediate` closes the repair loop: a
+:class:`SimTask` futures, generator processes).  The serving tier is one
+class: :mod:`repro.engine.sharded` is the routing front door — it drives
+every open-loop run, routes arrivals, and builds the report — over N
+engine-backed shards on one shared event loop (a plain spec is a single
+shard).  :mod:`repro.engine.flstore` is the per-shard engine: overlapping
+requests, per-function concurrency limits with FIFO/priority queues,
+admission control with shedding (drop / degrade-to-objstore), and
+keep-alive/reclamation as scheduled events.  :mod:`repro.engine.autoscale`
+closes the control loop over the tier: one :class:`ControlSampler` per
+control loop turns the front door's counters into per-tick
+:class:`ControlSignals`, and policies spawn/retire warm capacity
+(per-function slots, whole shards) online.  :mod:`repro.engine.faults`
+schedules typed fault clauses (shard crashes, reclamation storms, gray
+slowdowns, network spikes) as events on the same timeline, and
+:mod:`repro.engine.remediate` closes the repair loop on the same signals: a
 controller that detects anomalies against EWMA baselines, proposes ranked
 actions, verifies the top one in a bounded shadow simulation, and actuates
 only on an accepted forecast.  Open-loop arrival processes live in
@@ -26,6 +29,7 @@ from repro.engine.autoscale import (
     AutoscaleSummary,
     Autoscaler,
     AutoscalerPolicy,
+    ControlSampler,
     ControlSignals,
     NullAutoscaler,
     PredictiveAutoscaler,
@@ -77,6 +81,7 @@ __all__ = [
     "AutoscaleSummary",
     "Autoscaler",
     "AutoscalerPolicy",
+    "ControlSampler",
     "ControlSignals",
     "DISPOSITIONS",
     "EngineFLStore",

@@ -153,6 +153,88 @@ class ControlSignals:
     #: tenant-free tiers).
     max_tenant_violation_rate: float = 0.0
 
+    @property
+    def violation_rate(self) -> float:
+        """SLO violations per finished request over the window (0.0 if none)."""
+        return self.slo_violation_delta / self.finished_delta if self.finished_delta else 0.0
+
+
+class ControlSampler:
+    """Per-tick :class:`ControlSignals` of one tier, for one control loop.
+
+    Both control loops — the :class:`Autoscaler` and the remediation
+    controller (:mod:`repro.engine.remediate`) — read the front door the same
+    way.  Construction snapshots the tier's lifetime counters; each
+    :meth:`sample` call returns the signals whose deltas cover the interval
+    since the previous call (or since construction).  ``interval_seconds``
+    turns the arrival delta into a rate, and ``ewma_alpha`` smooths it into
+    ``arrival_rate_ewma``.
+    """
+
+    def __init__(self, tier, interval_seconds: float, ewma_alpha: float = 0.4) -> None:
+        self.tier = tier
+        self.interval_seconds = interval_seconds
+        self.ewma_alpha = ewma_alpha
+        self._rate_ewma = 0.0
+        self._seen_arrivals = tier.arrived_requests
+        self._seen_shed = tier.shed_requests
+        self._seen_degraded = tier.degraded_requests
+        self._seen_requeued = tier.requeued_requests
+        self._seen_violations = tier.slo_violations_total
+        self._seen_finished = tier.finished_total
+        self._seen_tenant_finished = dict(tier.tenant_finished)
+        self._seen_tenant_violations = dict(tier.tenant_slo_violations)
+
+    def sample(self) -> ControlSignals:
+        """The signals of the interval since the previous sample."""
+        tier = self.tier
+        arrivals = tier.arrived_requests
+        rate = (arrivals - self._seen_arrivals) / self.interval_seconds
+        self._seen_arrivals = arrivals
+        alpha = self.ewma_alpha
+        self._rate_ewma = alpha * rate + (1 - alpha) * self._rate_ewma
+        shed = tier.shed_requests
+        degraded = tier.degraded_requests
+        requeued = tier.requeued_requests
+        violations = tier.slo_violations_total
+        finished = tier.finished_total
+        # Per-tenant *window* rates (deltas over the interval): the worst
+        # tenant's rate drives the "slo" policy, so one noisy-neighbour
+        # victim is enough to trigger a scale-up even when the aggregate
+        # rate looks healthy.
+        tenant_finished = dict(tier.tenant_finished)
+        tenant_violations = tier.tenant_slo_violations
+        max_tenant_rate = 0.0
+        for tenant, total_finished in tenant_finished.items():
+            finished_delta = total_finished - self._seen_tenant_finished.get(tenant, 0)
+            if finished_delta <= 0:
+                continue
+            violation_delta = tenant_violations.get(
+                tenant, 0
+            ) - self._seen_tenant_violations.get(tenant, 0)
+            max_tenant_rate = max(max_tenant_rate, violation_delta / finished_delta)
+        signals = ControlSignals(
+            now=tier.loop.now,
+            queue_depth=tier.waiting_requests,
+            arrival_rate=rate,
+            arrival_rate_ewma=self._rate_ewma,
+            shed_delta=shed - self._seen_shed,
+            degraded_delta=degraded - self._seen_degraded,
+            requeued_delta=requeued - self._seen_requeued,
+            active_shards=tier.num_shards,
+            slots_per_function=tier.slots_per_function,
+            capacity_units=tier.capacity_units,
+            inflight=tier.inflight,
+            slo_violation_delta=violations - self._seen_violations,
+            finished_delta=finished - self._seen_finished,
+            max_tenant_violation_rate=max_tenant_rate,
+        )
+        self._seen_shed, self._seen_degraded, self._seen_requeued = shed, degraded, requeued
+        self._seen_violations, self._seen_finished = violations, finished
+        self._seen_tenant_finished = tenant_finished
+        self._seen_tenant_violations = dict(tenant_violations)
+        return signals
+
 
 @dataclass(frozen=True)
 class ScaleDecision:
@@ -330,12 +412,7 @@ class SLOViolationAutoscaler(AutoscalerPolicy):
 
     def decide(self, signals: ControlSignals) -> ScaleDecision:
         config = self.config
-        window_rate = (
-            signals.slo_violation_delta / signals.finished_delta
-            if signals.finished_delta
-            else 0.0
-        )
-        pressure = max(window_rate, signals.max_tenant_violation_rate)
+        pressure = max(signals.violation_rate, signals.max_tenant_violation_rate)
         if pressure > config.slo_violation_target or signals.shed_delta > 0:
             if signals.capacity_units >= config.max_capacity_units or self._cooling_down(
                 self._last_scale_up_at, config.scale_up_cooldown_seconds, signals.now
@@ -459,7 +536,7 @@ class Autoscaler:
        is right-endpoint sampled at tick granularity, since a shard's warm
        fleet also grows *between* ticks as traffic warms it (the same
        estimator is applied to every policy, so cost comparisons are fair),
-    2. samples :class:`ControlSignals`,
+    2. samples :class:`ControlSignals` through its :class:`ControlSampler`,
     3. asks the policy for a decision and actuates it — per-function slots
        apply in full, shard count moves at most one per tick.
     """
@@ -493,33 +570,18 @@ class Autoscaler:
         self.provisioned_gb_seconds = 0.0
         self.peak_capacity_units = tier.capacity_units
         self._last_accrual_at: float | None = None
-        self._seen_arrivals = 0
-        self._seen_shed = 0
-        self._seen_degraded = 0
-        self._seen_requeued = 0
-        self._seen_violations = 0
-        self._seen_finished = 0
-        self._seen_tenant_finished: dict[str, int] = {}
-        self._seen_tenant_violations: dict[str, int] = {}
-        self._rate_ewma = 0.0
-        self._started = False
+        self._sampler: ControlSampler | None = None
 
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
         """Begin the control loop (called by ``run_open_loop`` after submit)."""
-        if self._started:
+        if self._sampler is not None:
             raise RuntimeError("an Autoscaler instance drives exactly one run")
-        self._started = True
         self._last_accrual_at = self.tier.loop.now
-        self._seen_arrivals = self.tier.arrived_requests
-        self._seen_shed = self.tier.shed_requests
-        self._seen_degraded = self.tier.degraded_requests
-        self._seen_requeued = self.tier.requeued_requests
-        self._seen_violations = self.tier.slo_violations_total
-        self._seen_finished = self.tier.finished_total
-        self._seen_tenant_finished = dict(getattr(self.tier, "tenant_finished", {}))
-        self._seen_tenant_violations = dict(getattr(self.tier, "tenant_slo_violations", {}))
+        self._sampler = ControlSampler(
+            self.tier, self.config.control_interval_seconds, self.config.ewma_alpha
+        )
         self.tier.loop.schedule(self.config.control_interval_seconds, self._tick)
 
     def finalize(self) -> None:
@@ -531,7 +593,7 @@ class Autoscaler:
     def _tick(self) -> None:
         self._accrue()
         self.ticks += 1
-        signals = self._sample()
+        signals = self._sampler.sample()
         decision = self.policy.decide(signals)
         if not decision.is_hold:
             self._apply(decision, signals)
@@ -555,56 +617,6 @@ class Autoscaler:
             self.capacity_unit_seconds += self.tier.capacity_units * elapsed
             self.provisioned_gb_seconds += self.tier.provisioned_gb * elapsed
         self._last_accrual_at = now
-
-    def _sample(self) -> ControlSignals:
-        tier = self.tier
-        interval = self.config.control_interval_seconds
-        arrivals = tier.arrived_requests
-        rate = (arrivals - self._seen_arrivals) / interval
-        self._seen_arrivals = arrivals
-        alpha = self.config.ewma_alpha
-        self._rate_ewma = alpha * rate + (1 - alpha) * self._rate_ewma
-        shed = tier.shed_requests
-        degraded = tier.degraded_requests
-        requeued = tier.requeued_requests
-        violations = tier.slo_violations_total
-        finished = tier.finished_total
-        # Per-tenant *window* rates (deltas over the interval): the worst
-        # tenant's rate drives the "slo" policy, so one noisy-neighbour
-        # victim is enough to trigger a scale-up even when the aggregate
-        # rate looks healthy.
-        tenant_finished = dict(getattr(tier, "tenant_finished", {}))
-        tenant_violations = getattr(tier, "tenant_slo_violations", {})
-        max_tenant_rate = 0.0
-        for tenant, total_finished in tenant_finished.items():
-            finished_delta = total_finished - self._seen_tenant_finished.get(tenant, 0)
-            if finished_delta <= 0:
-                continue
-            violation_delta = tenant_violations.get(
-                tenant, 0
-            ) - self._seen_tenant_violations.get(tenant, 0)
-            max_tenant_rate = max(max_tenant_rate, violation_delta / finished_delta)
-        signals = ControlSignals(
-            now=tier.loop.now,
-            queue_depth=tier.waiting_requests,
-            arrival_rate=rate,
-            arrival_rate_ewma=self._rate_ewma,
-            shed_delta=shed - self._seen_shed,
-            degraded_delta=degraded - self._seen_degraded,
-            requeued_delta=requeued - self._seen_requeued,
-            active_shards=tier.num_shards,
-            slots_per_function=tier.slots_per_function,
-            capacity_units=tier.capacity_units,
-            inflight=tier.inflight,
-            slo_violation_delta=violations - self._seen_violations,
-            finished_delta=finished - self._seen_finished,
-            max_tenant_violation_rate=max_tenant_rate,
-        )
-        self._seen_shed, self._seen_degraded, self._seen_requeued = shed, degraded, requeued
-        self._seen_violations, self._seen_finished = violations, finished
-        self._seen_tenant_finished = tenant_finished
-        self._seen_tenant_violations = dict(tenant_violations)
-        return signals
 
     # ------------------------------------------------------------- actuation
 
@@ -690,7 +702,7 @@ class Autoscaler:
                 shards=tier.num_shards,
                 slots_per_function=tier.slots_per_function,
                 capacity_units=tier.capacity_units,
-                replica_warm_events=getattr(tier, "replica_warm_events", 0),
+                replica_warm_events=tier.replica_warm_events,
             )
         )
 
@@ -716,6 +728,6 @@ class Autoscaler:
             capacity_unit_seconds=self.capacity_unit_seconds,
             provisioned_gb_seconds=self.provisioned_gb_seconds,
             warm_capacity_cost_dollars=self.warm_capacity_cost_dollars,
-            replica_warm_events=getattr(self.tier, "replica_warm_events", 0),
+            replica_warm_events=self.tier.replica_warm_events,
             events=list(self.events),
         )

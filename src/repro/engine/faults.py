@@ -122,12 +122,10 @@ class FaultRecord:
 class FaultPlan:
     """Schedules a list of fault clauses as events on a tier's event loop.
 
-    Works against either topology: a
-    :class:`~repro.engine.sharded.ShardedEngineFLStore` front door (all four
-    kinds) or a plain :class:`~repro.engine.flstore.EngineFLStore`
-    (everything except ``shard-crash``, which needs a ring to lose a shard
-    from).  ``start()`` is called by ``run_open_loop`` after arrivals are
-    scheduled; onsets are relative to that instant.
+    Works against any :class:`~repro.engine.sharded.ShardedEngineFLStore`
+    front door; a ``shard-crash`` needs at least two shards (the last shard
+    can never be crashed).  ``start()`` is called by ``run_open_loop`` after
+    arrivals are scheduled; onsets are relative to that instant.
     """
 
     def __init__(self, tier, clauses: Sequence[FaultClause], seed: int = 7) -> None:
@@ -140,12 +138,11 @@ class FaultPlan:
             for index, clause in enumerate(self.clauses)
         ]
         self._started = False
-        sharded = hasattr(tier, "crash_shard")
         for clause in self.clauses:
-            if clause.kind == "shard-crash" and not sharded:
+            if clause.kind == "shard-crash" and tier.num_shards < 2:
                 raise ConfigurationError(
-                    "a shard-crash fault needs a sharded tier (a plain engine "
-                    "has no front door to lose a shard from)"
+                    "a shard-crash fault needs a sharded tier with at least 2 "
+                    "shards (the last shard can never be crashed)"
                 )
 
     # ------------------------------------------------------------- lifecycle
@@ -177,11 +174,6 @@ class FaultPlan:
 
     # ------------------------------------------------------------ fault kinds
 
-    def _engines(self) -> list:
-        """The engine facades the fault surface spans (active shards or self)."""
-        active = getattr(self.tier, "active_shards", None)
-        return list(active) if active is not None else [self.tier]
-
     def _record(self, index: int, kind: str, detail: str) -> None:
         self.records.append(FaultRecord(self.tier.loop.now, index, kind, detail))
 
@@ -199,7 +191,7 @@ class FaultPlan:
 
         def _burst() -> None:
             total = 0
-            for engine in self._engines():
+            for engine in self.tier.active_shards:
                 warm = list(engine.flstore.cluster.function_ids())
                 if not warm:
                     continue
@@ -221,7 +213,7 @@ class FaultPlan:
         rng = self._rngs[index]
 
         def _degrade() -> None:
-            engines = self._engines()
+            engines = self.tier.active_shards
             victim = engines[int(rng.integers(len(engines)))]
             victim.service_time_multiplier = clause.magnitude
             self._record(
@@ -243,7 +235,7 @@ class FaultPlan:
             # The spike hits every shard's network path at once (a regional
             # event, not a per-shard one); shards added mid-window join at
             # the healthy multiplier, as a freshly provisioned path would.
-            victims = self._engines()
+            victims = self.tier.active_shards
             for engine in victims:
                 engine.network_fault_multiplier = clause.magnitude
             self._record(

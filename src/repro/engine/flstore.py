@@ -1,10 +1,12 @@
-"""Serving FLStore requests as timed processes on the discrete-event kernel.
+"""The per-shard serving engine: FLStore requests as timed processes.
 
-:class:`EngineFLStore` is a facade over :class:`repro.core.flstore.FLStore`
-that admits *overlapping* requests.  The analytic core stays the oracle for
-what a request does (which keys it touches, which function executes it, what
-its service latency and dollar cost are); the engine adds what the analytic
-path cannot express:
+:class:`EngineFLStore` is one shard of the serving tier — a facade over
+:class:`repro.core.flstore.FLStore` that admits *overlapping* requests, driven
+by the routing front door (:class:`repro.engine.sharded.ShardedEngineFLStore`),
+which schedules arrivals, keeps the outcome rows, and builds the report.  The
+analytic core stays the oracle for what a request does (which keys it
+touches, which function executes it, what its service latency and dollar cost
+are); the shard adds what the analytic path cannot express:
 
 * requests arrive at virtual times (open-loop load from
   :mod:`repro.traces.arrivals`) instead of back to back,
@@ -16,10 +18,10 @@ path cannot express:
   the event heap instead of eager per-request callbacks.
 
 Closed-loop equivalence is the design invariant: when requests arrive
-sequentially (each one after the previous completed), the engine reproduces
-the direct ``FLStore.serve`` path byte for byte — same :class:`ServeResult`
-latencies, costs, hit counts, and routing.  ``tests/test_engine.py`` enforces
-this for every registered workload.
+sequentially (each one after the previous completed), a tier reproduces the
+direct ``FLStore.serve`` path byte for byte — same :class:`ServeResult`
+latencies, costs, hit counts, and routing.  ``tests/test_sharded.py``
+enforces this for every registered workload.
 """
 
 from __future__ import annotations
@@ -31,9 +33,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.common.units import GB
-from repro.core.flstore import FLStore, ServeResult, build_default_flstore
+from repro.core.flstore import FLStore, ServeResult
 from repro.engine.kernel import EventLoop, SimTask, Timeout
-from repro.engine.streaming import StreamingLoadCollector, check_metrics_mode
 from repro.network.model import spike_cost, spike_latency
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.simulation.metrics import RequestRecord
@@ -318,11 +319,10 @@ def build_load_report(
 ) -> LoadReport:
     """Aggregate ``outcomes`` into a :class:`LoadReport`.
 
-    Shared by :class:`EngineFLStore` and the sharded front door
-    (:class:`repro.engine.sharded.ShardedEngineFLStore`), so a one-shard
-    sharded run reports through exactly the same code path as the plain
-    engine.  Sojourn statistics cover completed (non-shed) requests; shed
-    rejections count toward ``shed``/``shed_rate`` only.
+    The front door's full-metrics report
+    (:meth:`repro.engine.sharded.ShardedEngineFLStore.run_open_loop`).
+    Sojourn statistics cover completed (non-shed) requests; shed rejections
+    count toward ``shed``/``shed_rate`` only.
     """
     submitted = len(arrival_times)
     finished = [o for o in outcomes if o.disposition != "shed"]
@@ -394,7 +394,11 @@ def _queue_depth_profile(
 
 
 class EngineFLStore:
-    """Discrete-event serving facade over an analytic :class:`FLStore`.
+    """One engine-backed shard of the serving tier, driven by the front door.
+
+    The routing front door (:class:`repro.engine.sharded.ShardedEngineFLStore`)
+    schedules arrivals, retains the outcome rows, and owns the tier-level
+    counters; the shard serves what is routed to it.
 
     Parameters
     ----------
@@ -403,7 +407,7 @@ class EngineFLStore:
         its own fault injector — the engine schedules reclamations as events
         (pass ``fault_injector`` here instead).
     loop:
-        Event loop to run on (a fresh one by default).
+        The front door's shared event loop (a fresh one by default).
     fault_injector:
         Optional reclamation sampler; fired every
         ``reclamation_interval_seconds`` of virtual time as a scheduled
@@ -419,8 +423,6 @@ class EngineFLStore:
         ``"degrade-to-objstore"``).  Defaults to
         ``config.serverless.shed_policy``.
     """
-
-    system_name = "engine-flstore"
 
     def __init__(
         self,
@@ -469,58 +471,24 @@ class EngineFLStore:
         self._outstanding = 0
         self._waiting = 0
         self._depth_samples: list[tuple[float, int]] = []
-        self._completed: list[EngineOutcome] = []
-        #: Lifetime completion counters, maintained in O(1) per outcome.
-        #: The remediation controller samples SLO compliance from these
-        #: (``watch_slo_seconds`` arms the violation counter) instead of
-        #: re-scanning ``_completed`` every control tick, and the streaming
-        #: metrics mode depends on them because it retains no rows at all.
-        self.completed_total = 0
-        self.finished_total = 0
-        self.slo_violations_total = 0
-        self.watch_slo_seconds: float | None = None
         #: Multi-tenant state (empty on single-tenant engines, which keeps
         #: every untagged code path byte-identical).  Weights feed the
         #: wfq/drr queue disciplines; per-tenant SLOs and the lifetime
-        #: violation/finished counters feed SLO-aware shedding and the
-        #: ``slo`` autoscaler policy.
+        #: violation/finished counters of this shard rank push-out victims.
         self._tenant_weights: dict[str, float] = {}
         self.tenant_slo_seconds: dict[str, float] = {}
         self.tenant_finished: dict[str, int] = {}
         self.tenant_slo_violations: dict[str, int] = {}
         self._tenant_waiting: dict[str, int] = {}
-        #: Streaming-mode hooks: when set, completed outcomes / queue-depth
-        #: changes flow to these callbacks *instead of* the retained
-        #: ``_completed`` / ``_depth_samples`` lists (``metrics="streaming"``
-        #: keeps memory flat in request count).  ``None`` (the default)
-        #: preserves the retained-row pipeline byte for byte.
-        self.outcome_sink: Callable[[EngineOutcome], None] | None = None
+        #: Streaming-mode hook: when set, queue-depth changes flow to this
+        #: callback *instead of* the retained ``_depth_samples`` list
+        #: (``metrics="streaming"`` keeps memory flat in request count).
         self.depth_listener: Callable[["EngineFLStore", float, int], None] | None = None
-        #: Re-arm predicate for the keep-alive/reclamation daemons.  Stand-
-        #: alone, an engine keeps them alive while it has submitted-but-
-        #: incomplete requests; a routing front door overrides this with its
-        #: own in-flight count, because under route-at-arrival a shard only
-        #: learns about a request when it arrives — its local count going
-        #: momentarily to zero must not kill the daemons while the tier
-        #: still has traffic coming.
-        self.daemon_alive: Callable[[], bool] | None = None
         # One daemon of each kind at a time: a shard retired and re-activated
         # within one interval would otherwise end up with two concurrent
         # daemons (the old one has not yet observed its dead re-arm check).
         self._keepalive_daemon = False
         self._reclaim_daemon = False
-
-    @classmethod
-    def build(
-        cls,
-        config=None,
-        policy_mode: str = "tailored",
-        fault_injector: ZipfianFaultInjector | None = None,
-        **kwargs,
-    ) -> "EngineFLStore":
-        """Build a fresh analytic FLStore and wrap it in an engine facade."""
-        flstore = build_default_flstore(config, policy_mode=policy_mode)
-        return cls(flstore, fault_injector=fault_injector, **kwargs)
 
     # --------------------------------------------------------- passthroughs
 
@@ -661,7 +629,6 @@ class EngineFLStore:
             completed_at=now,
             disposition="shed",
         )
-        self._record(outcome)
         self._outstanding -= 1
         task.resolve(outcome)
 
@@ -792,28 +759,14 @@ class EngineFLStore:
         return outcome
 
     def _record(self, outcome: EngineOutcome) -> None:
-        """Account one completed outcome: counters, then retain or stream it."""
-        self.completed_total += 1
-        if outcome.disposition != "shed":
-            self.finished_total += 1
-            watch = self.watch_slo_seconds
-            tenant = outcome.request.tenant_id
-            if tenant is None:
-                if watch is not None and outcome.sojourn_seconds > watch:
-                    self.slo_violations_total += 1
-            else:
-                self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
-                slo = self.tenant_slo_seconds.get(tenant, watch)
-                if slo is not None and outcome.sojourn_seconds > slo:
-                    self.slo_violations_total += 1
-                    self.tenant_slo_violations[tenant] = (
-                        self.tenant_slo_violations.get(tenant, 0) + 1
-                    )
-        sink = self.outcome_sink
-        if sink is None:
-            self._completed.append(outcome)
-        else:
-            sink(outcome)
+        """Count a finished tenant request toward this shard's push-out ranking."""
+        tenant = outcome.request.tenant_id
+        if tenant is None or outcome.disposition == "shed":
+            return
+        self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
+        slo = self.tenant_slo_seconds.get(tenant)
+        if slo is not None and outcome.sojourn_seconds > slo:
+            self.tenant_slo_violations[tenant] = self.tenant_slo_violations.get(tenant, 0) + 1
 
     def _note_queue_change(self, delta: int) -> None:
         self._waiting += delta
@@ -895,7 +848,9 @@ class EngineFLStore:
         ``requeued`` (the same semantics as a reclamation draining them), so
         conservation holds across the resize; in-flight executions finish on
         the shared loop.  Warm functions are reclaimed, so the shard stops
-        counting toward the tier's warm capacity and cache liveness.
+        counting toward the tier's warm capacity and cache liveness.  Its
+        daemons wind down at their next tick (their re-arm predicate checks
+        that the shard is still active).
         """
         for function in list(self.platform.functions()):
             function_id = function.function_id
@@ -904,27 +859,23 @@ class EngineFLStore:
             if function.is_warm:
                 self.platform.reclaim_function(function_id)
         self.flstore.engine.drop_lost_keys()
-        # A retired shard has nothing to keep warm and samples no further
-        # reclamations; let its daemons wind down at their next tick.
-        self.daemon_alive = lambda: False
 
     # --------------------------------------------------- lifecycle as events
 
-    def _daemons_live(self) -> bool:
-        """Whether the keep-alive/reclamation daemons should re-arm."""
-        if self.daemon_alive is not None:
-            return self.daemon_alive()
-        return self._outstanding > 0
-
-    def schedule_keepalive(self, interval_seconds: float | None = None) -> None:
+    def schedule_keepalive(
+        self, alive: Callable[[], bool], interval_seconds: float | None = None
+    ) -> None:
         """Ping warm functions every ``interval_seconds`` of virtual time.
 
         The recurring event first advances the shared analytic clock to the
         engine's virtual time (monotonically), then pings every warm
         function, so ``last_invoked_at`` stamps track the open-loop timeline
         rather than the analytic per-request one.  It re-arms itself while
-        requests are outstanding — a periodic daemon on the event heap
-        instead of an eager callback per request.
+        ``alive()`` holds — a periodic daemon on the event heap instead of an
+        eager callback per request.  The front door supplies ``alive``: under
+        route-at-arrival a shard only learns about a request when it arrives,
+        so its own count going momentarily to zero must not stop the daemon
+        while the tier still has traffic coming.
         """
         interval = (
             interval_seconds
@@ -942,15 +893,17 @@ class EngineFLStore:
             for function in self.platform.warm_functions():
                 self.platform.ping(function.function_id)
                 self.keepalive_pings += 1
-            if self._daemons_live():
+            if alive():
                 self.loop.schedule(interval, _ping)
             else:
                 self._keepalive_daemon = False
 
         self.loop.schedule(interval, _ping)
 
-    def schedule_reclamations(self, interval_seconds: float | None = None) -> None:
-        """Sample provider reclamations on a timer instead of per request."""
+    def schedule_reclamations(
+        self, alive: Callable[[], bool], interval_seconds: float | None = None
+    ) -> None:
+        """Sample provider reclamations on a timer while ``alive()`` holds."""
         if self.fault_injector is None:
             return
         interval = (
@@ -975,149 +928,9 @@ class EngineFLStore:
                     token.resolve(False)
             if reclaimed:
                 self.flstore.engine.drop_lost_keys()
-            if self._daemons_live():
+            if alive():
                 self.loop.schedule(interval, _reclaim)
             else:
                 self._reclaim_daemon = False
 
         self.loop.schedule(interval, _reclaim)
-
-    # ------------------------------------------------------------ run modes
-
-    def run_closed_loop(self, requests: Iterable[WorkloadRequest]) -> list[ServeResult]:
-        """Serve ``requests`` sequentially through the engine.
-
-        Each request arrives exactly when the previous one completed, so no
-        request ever queues and the returned :class:`ServeResult` sequence is
-        byte-identical to calling ``FLStore.serve`` directly.
-        """
-        results: list[ServeResult] = []
-        for request in requests:
-            task = self.submit(request, at=self.loop.now)
-            self.loop.run()
-            results.append(task.result.result)
-        return results
-
-    def _submit_block(
-        self,
-        requests: Sequence[WorkloadRequest],
-        absolute_times: Sequence[float],
-        priorities: Sequence[float] | None,
-    ) -> None:
-        """Submit one open-loop block, bulk-scheduling sorted arrivals.
-
-        Arrival processes produce non-decreasing instants, so the common
-        case consumes them through :meth:`EventLoop.schedule_many` (one
-        sorted-array cursor) instead of N individual pushes; a contiguous
-        sequence block is reserved up front, so the event order — and
-        therefore every report — is byte-identical to per-request
-        :meth:`submit` calls.  Unsorted inputs fall back to those calls.
-        """
-        count = len(requests)
-        if count == 0:
-            return
-        times = np.asarray(absolute_times, dtype=np.float64)
-        if count > 1 and not bool(np.all(times[1:] >= times[:-1])):
-            for index, (request, at) in enumerate(zip(requests, absolute_times)):
-                priority = priorities[index] if priorities is not None else 0.0
-                self.submit(request, at=at, priority=priority)
-            return
-        tasks = [SimTask(self.loop, name=request.request_id) for request in requests]
-        self._outstanding += count
-
-        def _arrive(index: int) -> None:
-            request = requests[index]
-            task = tasks[index]
-            if (
-                self.max_queue_depth > 0
-                and self._waiting >= self.max_queue_depth
-                and not self._try_pushout(request)
-            ):
-                self._shed(request, task)
-            else:
-                priority = priorities[index] if priorities is not None else 0.0
-                self.loop.process(self._request_process(request, priority), task=task)
-
-        self.loop.schedule_many(times, _arrive)
-
-    def run_open_loop(
-        self,
-        requests: Sequence[WorkloadRequest],
-        arrival_times: Sequence[float],
-        priorities: Sequence[float] | None = None,
-        label: str = "open-loop",
-        keepalive: bool = False,
-        slo_seconds: float | None = None,
-        fault_plan=None,
-        metrics: str = "full",
-    ) -> LoadReport:
-        """Serve ``requests`` at the given arrival times; report load metrics.
-
-        ``arrival_times`` come from an arrival process
-        (:mod:`repro.traces.arrivals`) and are relative to the start of this
-        run (the loop's current virtual time), so repeated runs on one
-        engine compose; overlapping requests contend for execution slots and
-        queue per function.  With ``keepalive`` the keep-alive daemon runs
-        as a recurring event; a fault injector (if configured) adds
-        reclamation events.  ``slo_seconds`` (optional) sets the sojourn-time
-        SLO the report's ``violation_rate`` is measured against.  Per-run
-        counters (queue-depth samples, keep-alive pings, reclamations, shed
-        accounting) are reported per run, not engine-lifetime.  A
-        ``fault_plan`` (:class:`repro.engine.faults.FaultPlan`) schedules its
-        fault clauses as events on the same virtual timeline.
-
-        ``metrics`` selects the report pipeline: ``"full"`` (default)
-        retains every outcome and reports exact percentiles — byte-identical
-        to the pre-knob behaviour — while ``"streaming"`` folds outcomes
-        into O(1)-memory accumulators (:mod:`repro.engine.streaming`) as
-        they complete: every scalar column except the three percentile
-        sketches is still exact, and ``report.outcomes`` is empty.
-        """
-        if len(requests) != len(arrival_times):
-            raise ValueError("requests and arrival_times must have the same length")
-        check_metrics_mode(metrics)
-        base = self.loop.now
-        absolute_times = [base + float(at) for at in arrival_times]
-        start_count = len(self._completed)
-        pings_before = self.keepalive_pings
-        reclamations_before = self.reclamations
-        self._depth_samples = []
-        collector: StreamingLoadCollector | None = None
-        if metrics == "streaming":
-            collector = StreamingLoadCollector(
-                slo_seconds, tenant_slos=self.tenant_slo_seconds or None
-            )
-            self.outcome_sink = collector.fold
-            self.depth_listener = lambda engine, now, depth: collector.note_depth(now, depth)
-        try:
-            self._submit_block(requests, absolute_times, priorities)
-            if keepalive:
-                self.schedule_keepalive()
-            self.schedule_reclamations()
-            if fault_plan is not None:
-                fault_plan.start()
-            self.loop.run()
-        finally:
-            if collector is not None:
-                self.outcome_sink = None
-                self.depth_listener = None
-        if collector is not None:
-            return collector.build_report(
-                label,
-                submitted=len(absolute_times),
-                first_arrival=min(absolute_times) if absolute_times else 0.0,
-                last_arrival=max(absolute_times) if absolute_times else 0.0,
-                keepalive_pings=self.keepalive_pings - pings_before,
-                reclamations=self.reclamations - reclamations_before,
-            )
-        outcomes = self._completed[start_count:]
-        return build_load_report(
-            outcomes,
-            absolute_times,
-            label,
-            depth_samples=self._depth_samples,
-            keepalive_pings=self.keepalive_pings - pings_before,
-            reclamations=self.reclamations - reclamations_before,
-            slo_seconds=slo_seconds,
-            tenant_slos=self.tenant_slo_seconds or None,
-        )

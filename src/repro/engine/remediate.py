@@ -3,7 +3,8 @@
 Where the autoscaler (:mod:`repro.engine.autoscale`) tracks *load*, this
 controller responds to *faults*.  It rides the same control-tick mechanism —
 a recurring scheduled event on the tier's virtual timeline, sampling the
-same queue-depth / counter-delta signals — and closes a
+same queue-depth / counter-delta signals through its own
+:class:`~repro.engine.autoscale.ControlSampler` — and closes a
 detect → propose → verify → actuate loop (the k8s-auto-fix shape):
 
 1. **Detect.**  Each tick compares the sampled signals against EWMA
@@ -40,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.engine.autoscale import ControlSampler, ControlSignals
 
 #: Actions the controller can propose, in rank order (capacity restoration
 #: first, capacity-neutral rebalancing after).
@@ -246,31 +248,23 @@ class RemediationController:
         self.shadow_runs = 0
         self._depth_baseline = 0.0
         self._violation_baseline = 0.0
-        self._seen_requeued = 0
-        self._seen_shed = 0
-        self._seen_finished = 0
-        self._seen_violations = 0
         self._last_verify_at: float | None = None
         self._shadow_cache: dict[tuple, dict] = {}
-        self._started = False
+        self._sampler: ControlSampler | None = None
 
     # ------------------------------------------------------------- lifecycle
 
     def start(self) -> None:
         """Begin the control loop (called by ``run_open_loop`` after submit)."""
-        if self._started:
+        if self._sampler is not None:
             raise RuntimeError("a RemediationController instance drives exactly one run")
-        self._started = True
-        self._seen_requeued = self.tier.requeued_requests
-        self._seen_shed = self.tier.shed_requests
-        # Arm the tier's lifetime SLO-violation counter and snapshot it:
-        # every control tick then reads a per-window violation rate as two
-        # O(1) counter deltas instead of slicing the (unboundedly growing)
-        # completed-outcome list — the former O(n^2) term over a run.
+        # Arm the tier's lifetime SLO-violation counter before the sampler
+        # snapshots it: every control tick then reads a per-window violation
+        # rate as two O(1) counter deltas instead of slicing the (unboundedly
+        # growing) completed-outcome list.
         if self.slo_seconds is not None:
             self.tier.watch_slo_seconds = self.slo_seconds
-        self._seen_finished = self.tier.finished_total
-        self._seen_violations = self.tier.slo_violations_total
+        self._sampler = ControlSampler(self.tier, self.config.control_interval_seconds)
         self.tier.loop.schedule(self.config.control_interval_seconds, self._tick)
 
     def finalize(self) -> None:
@@ -280,17 +274,17 @@ class RemediationController:
 
     def _tick(self) -> None:
         self.ticks += 1
-        sample = self._sample()
-        anomalies = self._detect(sample)
+        signals = self._sampler.sample()
+        anomalies = self._detect(signals)
         self.anomaly_log.extend(anomalies)
-        if any(a.structural for a in anomalies) and self._may_act(sample["now"]):
+        if any(a.structural for a in anomalies) and self._may_act(signals.now):
             # Walk the ranked proposals until one survives shadow verification
             # (every verdict is logged); the whole walk counts as one
             # verification attempt for cooldown purposes.
-            for proposal in self._propose(sample, anomalies):
-                record = self._verify(proposal, sample, anomalies)
+            for proposal in self._propose(signals, anomalies):
+                record = self._verify(proposal, signals, anomalies)
                 self.records.append(record)
-                self._last_verify_at = sample["now"]
+                self._last_verify_at = signals.now
                 if record.accepted:
                     self._actuate(proposal)
                     break
@@ -298,42 +292,16 @@ class RemediationController:
             # Baselines learn only from healthy ticks: an ongoing anomaly
             # must not teach the detector that broken is the new normal.
             alpha = self.config.ewma_alpha
-            self._depth_baseline = (
-                alpha * sample["queue_depth"] + (1 - alpha) * self._depth_baseline
-            )
+            self._depth_baseline = alpha * signals.queue_depth + (1 - alpha) * self._depth_baseline
             self._violation_baseline = (
-                alpha * sample["violation_rate"] + (1 - alpha) * self._violation_baseline
+                alpha * self._violation_rate(signals) + (1 - alpha) * self._violation_baseline
             )
         if self.tier.inflight > 0:
             self.tier.loop.schedule(self.config.control_interval_seconds, self._tick)
 
-    def _sample(self) -> dict:
-        tier = self.tier
-        requeued = tier.requeued_requests
-        shed = tier.shed_requests
-        finished_total = tier.finished_total
-        violations_total = tier.slo_violations_total
-        violation_rate = 0.0
-        if self.slo_seconds is not None:
-            finished_delta = finished_total - self._seen_finished
-            if finished_delta:
-                violation_rate = (violations_total - self._seen_violations) / finished_delta
-        sample = {
-            "now": tier.loop.now,
-            "queue_depth": tier.waiting_requests,
-            "violation_rate": violation_rate,
-            "requeued_delta": requeued - self._seen_requeued,
-            "shed_delta": shed - self._seen_shed,
-            "active_shards": tier.num_shards,
-            "slots_per_function": tier.slots_per_function,
-            "router_kind": tier.router.kind,
-            "shed_policy": self._current_shed_policy(),
-        }
-        self._seen_requeued = requeued
-        self._seen_shed = shed
-        self._seen_finished = finished_total
-        self._seen_violations = violations_total
-        return sample
+    def _violation_rate(self, signals: ControlSignals) -> float:
+        """The window violation rate, when an SLO arms that detector."""
+        return signals.violation_rate if self.slo_seconds is not None else 0.0
 
     def _current_shed_policy(self) -> str:
         active = self.tier.active_shards
@@ -341,29 +309,27 @@ class RemediationController:
 
     # -------------------------------------------------------------- detection
 
-    def _detect(self, sample: dict) -> list[Anomaly]:
+    def _detect(self, signals: ControlSignals) -> list[Anomaly]:
         config = self.config
-        now = sample["now"]
+        now = signals.now
         anomalies: list[Anomaly] = []
         if (
-            sample["active_shards"] < self.nominal_shards
-            or sample["slots_per_function"] < self.nominal_slots
+            signals.active_shards < self.nominal_shards
+            or signals.slots_per_function < self.nominal_slots
         ):
             nominal = self.nominal_shards * self.nominal_slots
-            current = sample["active_shards"] * sample["slots_per_function"]
+            current = signals.active_shards * signals.slots_per_function
             anomalies.append(Anomaly(now, "capacity-loss", float(current), float(nominal)))
-        if sample["requeued_delta"] >= config.requeue_spike_threshold:
-            anomalies.append(
-                Anomaly(now, "requeue-spike", float(sample["requeued_delta"]), 0.0)
-            )
+        if signals.requeued_delta >= config.requeue_spike_threshold:
+            anomalies.append(Anomaly(now, "requeue-spike", float(signals.requeued_delta), 0.0))
         if self.ticks > config.warmup_ticks:
-            depth = sample["queue_depth"]
+            depth = signals.queue_depth
             depth_gate = max(
                 float(config.min_queue_depth), config.queue_depth_factor * self._depth_baseline
             )
             if depth > depth_gate:
                 anomalies.append(Anomaly(now, "queue-depth", float(depth), self._depth_baseline))
-            violation = sample["violation_rate"]
+            violation = self._violation_rate(signals)
             violation_gate = max(
                 config.violation_rate_threshold,
                 config.queue_depth_factor * self._violation_baseline,
@@ -383,38 +349,39 @@ class RemediationController:
 
     # --------------------------------------------------------------- proposal
 
-    def _propose(self, sample: dict, anomalies: list[Anomaly]) -> list[Proposal]:
+    def _propose(self, signals: ControlSignals, anomalies: list[Anomaly]) -> list[Proposal]:
         kinds = {a.kind for a in anomalies}
         proposals: list[Proposal] = []
-        if sample["active_shards"] < self.nominal_shards:
+        if signals.active_shards < self.nominal_shards:
             proposals.append(
                 Proposal(
                     "add-shard",
-                    f"tier at {sample['active_shards']}/{self.nominal_shards} shards",
+                    f"tier at {signals.active_shards}/{self.nominal_shards} shards",
                 )
             )
-        if sample["slots_per_function"] < self.nominal_slots:
+        if signals.slots_per_function < self.nominal_slots:
             proposals.append(
                 Proposal(
                     "promote-slots",
-                    f"slots at {sample['slots_per_function']}/{self.nominal_slots}",
+                    f"slots at {signals.slots_per_function}/{self.nominal_slots}",
                 )
             )
         # _propose only runs on structural anomalies, so any anomaly set here
         # justifies the capacity-neutral rebalancing proposals.
         pressured = bool(kinds)
-        if pressured and sample["router_kind"] != "jsq":
+        router_kind = self.tier.router.kind
+        if pressured and router_kind != "jsq":
             proposals.append(
                 Proposal(
                     "reroute-jsq",
-                    f"rebalance {sample['router_kind']} routing by live queue depth",
+                    f"rebalance {router_kind} routing by live queue depth",
                 )
             )
-        if pressured and sample["shed_policy"] == "drop" and sample["shed_delta"] > 0:
+        if pressured and self._current_shed_policy() == "drop" and signals.shed_delta > 0:
             proposals.append(
                 Proposal(
                     "shed-degrade",
-                    f"{sample['shed_delta']} drops last tick; degrade instead",
+                    f"{signals.shed_delta} drops last tick; degrade instead",
                 )
             )
         return proposals
@@ -422,22 +389,22 @@ class RemediationController:
     # ----------------------------------------------------------- verification
 
     def _verify(
-        self, proposal: Proposal, sample: dict, anomalies: list[Anomaly]
+        self, proposal: Proposal, signals: ControlSignals, anomalies: list[Anomaly]
     ) -> RemediationRecord:
         anomaly_kinds = tuple(a.kind for a in anomalies)
         if self.shadow_runner is None:
             return RemediationRecord(
-                time=sample["now"],
+                time=signals.now,
                 anomalies=anomaly_kinds,
                 action=proposal.action,
                 accepted=True,
                 reason=f"{proposal.reason} (no shadow runner attached; trusted)",
             )
         state = {
-            "shards": sample["active_shards"],
-            "slots": sample["slots_per_function"],
-            "router_kind": sample["router_kind"],
-            "shed_policy": sample["shed_policy"],
+            "shards": signals.active_shards,
+            "slots": signals.slots_per_function,
+            "router_kind": self.tier.router.kind,
+            "shed_policy": self._current_shed_policy(),
         }
         key = (proposal.action, *sorted(state.items()))
         forecast = self._shadow_cache.get(key)
@@ -475,7 +442,7 @@ class RemediationController:
                 f"{config.regression_tolerance:.0%} tolerance"
             )
         return RemediationRecord(
-            time=sample["now"],
+            time=signals.now,
             anomalies=anomaly_kinds,
             action=proposal.action,
             accepted=accepted,

@@ -1,9 +1,11 @@
-"""A routed, sharded serving tier behind one front door.
+"""The serving tier: a routing front door over engine-backed shards.
 
-:class:`ShardedEngineFLStore` owns N independent ``FLStore`` +
-:class:`~repro.engine.flstore.EngineFLStore` shards running on **one shared
-event loop** (a single virtual timeline), routes every request to a shard by
-its data-affinity key (:mod:`repro.routing`), and aggregates the results:
+Every topology is a :class:`ShardedEngineFLStore` — a plain spec is one
+shard behind the default consistent-hash ring.  The front door owns N
+independent ``FLStore`` + :class:`~repro.engine.flstore.EngineFLStore`
+shards running on **one shared event loop** (a single virtual timeline),
+drives the open-loop run, routes every request to a shard by its
+data-affinity key (:mod:`repro.routing`), and aggregates the results:
 per-request :class:`~repro.engine.flstore.EngineOutcome` rows in global
 completion order, running latency/cost accumulators, queue-depth profiles
 merged across shards, and cache-liveness accounting (cached bytes, live
@@ -30,11 +32,11 @@ what the autoscaler (:mod:`repro.engine.autoscale`) actuates:
   semantics), keeping ``served + requeued + degraded + shed == offered``
   across resize events.
 
-Design invariant (enforced by ``tests/test_sharded.py``): a one-shard tier
-with unbounded queues is *byte-identical* to a plain ``EngineFLStore`` —
-same per-request rows, same report — because the front door delegates to the
-same submission path and builds its report through the same
-:func:`~repro.engine.flstore.build_load_report` code.
+Design invariant: a one-shard tier *is* the plain topology, by
+construction — there is no second serving path for it to drift from.  The
+fixtures under ``tests/data/one_shard_engine/`` (recorded from the retired
+standalone engine driver) and ``tests/data/run_reports/`` pin its per-request
+rows, timings, and reports byte for byte.
 """
 
 from __future__ import annotations
@@ -92,14 +94,6 @@ def merge_depth_samples(
         current[shard_index] = depth
         merged.append((time_point, sum(current)))
     return merged
-
-
-def _discard_outcome(outcome: EngineOutcome) -> None:
-    """Shard-level outcome sink for streaming runs.
-
-    The front door already folds every outcome into the run's collector as
-    the shard task resolves; the shard itself must simply not retain the row.
-    """
 
 
 class ShardedEngineFLStore:
@@ -214,23 +208,8 @@ class ShardedEngineFLStore:
         #: All shards ever created, in creation order; retired shards stay
         #: (their completed work and counters remain part of the tier).
         self.shards = [
-            EngineFLStore(
-                flstore,
-                loop=self.loop,
-                fault_injector=injector,
-                reclamation_interval_seconds=reclamation_interval_seconds,
-                max_queue_depth=max_queue_depth,
-                shed_policy=shed_policy,
-            )
-            for flstore, injector in zip(flstores, injectors)
+            self._new_shard(flstore, injector) for flstore, injector in zip(flstores, injectors)
         ]
-        # Under route-at-arrival a shard's own outstanding count hits zero
-        # whenever it is momentarily idle; its keep-alive/reclamation
-        # daemons must instead live as long as the *tier* has in-flight
-        # traffic (matching the plain engine, whose count includes
-        # submitted-but-not-yet-arrived requests).
-        for shard in self.shards:
-            shard.daemon_alive = self._has_inflight
         #: Indices into ``shards`` currently receiving traffic; resized
         #: last-in-first-out so router slot ``i`` is always ``_active[i]``.
         self._active: list[int] = list(range(len(self.shards)))
@@ -260,19 +239,19 @@ class ShardedEngineFLStore:
         self.latency_totals = LatencyAccumulator()
         self.cost_totals = CostAccumulator()
         self._completed: list[EngineOutcome] = []
-        #: Tier-lifetime outcome counters, mirroring the plain engine's: the
-        #: remediation controller reads per-window deltas off these
-        #: (``watch_slo_seconds`` arms the violation counter) instead of
-        #: re-scanning ``_completed`` every control tick, and the streaming
-        #: metrics mode depends on them because it retains no rows at all.
+        #: Tier-lifetime outcome counters: the control loops read per-window
+        #: deltas off these (``watch_slo_seconds`` arms the violation
+        #: counter) instead of re-scanning ``_completed`` every control tick,
+        #: and the streaming metrics mode depends on them because it retains
+        #: no rows at all.
         self.completed_total = 0
         self.finished_total = 0
         self.slo_violations_total = 0
         self.watch_slo_seconds: float | None = None
-        #: Tier-level tenant policy state, mirroring the plain engine's
-        #: (:meth:`EngineFLStore.configure_tenants`); propagated to every
-        #: shard — current and future — so per-shard queue disciplines and
-        #: push-out admission see the same weights everywhere.
+        #: Tier-level tenant policy state, propagated to every shard
+        #: (:meth:`EngineFLStore.configure_tenants`) — current and future —
+        #: so per-shard queue disciplines and push-out admission see the same
+        #: weights everywhere.
         self._tenant_weights: dict[str, float] = {}
         self.tenant_slo_seconds: dict[str, float] = {}
         self.tenant_finished: dict[str, int] = {}
@@ -304,6 +283,30 @@ class ShardedEngineFLStore:
             "shard_factory", lambda: build_default_flstore(config, policy_mode=policy_mode)
         )
         return cls(flstores, router=router or make_router(router_kind, num_shards), **kwargs)
+
+    def _new_shard(
+        self, flstore: FLStore, fault_injector: ZipfianFaultInjector | None = None
+    ) -> EngineFLStore:
+        """Wrap ``flstore`` as a shard on the tier's loop and admission knobs."""
+        return EngineFLStore(
+            flstore,
+            loop=self.loop,
+            fault_injector=fault_injector,
+            reclamation_interval_seconds=self._reclamation_interval,
+            max_queue_depth=self._max_queue_depth,
+            shed_policy=self._shed_policy,
+        )
+
+    def _daemons_alive(self, index: int) -> Callable[[], bool]:
+        """Re-arm predicate of shard ``index``'s keep-alive/reclamation daemons.
+
+        They run while the *tier* has requests in flight (including
+        submitted-but-not-yet-arrived ones) and the shard is active, so a
+        retired shard's daemons wind down at their next tick.  Only the
+        scheduled daemons hold the predicate, so shards keep no reference
+        back to the tier.
+        """
+        return lambda: self._inflight > 0 and index in self._active
 
     def _bind_router(self) -> None:
         """Hand load-aware routers a live ``slot -> outstanding`` probe.
@@ -359,8 +362,7 @@ class ShardedEngineFLStore:
         """Arm tenant policy state tier-wide (every shard, retired included).
 
         Shards added later inherit the configuration in :meth:`add_shard`.
-        An empty ``weights`` mapping disarms tenancy, exactly as on the
-        plain engine.
+        An empty ``weights`` mapping disarms tenancy.
         """
         self._tenant_weights = dict(weights)
         self.tenant_slo_seconds = {
@@ -441,13 +443,12 @@ class ShardedEngineFLStore:
     ) -> None:
         """Submit one open-loop block, bulk-scheduling sorted arrivals.
 
-        The front-door counterpart of
-        :meth:`EngineFLStore._submit_block`: non-decreasing arrival instants
-        go through one :meth:`~repro.engine.kernel.EventLoop.schedule_many`
-        stream (routing still happens per arrival, at arrival time), with a
-        contiguous sequence block reserved up front so event order — and
-        every report — is byte-identical to per-request :meth:`submit`
-        calls.  Unsorted inputs fall back to those calls.
+        Non-decreasing arrival instants go through one
+        :meth:`~repro.engine.kernel.EventLoop.schedule_many` stream (routing
+        still happens per arrival, at arrival time), with a contiguous
+        sequence block reserved up front so event order — and every report —
+        is byte-identical to per-request :meth:`submit` calls.  Unsorted
+        inputs fall back to those calls.
         """
         count = len(requests)
         if count == 0:
@@ -482,9 +483,6 @@ class ShardedEngineFLStore:
     def inflight(self) -> int:
         """Requests submitted to the front door but not yet resolved."""
         return self._inflight
-
-    def _has_inflight(self) -> bool:
-        return self._inflight > 0
 
     # -------------------------------------------------- hot-key replication
 
@@ -643,22 +641,17 @@ class ShardedEngineFLStore:
     def _begin_streaming(self, collector: StreamingLoadCollector) -> None:
         """Route outcomes and queue-depth changes into ``collector``.
 
-        The front door folds every resolved outcome; each shard discards its
-        own copy of the row and reports queue-depth changes to
-        :meth:`_on_shard_depth`, which maintains the fleet-wide depth
-        incrementally.  Shards added mid-run get the same hooks
-        (see :meth:`add_shard`).
+        The front door folds every resolved outcome; each shard reports
+        queue-depth changes to :meth:`_on_shard_depth`, which maintains the
+        fleet-wide depth incrementally.  Shards added mid-run get the same
+        hook (see :meth:`add_shard`).
         """
         self._stream_collector = collector
         self._stream_depths = {}
         self._stream_depth_total = 0
         self.outcome_sink = collector.fold
         for shard in self.shards:
-            self._apply_stream_hooks(shard)
-
-    def _apply_stream_hooks(self, shard: EngineFLStore) -> None:
-        shard.outcome_sink = _discard_outcome
-        shard.depth_listener = self._on_shard_depth
+            shard.depth_listener = self._on_shard_depth
 
     def _on_shard_depth(self, shard: EngineFLStore, now: float, depth: int) -> None:
         key = id(shard)
@@ -673,7 +666,6 @@ class ShardedEngineFLStore:
         self._stream_depth_total = 0
         self.outcome_sink = None
         for shard in self.shards:
-            shard.outcome_sink = None
             shard.depth_listener = None
 
     # --------------------------------------------------------- online resize
@@ -737,14 +729,7 @@ class ShardedEngineFLStore:
                     flstore.ingest_round(record)
             if not warm_join:
                 self._cold_join(flstore)
-            shard = EngineFLStore(
-                flstore,
-                loop=self.loop,
-                fault_injector=None,
-                reclamation_interval_seconds=self._reclamation_interval,
-                max_queue_depth=self._max_queue_depth,
-                shed_policy=self._shed_policy,
-            )
+            shard = self._new_shard(flstore)
             index = len(self.shards)
             self.shards.append(shard)
             self.routed_counts.append(0)
@@ -756,20 +741,19 @@ class ShardedEngineFLStore:
         shard.set_function_concurrency(self.slots_per_function)
         if self._tenant_weights:
             shard.configure_tenants(self._tenant_weights, self.tenant_slo_seconds)
-        shard.daemon_alive = self._has_inflight
         if self._stream_collector is not None:
-            self._apply_stream_hooks(shard)
+            shard.depth_listener = self._on_shard_depth
         self._active.append(index)
         self.router = self.router.resized(len(self._active))
         self._bind_router()
         self._refresh_replicas()
         if self._keepalive_active:
-            shard.schedule_keepalive()
+            shard.schedule_keepalive(self._daemons_alive(index))
         if self._inflight > 0:
             # Re-activated initial shards may carry a fault injector whose
             # daemon wound down while the shard was retired (no-op and
             # idempotent otherwise).
-            shard.schedule_reclamations()
+            shard.schedule_reclamations(self._daemons_alive(index))
         return index
 
     def remove_shard(self) -> int:
@@ -877,11 +861,19 @@ class ShardedEngineFLStore:
     ) -> LoadReport:
         """Serve ``requests`` open-loop across the tier; report fleet metrics.
 
-        Mirrors :meth:`EngineFLStore.run_open_loop`: arrival times are
-        relative to the run start, per-run counters are reported per run,
-        and the report aggregates outcomes in global completion order with
-        queue-depth profiles merged across shards (including shards added or
-        retired mid-run).  An ``autoscaler``
+        ``arrival_times`` come from an arrival process
+        (:mod:`repro.traces.arrivals`) and are relative to the start of this
+        run (the loop's current virtual time), so repeated runs on one tier
+        compose; overlapping requests contend for execution slots and queue
+        per function.  With ``keepalive`` the keep-alive daemons run as
+        recurring events; shard fault injectors (if configured) add
+        reclamation events.  ``slo_seconds`` (optional) sets the sojourn-time
+        SLO the report's ``violation_rate`` is measured against.  Per-run
+        counters (queue-depth samples, keep-alive pings, reclamations, shed
+        accounting) are reported per run, not tier-lifetime, and the report
+        aggregates outcomes in global completion order with queue-depth
+        profiles merged across shards (including shards added or retired
+        mid-run).  An ``autoscaler``
         (:class:`repro.engine.autoscale.Autoscaler`) runs its control loop
         as scheduled events on the same virtual timeline; a ``fault_plan``
         (:class:`repro.engine.faults.FaultPlan`) schedules its fault clauses
@@ -889,12 +881,12 @@ class ShardedEngineFLStore:
         (:class:`repro.engine.remediate.RemediationController`) ticks
         alongside, detecting and repairing what the faults break.
 
-        ``metrics`` selects the report pipeline exactly as on the plain
-        engine: ``"full"`` (default) retains rows and is byte-identical to
-        the pre-knob behaviour; ``"streaming"`` folds outcomes and the
-        fleet-wide queue depth into O(1)-memory accumulators — every scalar
-        column except the percentile sketches stays exact, and
-        ``report.outcomes`` is empty.
+        ``metrics`` selects the report pipeline: ``"full"`` (default)
+        retains every outcome and reports exact percentiles; ``"streaming"``
+        folds outcomes and the fleet-wide queue depth into O(1)-memory
+        accumulators (:mod:`repro.engine.streaming`) — every scalar column
+        except the percentile sketches stays exact, and ``report.outcomes``
+        is empty.
         """
         if len(requests) != len(arrival_times):
             raise ValueError("requests and arrival_times must have the same length")
@@ -917,9 +909,9 @@ class ShardedEngineFLStore:
             self._submit_block(requests, absolute_times, priorities)
             if keepalive:
                 for index in self._active:
-                    self.shards[index].schedule_keepalive()
+                    self.shards[index].schedule_keepalive(self._daemons_alive(index))
             for index in self._active:
-                self.shards[index].schedule_reclamations()
+                self.shards[index].schedule_reclamations(self._daemons_alive(index))
             if autoscaler is not None:
                 autoscaler.start()
             if fault_plan is not None:

@@ -37,7 +37,7 @@ conservation, means, rates, and the mean queue depth are exact given the
 memoized oracle.
 
 Eligibility (:func:`fast_path_eligible`) is deliberately narrow: a plain
-(unsharded) tier, FIFO discipline, unbounded admission, no faults, no
+(unrouted, one-shard) tier, FIFO discipline, unbounded admission, no faults, no
 autoscaler, no remediation, and ``metrics="streaming"``.  Everything else
 takes the event path, which remains the semantic reference.
 """
@@ -65,7 +65,7 @@ def fast_path_eligible(spec) -> bool:
     """Whether ``spec`` can run on the vectorized fast path.
 
     True only for the topology whose queueing is closed-form: one plain
-    engine tier, FIFO queues, unbounded admission, nothing dynamic (no
+    one-shard tier, FIFO queues, unbounded admission, nothing dynamic (no
     faults, autoscaler, or remediation controller mutating the tier
     mid-run), and streaming metrics (the fast path retains no rows).
     """
@@ -85,7 +85,10 @@ def explain_fast_path(spec) -> list[str]:
     if spec.metrics != "streaming":
         reasons.append(f'metrics={spec.metrics!r} retains rows (needs "streaming")')
     if spec.tier.sharded:
-        reasons.append(f"tier.router_kind={spec.tier.router_kind!r} builds a sharded front door")
+        reasons.append(
+            f"tier.router_kind={spec.tier.router_kind!r} routes arrivals over a sharded "
+            "ring (needs None)"
+        )
     if spec.tier.queue_discipline != "fifo":
         reasons.append(
             f"tier.queue_discipline={spec.tier.queue_discipline!r} reorders the queue "
@@ -253,16 +256,17 @@ def _max_queue_depth(arrivals, starts, waits):
 def run_fast_path(store, spec, arrival_process, slo_seconds, label):
     """Serve ``spec``'s mix on the fast path; return a streaming ``LoadReport``.
 
-    ``store`` is the built (fully ingested) plain :class:`~repro.engine.
-    flstore.EngineFLStore`; the caller has already checked
-    :func:`fast_path_eligible`.  The report has the streaming pipeline's
-    shape: ``outcomes`` empty, percentiles sketched, every other column
-    closed-form.
+    ``store`` is the built (fully ingested) one-shard
+    :class:`~repro.engine.sharded.ShardedEngineFLStore`; the caller has
+    already checked :func:`fast_path_eligible`.  The report has the
+    streaming pipeline's shape: ``outcomes`` empty, percentiles sketched,
+    every other column closed-form.
     """
+    shard = store.shards[0]
     workload_names = list(spec.workload.workloads)
     num_requests = spec.workload.num_requests
-    lookup, signatures = _class_table(store.catalog, workload_names)
-    results = _memoize_oracle(store.flstore, signatures)
+    lookup, signatures = _class_table(shard.catalog, workload_names)
+    results = _memoize_oracle(shard.flstore, signatures)
 
     service_by_class = np.array(
         [result.latency.total_seconds for result in results], dtype=np.float64
@@ -271,7 +275,7 @@ def run_fast_path(store, spec, arrival_process, slo_seconds, label):
     function_by_class = np.empty(len(results), dtype=np.int64)
     for class_id, result in enumerate(results):
         function_id = result.execution_function
-        if function_id is not None and store.platform.has_function(function_id):
+        if function_id is not None and shard.platform.has_function(function_id):
             function_by_class[class_id] = functions.setdefault(function_id, len(functions))
         else:
             function_by_class[class_id] = -1

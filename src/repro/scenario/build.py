@@ -1,9 +1,10 @@
 """Building and running the serving stack a :class:`ScenarioSpec` describes.
 
 :func:`build_tier` is the topology factory: it turns a validated spec into
-the right stack — analytic ``FLStore`` shards behind an ``EngineFLStore``
-facade, optionally a ``ShardedEngineFLStore`` routing front door, optionally
-an ``Autoscaler`` control loop — without running anything.  :func:`run`
+its stack — analytic ``FLStore`` shards behind a ``ShardedEngineFLStore``
+front door (a plain spec is one shard behind the default consistent-hash
+ring), optionally an ``Autoscaler`` or remediation control loop — without
+running anything.  :func:`run`
 serves the spec's workload mix through that stack open-loop and returns a
 :class:`RunReport`, the typed wrapper over the engine's
 :func:`~repro.engine.flstore.build_load_report` with the conservation
@@ -40,7 +41,7 @@ from repro.engine.faults import (
     RecoveryMetrics,
     compute_recovery_metrics,
 )
-from repro.engine.flstore import EngineFLStore, LoadReport
+from repro.engine.flstore import LoadReport
 from repro.engine.remediate import (
     RemediationConfig,
     RemediationController,
@@ -103,8 +104,10 @@ def calibrate_mean_service_seconds(
 ) -> float:
     """Mean closed-loop service time of a workload mix (seconds).
 
-    Serves the mix sequentially through a fresh engine (no queueing, no
-    admission) and averages the per-request latency — the ``E[S]`` that
+    Serves the mix sequentially through a fresh analytic ``FLStore`` (a
+    closed-loop run through the serving tier reproduces these results byte
+    for byte; ``tests/test_sharded.py`` pins that) and averages the
+    per-request latency — the ``E[S]`` that
     turns a spec's ``utilization`` into an offered rate and its
     ``slo_multiplier`` into an SLO.  Uses the *base* config (tier knobs
     cannot change closed-loop service times, but keeping the config
@@ -123,9 +126,8 @@ def calibrate_mean_service_seconds(
         return _calibration_cache[key]
     config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
-    engine = EngineFLStore(setup.flstore)
     trace = setup.generator.mixed_trace(list(workloads), num_requests)
-    results = engine.run_closed_loop(trace)
+    results = [setup.flstore.serve(request) for request in trace]
     mean_service = float(np.mean([r.latency.total_seconds for r in results]))
     if setup_cache.enabled():
         _calibration_cache[key] = mean_service
@@ -165,8 +167,8 @@ class Tier:
 
     spec: ScenarioSpec
     config: SimulationConfig
-    #: ``EngineFLStore`` (plain topology) or ``ShardedEngineFLStore``.
-    store: object
+    #: The front door (one shard for a plain spec).
+    store: ShardedEngineFLStore
     #: Attached control loop, or ``None`` when the spec disables autoscaling.
     autoscaler: Autoscaler | None
     #: Trace generator seeded from the config (shard 0's catalog).
@@ -178,24 +180,19 @@ class Tier:
     #: The remediation control loop, or ``None`` when the spec disables it.
     remediation: RemediationController | None = None
 
-    @property
-    def sharded(self) -> bool:
-        """Whether the stack has a routing front door."""
-        return isinstance(self.store, ShardedEngineFLStore)
-
 
 def build_tier(spec: ScenarioSpec) -> Tier:
     """Construct the stack ``spec`` describes, without serving anything.
 
-    * plain topology (``tier.router_kind is None``): one fully ingested
-      ``FLStore`` behind an ``EngineFLStore`` facade;
-    * sharded topology: ``tier.shards`` independent fully ingested stores
-      behind a ``ShardedEngineFLStore`` with the named router;
-    * autoscaled topology: the sharded tier made resizable (shard factory +
-      warm-round replay) with an :class:`Autoscaler` attached — ``run``
-      starts the control loop on the shared virtual timeline.
+    Every topology is ``tier.shards`` independent fully ingested stores
+    behind one ``ShardedEngineFLStore`` front door with the named router; a
+    plain spec (``tier.router_kind is None``) is one shard behind the
+    default consistent-hash ring.  An autoscaled tier is made resizable
+    (shard factory + warm-round replay) with an :class:`Autoscaler`
+    attached — ``run`` starts the control loop on the shared virtual
+    timeline.
 
-    A sharded tier with fault clauses or remediation enabled is also built
+    A tier with fault clauses or remediation enabled is also built
     resizable: a ``shard-crash`` retires a live shard and the controller's
     ``add-shard`` actuation re-provisions one, both of which need the shard
     factory.  Resizability alone changes no behavior — an untouched
@@ -208,36 +205,25 @@ def build_tier(spec: ScenarioSpec) -> Tier:
         for _ in range(spec.tier.shards)
     ]
     generator = setups[0].generator
-    autoscaler = None
     resizable = spec.tier.autoscaler.enabled or bool(spec.faults) or spec.remediation.enabled
-    if not spec.tier.sharded:
-        store = EngineFLStore(setups[0].flstore)
-    elif resizable:
-        store = ShardedEngineFLStore(
-            [setup.flstore for setup in setups],
-            router=make_router(spec.tier.router_kind, spec.tier.shards),
-            shard_factory=lambda: build_default_flstore(config),
-            warm_rounds=setups[0].rounds,
-            replication_factor=spec.tier.replication.factor,
-            replication_policy=spec.tier.replication.policy,
-            hot_threshold=spec.tier.replication.hot_threshold,
+    store = ShardedEngineFLStore(
+        [setup.flstore for setup in setups],
+        router=make_router(spec.tier.router_kind or "consistent-hash", spec.tier.shards),
+        shard_factory=(lambda: build_default_flstore(config)) if resizable else None,
+        warm_rounds=setups[0].rounds if resizable else None,
+        replication_factor=spec.tier.replication.factor,
+        replication_policy=spec.tier.replication.policy,
+        hot_threshold=spec.tier.replication.hot_threshold,
+    )
+    autoscaler = None
+    if spec.tier.autoscaler.enabled:
+        autoscale_config = AutoscaleConfig(
+            control_interval_seconds=spec.tier.autoscaler.control_interval_seconds
         )
-        if spec.tier.autoscaler.enabled:
-            autoscale_config = AutoscaleConfig(
-                control_interval_seconds=spec.tier.autoscaler.control_interval_seconds
-            )
-            policy = make_autoscaler_policy(
-                spec.tier.autoscaler.policy, autoscale_config, mean_service_seconds=mean_service
-            )
-            autoscaler = Autoscaler(store, policy, autoscale_config)
-    else:
-        store = ShardedEngineFLStore(
-            [setup.flstore for setup in setups],
-            router=make_router(spec.tier.router_kind, spec.tier.shards),
-            replication_factor=spec.tier.replication.factor,
-            replication_policy=spec.tier.replication.policy,
-            hot_threshold=spec.tier.replication.hot_threshold,
+        policy = make_autoscaler_policy(
+            spec.tier.autoscaler.policy, autoscale_config, mean_service_seconds=mean_service
         )
+        autoscaler = Autoscaler(store, policy, autoscale_config)
     if spec.tenants:
         store.configure_tenants(
             {tenant.name: tenant.weight for tenant in spec.tenants},
@@ -653,35 +639,21 @@ def run(spec: ScenarioSpec) -> RunReport:
             )
             arrivals = arrival_process.times(len(trace))
             priorities = None
-        extras: dict = {}
-        if priorities is not None:
-            extras["priorities"] = priorities
-        if tier.fault_plan is not None:
-            extras["fault_plan"] = tier.fault_plan
-        if tier.remediation is not None:
-            extras["remediation"] = tier.remediation
+        label = spec.arrival.kind
         if tier.autoscaler is not None:
-            label = f"{spec.arrival.kind}/{spec.tier.autoscaler.policy}"
-            report = tier.store.run_open_loop(
-                trace,
-                arrivals,
-                label=label,
-                keepalive=True,
-                slo_seconds=slo_seconds,
-                autoscaler=tier.autoscaler,
-                metrics=spec.metrics,
-                **extras,
-            )
-        else:
-            report = tier.store.run_open_loop(
-                trace,
-                arrivals,
-                label=spec.arrival.kind,
-                keepalive=True,
-                slo_seconds=slo_seconds,
-                metrics=spec.metrics,
-                **extras,
-            )
+            label = f"{label}/{spec.tier.autoscaler.policy}"
+        report = tier.store.run_open_loop(
+            trace,
+            arrivals,
+            priorities=priorities,
+            label=label,
+            keepalive=True,
+            slo_seconds=slo_seconds,
+            autoscaler=tier.autoscaler,
+            fault_plan=tier.fault_plan,
+            remediation=tier.remediation,
+            metrics=spec.metrics,
+        )
     if not report.conserved:
         raise RuntimeError(
             f"conservation violated in scenario {spec.name!r}: "
@@ -689,24 +661,16 @@ def run(spec: ScenarioSpec) -> RunReport:
             f"!= {report.submitted} offered"
         )
     store = tier.store
+    # A plain spec reports no routing columns, though it runs on one shard.
+    max_shard_routed = max(store.routed_counts) if spec.tier.sharded else None
     replication_row: dict = {}
-    if tier.sharded:
-        max_shard_routed = max(store.routed_counts)
-        cached_bytes = store.cached_bytes
-        live_keys = store.live_key_count
-        warm_functions = store.warm_function_count
-        if spec.tier.replication.enabled:
-            replication_row = {
-                "replicated_keys": store.replicated_keys,
-                "replica_bytes": store.replica_cached_bytes,
-                "replica_hits": store.replica_hits,
-                "replica_warm_events": store.replica_warm_events,
-            }
-    else:
-        max_shard_routed = None
-        cached_bytes = store.flstore.cached_bytes
-        live_keys = store.flstore.cluster.live_key_count
-        warm_functions = store.flstore.warm_function_count
+    if spec.tier.replication.enabled:
+        replication_row = {
+            "replicated_keys": store.replicated_keys,
+            "replica_bytes": store.replica_cached_bytes,
+            "replica_hits": store.replica_hits,
+            "replica_warm_events": store.replica_warm_events,
+        }
     tenant_rows = report.tenant_rows or None
     warm_capacity_cost = None
     if tenant_rows:
@@ -717,10 +681,8 @@ def run(spec: ScenarioSpec) -> RunReport:
         price = store.config.pricing.lambda_provisioned_cost_per_gb_second
         if tier.autoscaler is not None:
             warm_capacity_cost = tier.autoscaler.warm_capacity_cost_dollars
-        elif tier.sharded:
-            warm_capacity_cost = store.provisioned_gb * report.horizon_seconds * price
         else:
-            warm_capacity_cost = store.platform.provisioned_gb * report.horizon_seconds * price
+            warm_capacity_cost = store.provisioned_gb * report.horizon_seconds * price
         tenant_rows = attribute_warm_cost(tenant_rows, warm_capacity_cost)
     recovery = None
     if tier.fault_plan is not None and tier.fault_plan.first_onset_seconds is not None:
@@ -738,9 +700,9 @@ def run(spec: ScenarioSpec) -> RunReport:
         slo_seconds=slo_seconds,
         offered_rate_rps=rate,
         conserved=True,
-        cached_bytes=cached_bytes,
-        live_keys=live_keys,
-        warm_functions=warm_functions,
+        cached_bytes=store.cached_bytes,
+        live_keys=store.live_key_count,
+        warm_functions=store.warm_function_count,
         max_shard_routed=max_shard_routed,
         **replication_row,
         autoscale=tier.autoscaler.summary() if tier.autoscaler is not None else None,

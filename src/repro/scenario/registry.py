@@ -76,7 +76,7 @@ def smoke_spec(spec: ScenarioSpec, num_rounds: int = 4, num_requests: int = 12) 
 # ---------------------------------------------------------------------------
 
 for _spec in (
-    # The plain-engine open-loop baseline: one store, no front door.
+    # The plain open-loop baseline: one store, no routing.
     ScenarioSpec(
         name="engine-baseline",
         num_rounds=8,

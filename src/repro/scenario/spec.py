@@ -346,12 +346,13 @@ class RemediationSpec:
 class TierSpec:
     """The serving topology the spec builds.
 
-    ``router_kind=None`` (the default) is the *plain engine* topology: one
-    ``FLStore`` behind an ``EngineFLStore`` facade, no routing front door —
-    what the open-loop load sweep measures.  Naming a router builds a
-    ``ShardedEngineFLStore`` over ``shards`` full shards; enabling the
-    autoscaler additionally makes the tier resizable (``shards`` is then the
-    *starting* count).
+    Every topology is built as a ``ShardedEngineFLStore``.
+    ``router_kind=None`` (the default) is the *plain* topology: one shard
+    behind the default consistent-hash ring, with no routing columns in its
+    reports — what the open-loop load sweep measures.  Naming a router routes
+    arrivals over ``shards`` full shards; enabling the autoscaler
+    additionally makes the tier resizable (``shards`` is then the *starting*
+    count).
     """
 
     shards: int = 1
@@ -392,7 +393,7 @@ class TierSpec:
 
     @property
     def sharded(self) -> bool:
-        """Whether this topology has a routing front door."""
+        """Whether this topology routes arrivals (and reports routing columns)."""
         return self.router_kind is not None
 
 

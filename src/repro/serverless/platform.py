@@ -123,9 +123,12 @@ class ServerlessPlatform:
                 f"requested {memory} bytes exceeds the platform maximum of "
                 f"{self.config.max_function_memory_bytes} bytes"
             )
-        if len(self._functions) >= self.config.max_warm_functions:
+        # Reclaimed functions stay in the fleet (they can be restored) but
+        # hold no warm capacity, so only warm ones count toward the limit.
+        warm = self.warm_count
+        if warm >= self.config.max_warm_functions:
             raise RuntimeError(
-                f"platform already has {len(self._functions)} warm functions "
+                f"platform already has {warm} warm functions "
                 f"(max_warm_functions={self.config.max_warm_functions})"
             )
         function = ServerlessFunction(

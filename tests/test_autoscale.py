@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -11,6 +13,7 @@ from repro.engine import (
     AUTOSCALER_KINDS,
     AutoscaleConfig,
     Autoscaler,
+    ControlSampler,
     ControlSignals,
     NullAutoscaler,
     PredictiveAutoscaler,
@@ -139,6 +142,67 @@ class TestPolicies:
         policy = PredictiveAutoscaler(mean_service_seconds=100.0, config=config)
         decision = policy.decide(_signals(arrival_rate=10.0))
         assert decision.target_capacity_units == config.max_capacity_units
+
+
+# ---------------------------------------------------------------------------
+# The control sampler both control loops share
+# ---------------------------------------------------------------------------
+
+
+class TestControlSampler:
+    def test_two_ticks_give_exact_deltas_and_worst_tenant_rate(self):
+        tier = SimpleNamespace(
+            loop=SimpleNamespace(now=0.0),
+            arrived_requests=3,
+            shed_requests=1,
+            degraded_requests=0,
+            requeued_requests=0,
+            slo_violations_total=1,
+            finished_total=2,
+            tenant_finished={"a": 1, "b": 1},
+            tenant_slo_violations={"a": 1},
+            waiting_requests=0,
+            num_shards=2,
+            slots_per_function=1,
+            capacity_units=2,
+            inflight=1,
+        )
+        sampler = ControlSampler(tier, interval_seconds=5.0, ewma_alpha=0.5)
+
+        tier.loop.now = 5.0
+        tier.arrived_requests = 13
+        tier.shed_requests, tier.degraded_requests, tier.requeued_requests = 3, 1, 2
+        tier.slo_violations_total, tier.finished_total = 4, 8
+        tier.tenant_finished = {"a": 4, "b": 5}
+        tier.tenant_slo_violations = {"a": 2, "b": 1}
+        tier.waiting_requests, tier.inflight = 7, 9
+        first = sampler.sample()
+        assert first.now == 5.0
+        assert first.queue_depth == 7 and first.inflight == 9
+        assert first.arrival_rate == 2.0  # 10 arrivals over 5 s
+        assert first.arrival_rate_ewma == 1.0
+        assert (first.shed_delta, first.degraded_delta, first.requeued_delta) == (2, 1, 2)
+        assert (first.slo_violation_delta, first.finished_delta) == (3, 6)
+        assert first.violation_rate == 0.5
+        # Tenant "a" violated 1 of 3 window finishes, "b" 1 of 4.
+        assert first.max_tenant_violation_rate == 1 / 3
+        assert (first.active_shards, first.slots_per_function, first.capacity_units) == (2, 1, 2)
+
+        # The second window sees only what happened since the first sample;
+        # a tenant with no new finishes does not count.
+        tier.loop.now = 10.0
+        tier.arrived_requests = 18
+        tier.requeued_requests = 5
+        tier.slo_violations_total, tier.finished_total = 6, 10
+        tier.tenant_finished = {"a": 6, "b": 5}
+        tier.tenant_slo_violations = {"a": 4, "b": 1}
+        second = sampler.sample()
+        assert second.arrival_rate == 1.0
+        assert second.arrival_rate_ewma == 1.0
+        assert (second.shed_delta, second.degraded_delta, second.requeued_delta) == (0, 0, 3)
+        assert (second.slo_violation_delta, second.finished_delta) == (2, 2)
+        assert second.violation_rate == 1.0
+        assert second.max_tenant_violation_rate == 1.0
 
 
 # ---------------------------------------------------------------------------

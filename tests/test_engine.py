@@ -7,13 +7,12 @@ import pytest
 from repro.common.errors import CapacityError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
-from repro.engine import EngineFLStore, EventLoop, SimTask, Timeout
+from repro.engine import EngineFLStore, EventLoop, ShardedEngineFLStore, SimTask, Timeout
 from repro.fl.trainer import FLJobSimulator
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.function import RequestQueue, ServerlessFunction
 from repro.serverless.platform import ServerlessPlatform
 from repro.traces.generator import RequestTraceGenerator
-from repro.workloads.registry import list_workloads
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +201,7 @@ class TestConcurrencySlots:
 
 
 # ---------------------------------------------------------------------------
-# EngineFLStore
+# The engine shard, served through a one-shard tier
 # ---------------------------------------------------------------------------
 
 
@@ -223,38 +222,7 @@ def engine_rounds(engine_config):
     return FLJobSimulator(engine_config).run_rounds(8)
 
 
-class TestClosedLoopEquivalence:
-    def test_every_workload_is_byte_identical_to_direct_serve(self, engine_config, engine_rounds):
-        """The acceptance invariant: sequential arrivals through the engine
-        reproduce the direct FLStore.serve path exactly, for every registered
-        workload, including the RequestRecord rows."""
-        direct = _ingested_flstore(engine_config, engine_rounds)
-        engine = EngineFLStore(_ingested_flstore(engine_config, engine_rounds))
-        gen_direct = RequestTraceGenerator(direct.catalog, seed=3)
-        gen_engine = RequestTraceGenerator(engine.catalog, seed=3)
-
-        for workload_name in list_workloads():
-            trace_direct = gen_direct.workload_trace(workload_name, 4)
-            trace_engine = gen_engine.workload_trace(workload_name, 4)
-            direct_results = [direct.serve(request) for request in trace_direct]
-            engine_results = engine.run_closed_loop(trace_engine)
-            for expected, actual in zip(direct_results, engine_results):
-                assert actual.latency == expected.latency, workload_name
-                assert actual.cost == expected.cost, workload_name
-                assert actual.cache_hits == expected.cache_hits, workload_name
-                assert actual.cache_misses == expected.cache_misses, workload_name
-                assert actual.failovers == expected.failovers, workload_name
-                assert actual.prefetched_keys == expected.prefetched_keys, workload_name
-                assert actual.evicted_keys == expected.evicted_keys, workload_name
-                assert actual.served_by == expected.served_by, workload_name
-                assert actual.execution_function == expected.execution_function, workload_name
-                expected_row = expected.to_record("s", "m", 0)
-                actual_row = actual.to_record("s", "m", 0)
-                assert actual_row == expected_row, workload_name
-        # Both sides advanced their virtual clocks identically.
-        assert engine.flstore.clock.now() == direct.clock.now()
-        assert engine.loop.now == direct.clock.now()
-
+class TestEngineShard:
     def test_engine_rejects_flstore_with_its_own_injector(self, engine_config):
         flstore = build_default_flstore(
             engine_config, fault_injector=ZipfianFaultInjector(fault_rate=0.5)
@@ -265,7 +233,7 @@ class TestClosedLoopEquivalence:
 
 class TestOpenLoop:
     def _engine(self, engine_config, engine_rounds):
-        return EngineFLStore(_ingested_flstore(engine_config, engine_rounds))
+        return ShardedEngineFLStore([_ingested_flstore(engine_config, engine_rounds)])
 
     def test_simultaneous_burst_queues_on_the_execution_function(
         self, engine_config, engine_rounds
@@ -356,9 +324,9 @@ class TestOpenLoop:
 
     def test_scheduled_reclamations_drain_waiters(self, engine_config, engine_rounds):
         injector = ZipfianFaultInjector(fault_rate=1.0, seed=13)
-        engine = EngineFLStore(
-            _ingested_flstore(engine_config, engine_rounds),
-            fault_injector=injector,
+        engine = ShardedEngineFLStore(
+            [_ingested_flstore(engine_config, engine_rounds)],
+            fault_injectors=[injector],
             reclamation_interval_seconds=0.5,
         )
         generator = RequestTraceGenerator(engine.catalog, seed=3)
@@ -369,16 +337,16 @@ class TestOpenLoop:
         # underneath the queues.
         assert report.completed == 20
         assert engine.reclamations > 0
-        assert engine.platform.total_queue_depth() == 0
+        assert engine.shards[0].platform.total_queue_depth() == 0
 
     def test_drained_waiters_are_recorded_as_requeued(self, engine_config, engine_rounds):
         """Satellite fix: waiters drained by a reclamation must show up in the
         accounting (disposition, report counters, platform stats) instead of
         silently completing as if they had been served normally."""
         injector = ZipfianFaultInjector(fault_rate=1.0, seed=13)
-        engine = EngineFLStore(
-            _ingested_flstore(engine_config, engine_rounds),
-            fault_injector=injector,
+        engine = ShardedEngineFLStore(
+            [_ingested_flstore(engine_config, engine_rounds)],
+            fault_injectors=[injector],
             reclamation_interval_seconds=0.5,
         )
         generator = RequestTraceGenerator(engine.catalog, seed=3)
@@ -392,7 +360,7 @@ class TestOpenLoop:
         # of served goodput), and conservation covers every submission.
         assert report.served + report.degraded + report.shed == report.submitted
         assert engine.requeued_requests == report.requeued
-        assert engine.platform.stats.requests_requeued == report.requeued
+        assert engine.shards[0].platform.stats.requests_requeued == report.requeued
         # Every requeued row is ServeResult-compatible: it converts into a
         # RequestRecord like any served request.
         records = report.to_records(system="engine-flstore", model_name="m")
@@ -415,7 +383,7 @@ class TestPriorityServing:
             engine_config,
             serverless=replace(engine_config.serverless, queue_discipline=discipline),
         )
-        engine = EngineFLStore(_ingested_flstore(config, engine_rounds))
+        engine = ShardedEngineFLStore([_ingested_flstore(config, engine_rounds)])
         generator = RequestTraceGenerator(engine.catalog, seed=3)
         # inference is P1 (priority 1.0), scheduling_perf is P4 (priority 4.0).
         trace = generator.mixed_trace(["inference", "scheduling_perf"], 40)

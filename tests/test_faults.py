@@ -10,7 +10,6 @@ from repro.common.errors import ConfigurationError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import (
-    EngineFLStore,
     FaultClause,
     FaultPlan,
     ShardedEngineFLStore,
@@ -38,10 +37,11 @@ def _tier(config, rounds, shards=2, **kwargs):
 
 
 def _engine(config, rounds):
+    """A plain topology: one shard behind the front door."""
     flstore = build_default_flstore(config)
     for record in rounds:
         flstore.ingest_round(record)
-    return EngineFLStore(flstore)
+    return ShardedEngineFLStore([flstore])
 
 
 def _trace(tier, count, spacing=0.5, seed=3):

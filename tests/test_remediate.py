@@ -8,6 +8,7 @@ from repro.common.errors import ConfigurationError
 from repro.config import SimulationConfig
 from repro.engine import (
     Anomaly,
+    ControlSampler,
     RemediationConfig,
     RemediationController,
     RemediationRecord,
@@ -176,14 +177,13 @@ class TestControlLoop:
         controller = RemediationController(
             tier, nominal_shards=2, shadow_runner=counting_shadow
         )
+        sampler = ControlSampler(tier, controller.config.control_interval_seconds)
         tier.crash_shard()
-        controller._started = True
-        controller._seen_completed = 0
-        sample = controller._sample()
-        anomalies = controller._detect(sample)
-        [proposal] = controller._propose(sample, anomalies)[:1]
-        first = controller._verify(proposal, sample, anomalies)
-        second = controller._verify(proposal, sample, anomalies)
+        signals = sampler.sample()
+        anomalies = controller._detect(signals)
+        [proposal] = controller._propose(signals, anomalies)[:1]
+        first = controller._verify(proposal, signals, anomalies)
+        second = controller._verify(proposal, signals, anomalies)
         assert first.accepted is False and second.accepted is False
         assert len(calls) == 1  # same (action, state) hit the cache
         assert controller.shadow_runs == 1

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES
 from repro.engine.autoscale import AUTOSCALER_KINDS, Autoscaler
 from repro.engine.faults import FAULT_KINDS
-from repro.engine.flstore import EngineFLStore
 from repro.engine.sharded import ShardedEngineFLStore
 from repro.fl.models import MODEL_ZOO
 from repro.routing import ROUTER_KINDS
@@ -347,11 +346,13 @@ class TestOverrides:
 
 
 class TestBuildTier:
-    def test_plain_topology_builds_engine(self):
-        tier = build_tier(_tiny_spec())
-        assert isinstance(tier.store, EngineFLStore)
+    def test_plain_topology_builds_one_shard_front_door(self):
+        spec = _tiny_spec()
+        tier = build_tier(spec)
+        assert not spec.tier.sharded
+        assert isinstance(tier.store, ShardedEngineFLStore)
+        assert tier.store.num_shards == 1
         assert tier.autoscaler is None
-        assert not tier.sharded
         assert tier.mean_service_seconds > 0
 
     def test_sharded_topology_builds_front_door(self):
@@ -393,7 +394,7 @@ class TestBuildTier:
         assert serverless.shed_policy == "degrade-to-objstore"
         assert serverless.function_concurrency == 2
         assert serverless.queue_discipline == "priority"
-        assert tier.store.max_queue_depth == 5
+        assert tier.store.shards[0].max_queue_depth == 5
 
 
 # ---------------------------------------------------------------------------
@@ -501,10 +502,10 @@ class TestRegistry:
         names = list_scenarios()
         topologies = set()
         for name in names:
-            tier = get_scenario(name).tier
-            if not tier.sharded:
+            spec = get_scenario(name)
+            if not spec.tier.sharded:
                 topologies.add("engine")
-            elif tier.autoscaler.enabled:
+            elif spec.tier.autoscaler.enabled:
                 topologies.add("autoscaled")
             else:
                 topologies.add("sharded")

@@ -95,7 +95,12 @@ class TestServerlessPlatform:
 
     def test_spawn_respects_max_warm_functions(self):
         platform = ServerlessPlatform(ServerlessConfig(max_warm_functions=2), PricingConfig())
+        first, _ = platform.spawn_function()
         platform.spawn_function()
+        with pytest.raises(RuntimeError):
+            platform.spawn_function()
+        # A reclaimed function holds no warm capacity, so it frees a slot.
+        platform.reclaim_function(first.function_id)
         platform.spawn_function()
         with pytest.raises(RuntimeError):
             platform.spawn_function()

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import CapacityError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
-from repro.engine import EngineFLStore, ShardedEngineFLStore, merge_depth_samples
+from repro.engine import ShardedEngineFLStore, merge_depth_samples
 from repro.routing import (
     ROUTER_KINDS,
     ConsistentHashRouter,
@@ -18,6 +23,7 @@ from repro.routing import (
     stable_hash_u64,
 )
 from repro.serverless.function import RequestQueue
+from repro.traces.arrivals import PoissonArrivals
 from repro.traces.generator import RequestTraceGenerator
 from repro.fl.trainer import FLJobSimulator
 from repro.workloads.base import WorkloadRequest
@@ -200,69 +206,173 @@ def shard_rounds(shard_config):
     return FLJobSimulator(shard_config).run_rounds(8)
 
 
+#: Runs of the retired standalone engine driver, recorded before the plain
+#: topology became a one-shard front door.  Regenerate them only from that
+#: pre-change code (as with ``tests/data/golden_sweeps/``): each case below
+#: ran with ``make_tier = EngineFLStore`` and was dumped with
+#: ``json.dumps(case(...), indent=1)``.
+ONE_SHARD_GOLDEN_DIR = Path(__file__).parent / "data" / "one_shard_engine"
+
+
+def report_snapshot(report) -> dict:
+    """Per-request rows and timings, daemon counters, tenant rows and ``row()``."""
+    return {
+        "row": report.row(),
+        "keepalive_pings": report.keepalive_pings,
+        "reclamations": report.reclamations,
+        "tenant_rows": report.tenant_rows,
+        "records": [
+            dataclasses.asdict(record)
+            for record in report.to_records(system="s", model_name="m")
+        ],
+        "timings": [
+            (o.request.request_id, o.arrived_at, o.started_at, o.completed_at, o.disposition)
+            for o in report.outcomes
+        ],
+    }
+
+
+def unbounded_case(make_tier, config, rounds) -> dict:
+    """Every registered workload, four overlapping arrivals, unbounded queues."""
+    snapshots = {}
+    for workload_name in list_workloads():
+        tier = make_tier(_ingested_flstore(config, rounds))
+        trace = RequestTraceGenerator(tier.catalog, seed=3).workload_trace(workload_name, 4)
+        report = tier.run_open_loop(trace, [0.0, 0.0, 0.5, 1.0], label="x", keepalive=True)
+        snapshots[workload_name] = report_snapshot(report)
+    return snapshots
+
+
+def keepalive_idle_gap_case(make_tier, config, rounds) -> dict:
+    """The second arrival lands two keep-alive intervals (60s) after the
+    first completed, so the tier is idle at the t=60 and t=120 pings."""
+    tier = make_tier(_ingested_flstore(config, rounds))
+    trace = RequestTraceGenerator(tier.catalog, seed=3).workload_trace("inference", 2)
+    report = tier.run_open_loop(trace, [0.0, 130.0], label="gap", keepalive=True)
+    return report_snapshot(report)
+
+
+def wfq_pushout_case(make_tier, config, rounds) -> dict:
+    """Two tenants under WFQ with a two-deep queue: the noisy tenant floods
+    the queue and violates its tight SLO, so steady arrivals push its
+    waiters out."""
+    wfq = replace(config, serverless=replace(config.serverless, queue_discipline="wfq"))
+    tier = make_tier(_ingested_flstore(wfq, rounds), max_queue_depth=2)
+    tier.configure_tenants({"noisy": 1.0, "steady": 3.0}, {"noisy": 0.2, "steady": 5.0})
+    generator = RequestTraceGenerator(tier.catalog, seed=3)
+    noisy = generator.tenant_trace("noisy", ["inference"], 40)
+    steady = generator.tenant_trace("steady", ["inference"], 8)
+    merged = sorted(
+        [(0.5 * i, 0, request) for i, request in enumerate(noisy)]
+        + [(5.25 + 1.0 * i, 1, request) for i, request in enumerate(steady)],
+        key=lambda item: (item[0], item[1]),
+    )
+    report = tier.run_open_loop(
+        [item[2] for item in merged],
+        [item[0] for item in merged],
+        label="wfq-pushout",
+        keepalive=True,
+        slo_seconds=0.2,
+    )
+    return report_snapshot(report)
+
+
+def streaming_case(make_tier, config, rounds) -> dict:
+    """Poisson arrivals on a bounded queue, folded by the streaming pipeline."""
+    tier = make_tier(_ingested_flstore(config, rounds), max_queue_depth=3)
+    generator = RequestTraceGenerator(tier.catalog, seed=3)
+    trace = generator.mixed_trace(["inference", "clustering", "scheduling_perf"], 30)
+    arrivals = PoissonArrivals(rate_rps=0.3, seed=5).times(len(trace))
+    report = tier.run_open_loop(
+        trace, arrivals, label="stream", keepalive=True, slo_seconds=1.0, metrics="streaming"
+    )
+    return report_snapshot(report)
+
+
+def one_shard_tier(flstore, **kwargs) -> ShardedEngineFLStore:
+    return ShardedEngineFLStore([flstore], **kwargs)
+
+
+def recorded(case: str):
+    return json.loads((ONE_SHARD_GOLDEN_DIR / f"{case}.json").read_text())
+
+
+def as_json(snapshot) -> str:
+    return json.dumps(snapshot, indent=1)
+
+
 class TestOneShardEquivalence:
     def test_one_shard_unbounded_is_byte_identical_to_engine(self, shard_config, shard_rounds):
         """The acceptance invariant: a 1-shard tier with unbounded queues
-        reproduces the plain EngineFLStore byte for byte — per-request rows,
-        timings, and the aggregate report — for every registered workload."""
-        for workload_name in list_workloads():
-            plain = EngineFLStore(_ingested_flstore(shard_config, shard_rounds))
-            sharded = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
-            gen_plain = RequestTraceGenerator(plain.catalog, seed=3)
-            gen_sharded = RequestTraceGenerator(sharded.catalog, seed=3)
-            trace_plain = gen_plain.workload_trace(workload_name, 4)
-            trace_sharded = gen_sharded.workload_trace(workload_name, 4)
-            arrivals = [0.0, 0.0, 0.5, 1.0]
-            report_plain = plain.run_open_loop(trace_plain, arrivals, label="x", keepalive=True)
-            report_sharded = sharded.run_open_loop(
-                trace_sharded, arrivals, label="x", keepalive=True
-            )
-            assert report_sharded.row() == report_plain.row(), workload_name
-            rows_plain = report_plain.to_records(system="s", model_name="m")
-            rows_sharded = report_sharded.to_records(system="s", model_name="m")
-            assert rows_sharded == rows_plain, workload_name
-            timings_plain = [
-                (o.request.request_id, o.arrived_at, o.started_at, o.completed_at, o.disposition)
-                for o in report_plain.outcomes
-            ]
-            timings_sharded = [
-                (o.request.request_id, o.arrived_at, o.started_at, o.completed_at, o.disposition)
-                for o in report_sharded.outcomes
-            ]
-            assert timings_sharded == timings_plain, workload_name
+        reproduces the recorded plain-engine runs byte for byte — per-request
+        rows, timings, and the aggregate report — for every registered
+        workload."""
+        actual = unbounded_case(one_shard_tier, shard_config, shard_rounds)
+        expected = recorded("unbounded")
+        assert list(actual) == list(expected)
+        for workload_name, snapshot in actual.items():
+            assert as_json(snapshot) == as_json(expected[workload_name]), workload_name
 
     def test_keepalive_survives_idle_gaps_like_plain_engine(self, shard_config, shard_rounds):
         """Regression: the front door routes at arrival time, so a shard's
         own outstanding count is zero during an inter-arrival gap; its
-        keep-alive daemon must survive the gap (the plain engine's count
-        includes submitted-but-not-yet-arrived requests)."""
-        plain = EngineFLStore(_ingested_flstore(shard_config, shard_rounds))
-        sharded = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
-        gen_plain = RequestTraceGenerator(plain.catalog, seed=3)
-        gen_sharded = RequestTraceGenerator(sharded.catalog, seed=3)
-        trace_plain = gen_plain.workload_trace("inference", 2)
-        trace_sharded = gen_sharded.workload_trace("inference", 2)
-        # The second arrival lands two keep-alive intervals (60s) after the
-        # first completed, so the shard is idle at the t=60 and t=120 pings.
-        arrivals = [0.0, 130.0]
-        report_plain = plain.run_open_loop(trace_plain, arrivals, label="gap", keepalive=True)
-        report_sharded = sharded.run_open_loop(trace_sharded, arrivals, label="gap", keepalive=True)
-        assert report_plain.keepalive_pings > 0
-        assert report_sharded.row() == report_plain.row()
+        keep-alive daemon must survive the gap (the recorded plain-engine
+        run counted submitted-but-not-yet-arrived requests)."""
+        snapshot = keepalive_idle_gap_case(one_shard_tier, shard_config, shard_rounds)
+        assert snapshot["keepalive_pings"] > 0
+        expected = recorded("keepalive_idle_gap")
+        assert as_json(snapshot) == as_json(expected)
+
+    def test_wfq_pushout_is_byte_identical_to_engine(self, shard_config, shard_rounds):
+        snapshot = wfq_pushout_case(one_shard_tier, shard_config, shard_rounds)
+        # Push-out fired: some waiters were shed after they had queued.
+        assert any(
+            disposition == "shed" and started > arrived
+            for _, arrived, started, _, disposition in snapshot["timings"]
+        )
+        assert as_json(snapshot) == as_json(recorded("wfq_pushout"))
+
+    def test_streaming_is_byte_identical_to_engine(self, shard_config, shard_rounds):
+        snapshot = streaming_case(one_shard_tier, shard_config, shard_rounds)
+        assert snapshot["records"] == []
+        assert as_json(snapshot) == as_json(recorded("streaming"))
 
     def test_closed_loop_matches_direct_serve(self, shard_config, shard_rounds):
+        """Sequential arrivals through the tier reproduce the direct
+        FLStore.serve path exactly — for a mixed trace and for every
+        registered workload, including the RequestRecord rows."""
         direct = _ingested_flstore(shard_config, shard_rounds)
         sharded = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
         gen_direct = RequestTraceGenerator(direct.catalog, seed=3)
         gen_sharded = RequestTraceGenerator(sharded.catalog, seed=3)
-        trace_direct = gen_direct.mixed_trace(["inference", "clustering"], 10)
-        trace_sharded = gen_sharded.mixed_trace(["inference", "clustering"], 10)
-        expected = [direct.serve(request) for request in trace_direct]
-        actual = sharded.run_closed_loop(trace_sharded)
-        for want, got in zip(expected, actual):
-            assert got.latency == want.latency
-            assert got.cost == want.cost
-            assert got.served_by == want.served_by
+        mix = ["inference", "clustering"]
+        inputs = [("mixed", gen_direct.mixed_trace(mix, 10), gen_sharded.mixed_trace(mix, 10))]
+        for workload_name in list_workloads():
+            inputs.append(
+                (
+                    workload_name,
+                    gen_direct.workload_trace(workload_name, 4),
+                    gen_sharded.workload_trace(workload_name, 4),
+                )
+            )
+        for label, trace_direct, trace_sharded in inputs:
+            expected = [direct.serve(request) for request in trace_direct]
+            actual = sharded.run_closed_loop(trace_sharded)
+            assert len(actual) == len(expected), label
+            for want, got in zip(expected, actual):
+                assert got.latency == want.latency, label
+                assert got.cost == want.cost, label
+                assert got.cache_hits == want.cache_hits, label
+                assert got.cache_misses == want.cache_misses, label
+                assert got.failovers == want.failovers, label
+                assert got.prefetched_keys == want.prefetched_keys, label
+                assert got.evicted_keys == want.evicted_keys, label
+                assert got.served_by == want.served_by, label
+                assert got.execution_function == want.execution_function, label
+                assert got.to_record("s", "m", 0) == want.to_record("s", "m", 0), label
+        # Both sides advanced their virtual clocks identically.
+        assert sharded.shards[0].flstore.clock.now() == direct.clock.now()
+        assert sharded.loop.now == direct.clock.now()
 
 
 class TestMultiShard:
