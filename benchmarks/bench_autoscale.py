@@ -1,7 +1,8 @@
 """Autoscale benchmark — control-loop and resize overhead of the elastic tier.
 
 Runs the autoscaling-policy comparison (none / reactive / predictive) on the
-diurnal arrival process through the resizable front door
+``autoscale-diurnal`` scenario at 12 rounds x 160 requests — the size its
+predictive-wins headline is pinned at — through the resizable front door
 (:class:`repro.engine.sharded.ShardedEngineFLStore` +
 :class:`repro.engine.autoscale.Autoscaler`) and merges the resulting rows
 into ``BENCH_serve.json`` under the ``autoscale`` section.  The sweep's wall
@@ -13,45 +14,51 @@ the serve hot path and the shard sweep.
 
 import time
 
-from repro.analysis.experiments import (
-    AUTOSCALE_REPORT_COLUMNS,
-    compare_autoscale_policies,
-    run_autoscale_sweep,
-)
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
+from repro.fleet import compare_autoscale_policies
+from repro.scenario import calibrate, expand_axes, get_scenario, run
 
 
 def test_autoscale_sweep(report):
     timing = {}
+    base = get_scenario("autoscale-diurnal").with_overrides(
+        {"num_rounds": 12, "workload.num_requests": 160}
+    )
 
-    def run():
+    def run_grid():
         start = time.perf_counter()
-        result = run_autoscale_sweep(
-            policies=("none", "reactive", "predictive"),
-            utilizations=(2.5,),
-            num_rounds=12,
-            num_requests=160,
-            max_queue_depth=6,
-            shed_policy="drop",
-        )
+        policies = {"tier.autoscaler.policy": ("none", "reactive", "predictive")}
+        reports = [run(spec) for spec in expand_axes(base, policies)]
         timing["wall_seconds"] = time.perf_counter() - start
-        return result
+        return {"rows": [report.row() for report in reports], "reports": reports}
 
     result = report(
-        run,
+        run_grid,
         "Autoscale sweep (resizable serving tier)",
-        columns=list(AUTOSCALE_REPORT_COLUMNS),
+        columns=[
+            "autoscaler",
+            "utilization",
+            "p99_sojourn_seconds",
+            "shed_rate",
+            "violation_rate",
+            "capacity_unit_seconds",
+            "warm_capacity_cost_dollars",
+            "scale_events",
+            "shard_adds",
+            "shard_removes",
+            "conserved",
+        ],
     )
     rows = result["rows"]
     merge_bench_json(
         "autoscale",
         {
             "rows": rows,
-            "comparisons": compare_autoscale_policies(rows),
-            "mean_service_seconds": result["mean_service_seconds"],
-            "max_queue_depth": result["max_queue_depth"],
-            "shed_policy": result["shed_policy"],
-            "control_interval_seconds": result["control_interval_seconds"],
+            "comparisons": compare_autoscale_policies(result["reports"]),
+            "mean_service_seconds": calibrate(base),
+            "max_queue_depth": base.tier.admission.max_queue_depth,
+            "shed_policy": base.tier.admission.shed_policy,
+            "control_interval_seconds": base.tier.autoscaler.control_interval_seconds,
             "wall_seconds": timing["wall_seconds"],
         },
     )

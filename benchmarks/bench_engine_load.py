@@ -1,19 +1,26 @@
 """Open-loop engine load benchmark — the queueing counterpart of the hot path.
 
-Runs the arrival-process x utilization sweep through the discrete-event
-engine at a reduced scale and merges the resulting rows into
-``BENCH_serve.json`` under the ``engine_load`` section, so the perf record
-tracks both the closed-loop serve throughput and the open-loop queueing
-profile across PRs.
+Sweeps the ``engine-baseline`` scenario over arrival process x offered
+utilization through the discrete-event engine at a reduced scale and merges
+the resulting rows into ``BENCH_serve.json`` under the ``engine_load``
+section, so the perf record tracks both the closed-loop serve throughput and
+the open-loop queueing profile across PRs.
 """
 
-from repro.analysis.experiments import run_load_sweep
 from repro.analysis.perf import merge_bench_json
+from repro.scenario import calibrate, get_scenario, sweep
 
 
 def test_engine_load(report):
+    base = get_scenario("engine-baseline").with_overrides(
+        {"num_rounds": 10, "workload.num_requests": 80}
+    )
+    axes = {
+        "arrival.kind": ("poisson", "bursty", "diurnal"),
+        "arrival.utilization": (0.5, 1.0, 2.0),
+    }
     result = report(
-        lambda: run_load_sweep(num_rounds=10, num_requests=80),
+        lambda: {"rows": sweep(base, axes)},
         "Open-loop load sweep (engine)",
         columns=[
             "process",
@@ -30,7 +37,7 @@ def test_engine_load(report):
     rows = result["rows"]
     merge_bench_json(
         "engine_load",
-        {"rows": rows, "mean_service_seconds": result["mean_service_seconds"]},
+        {"rows": rows, "mean_service_seconds": calibrate(base)},
     )
     assert len(rows) == 9  # 3 arrival processes x 3 utilization levels
     assert all(row["completed"] == 80 for row in rows)

@@ -1,6 +1,7 @@
 """Shard-sweep benchmark — routing and admission overhead of the sharded tier.
 
-Runs the shard count x utilization sweep through the routed front door
+Sweeps the ``sharded-burst`` scenario over shard count x utilization
+through the routed front door
 (:class:`repro.engine.sharded.ShardedEngineFLStore`) at a reduced scale and
 merges the resulting rows into ``BENCH_serve.json`` under the
 ``shard_sweep`` section.  The sweep's wall time is also published as the
@@ -11,25 +12,21 @@ admission-control overhead alongside the closed-loop serve hot path.
 
 import time
 
-from repro.analysis.experiments import run_shard_sweep
 from repro.analysis.perf import merge_bench_json, merge_bench_scalar
+from repro.scenario import calibrate, get_scenario, sweep
 
 
 def test_shard_sweep(report):
     timing = {}
+    base = get_scenario("sharded-burst").with_overrides(
+        {"workload.num_requests": 48, "tier.admission.max_queue_depth": 4}
+    )
 
     def run():
         start = time.perf_counter()
-        result = run_shard_sweep(
-            shard_counts=(1, 2, 4),
-            utilizations=(1.0, 2.0),
-            num_rounds=8,
-            num_requests=48,
-            max_queue_depth=4,
-            shed_policy="drop",
-        )
+        rows = sweep(base, {"tier.shards": (1, 2, 4), "arrival.utilization": (1.0, 2.0)})
         timing["wall_seconds"] = time.perf_counter() - start
-        return result
+        return {"rows": rows}
 
     result = report(
         run,
@@ -54,9 +51,9 @@ def test_shard_sweep(report):
         "shard_sweep",
         {
             "rows": rows,
-            "mean_service_seconds": result["mean_service_seconds"],
-            "max_queue_depth": result["max_queue_depth"],
-            "shed_policy": result["shed_policy"],
+            "mean_service_seconds": calibrate(base),
+            "max_queue_depth": base.tier.admission.max_queue_depth,
+            "shed_policy": base.tier.admission.shed_policy,
             "wall_seconds": timing["wall_seconds"],
         },
     )

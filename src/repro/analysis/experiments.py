@@ -23,30 +23,10 @@ import numpy as np
 from repro.analysis import setup_cache
 from repro.analysis.comparison import percent_reduction
 from repro.analysis.runner import prepare_setup, map_tasks, run_trace
-from repro.config import QUEUE_DISCIPLINES, SimulationConfig
-from repro.engine.autoscale import AUTOSCALER_KINDS
+from repro.config import SimulationConfig
 from repro.fl.models import EVALUATION_MODELS
-from repro.scenario import (
-    DEFAULT_SCENARIO_WORKLOADS,
-    AdmissionSpec,
-    ArrivalSpec,
-    AutoscalerSpec,
-    FaultSpec,
-    RemediationSpec,
-    ReplicationSpec,
-    RunReport,
-    ScenarioSpec,
-    TierSpec,
-    WorkloadMixSpec,
-    apply_overrides,
-    calibrate,
-    calibrate_mean_service_seconds,
-    get_scenario,
-    paper_experiment_config,
-    sweep,
-)
+from repro.scenario import paper_experiment_config
 from repro.simulation.metrics import MetricsCollector, MetricSummary, summarize_records
-from repro.traces.arrivals import ARRIVAL_KINDS
 from repro.traces.generator import RequestTraceGenerator
 from repro.workloads.registry import (
     CACHE_AGG_WORKLOADS,
@@ -739,746 +719,6 @@ def run_figure17_vs_cache_agg_totals(
             }
         )
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Open-loop load sweep — offered load vs goodput through the event engine
-# ---------------------------------------------------------------------------
-
-#: Workload mix of the load sweep: one P1 (inference), one P2 (clustering),
-#: one P4 (metadata) workload, so the offered stream touches the policy
-#: classes with distinct data needs.  (Now the scenario layer's default mix;
-#: kept as an alias for callers of the legacy entrypoints.)
-LOAD_SWEEP_WORKLOADS: tuple[str, ...] = DEFAULT_SCENARIO_WORKLOADS
-
-
-def calibrate_service_time(
-    model_name: str,
-    workloads: Sequence[str] = LOAD_SWEEP_WORKLOADS,
-    num_rounds: int = 12,
-    num_requests: int = 60,
-    seed: int = 7,
-) -> float:
-    """Mean closed-loop service time of the sweep's request mix (seconds).
-
-    Offered rates are expressed as *utilization* multiples of the service
-    rate (``rho = rate * E[S]``), so sweeps stay meaningful if the analytic
-    latency model is recalibrated.  Delegates to the scenario layer's
-    memoized calibration.
-    """
-    return calibrate_mean_service_seconds(
-        model_name, tuple(workloads), num_rounds, num_requests, seed
-    )
-
-
-def _legacy_load_row(report: RunReport) -> dict:
-    """Project a scenario run onto the historical load-sweep row schema."""
-    spec = report.spec
-    row = {"process": spec.arrival.kind, "utilization": spec.arrival.utilization}
-    row.update(report.load.row())
-    return row
-
-
-def run_load_sweep(
-    model_name: str = "efficientnet_v2_small",
-    workloads: Sequence[str] = LOAD_SWEEP_WORKLOADS,
-    processes: Sequence[str] = ARRIVAL_KINDS,
-    utilizations: Sequence[float] = (0.5, 1.0, 2.0),
-    num_rounds: int = 12,
-    num_requests: int = 120,
-    seed: int = 7,
-    slo_multiplier: float = 3.0,
-    workers: int | None = None,
-) -> dict:
-    """Open-loop load sweep: arrival process x offered utilization.
-
-    A thin grid over the scenario API — the plain-engine topology swept
-    along ``arrival.kind`` x ``arrival.utilization`` — pinned byte-identical
-    to its pre-spec output at fixed seeds (``tests/test_scenario_shims.py``).
-    For every arrival process and utilization level, a fresh FLStore serves
-    the same deterministic request mix through the discrete-event engine
-    with arrivals drawn from the process at rate ``rho / E[S]``.  Each row
-    reports offered load vs goodput, p50/p95/p99 sojourn time, queue depth,
-    and admission accounting (shed rate, SLO-violation rate against an SLO
-    of ``slo_multiplier * E[S]``).  Sweep cells are independent, so
-    ``workers > 1`` fans them out to worker processes (same rows, input
-    order).  Everything is a pure function of ``seed``.
-    """
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
-    )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
-    base = ScenarioSpec(
-        name="load-sweep",
-        model=model_name,
-        seed=seed,
-        num_rounds=num_rounds,
-        workload=WorkloadMixSpec(workloads=tuple(workloads), num_requests=num_requests),
-        slo_multiplier=slo_multiplier,
-        mean_service_seconds=mean_service,
-    )
-    rows = sweep(
-        base,
-        axes={"arrival.kind": tuple(processes), "arrival.utilization": tuple(utilizations)},
-        workers=workers,
-        row_fn=_legacy_load_row,
-    )
-    return {
-        "rows": rows,
-        "mean_service_seconds": mean_service,
-        "slo_seconds": slo_seconds,
-        "num_requests": num_requests,
-        "workloads": list(workloads),
-        "seed": seed,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Shard sweep — shard count x offered utilization through the routed tier
-# ---------------------------------------------------------------------------
-
-
-def _legacy_shard_row(report: RunReport) -> dict:
-    """Project a scenario run onto the historical shard-sweep row schema."""
-    spec = report.spec
-    row = {
-        "shards": spec.tier.shards,
-        "process": spec.arrival.kind,
-        "utilization": spec.arrival.utilization,
-    }
-    row.update(report.load.row())
-    row["conserved"] = report.conserved
-    row["max_shard_routed"] = report.max_shard_routed
-    row["cached_bytes"] = report.cached_bytes
-    row["live_keys"] = report.live_keys
-    row["warm_functions"] = report.warm_functions
-    return row
-
-
-def run_shard_sweep(
-    model_name: str = "efficientnet_v2_small",
-    workloads: Sequence[str] = LOAD_SWEEP_WORKLOADS,
-    process: str = "bursty",
-    shard_counts: Sequence[int] = (1, 2, 4),
-    utilizations: Sequence[float] = (0.5, 1.0, 2.0),
-    num_rounds: int = 12,
-    num_requests: int = 120,
-    seed: int = 7,
-    max_queue_depth: int = 8,
-    shed_policy: str = "drop",
-    router_kind: str = "consistent-hash",
-    replication_factor: int = 1,
-    replication_policy: str = "none",
-    slo_multiplier: float = 3.0,
-    workers: int | None = None,
-) -> dict:
-    """Shard sweep: shard count x offered utilization through the routed tier.
-
-    Offered rates are ``rho / E[S]`` with ``E[S]`` the *single-shard* mean
-    service time, so ``utilization`` reads as load relative to one shard's
-    capacity: at ``rho = 2.0`` one shard is overloaded twice over while
-    four shards (if the router balances the mix) sit at ~0.5 each.  Each
-    cell serves the same deterministic request mix through a fresh
-    ``ShardedEngineFLStore`` with per-shard admission control
-    (``max_queue_depth`` waiting requests, ``shed_policy`` on overflow) and
-    reports goodput, p50/p99 sojourn, shed/violation rates, and the
-    conservation check ``served + degraded + shed == offered``.  A thin grid
-    over the scenario API (axes ``tier.shards`` x ``arrival.utilization``),
-    pinned byte-identical to its pre-spec output at fixed seeds.  Cells are
-    independent; ``workers > 1`` fans them out to worker processes.
-    """
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
-    )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
-    base = ScenarioSpec(
-        name="shard-sweep",
-        model=model_name,
-        seed=seed,
-        num_rounds=num_rounds,
-        workload=WorkloadMixSpec(workloads=tuple(workloads), num_requests=num_requests),
-        arrival=ArrivalSpec(kind=process),
-        tier=TierSpec(
-            router_kind=router_kind,
-            admission=AdmissionSpec(max_queue_depth=max_queue_depth, shed_policy=shed_policy),
-            replication=ReplicationSpec(factor=replication_factor, policy=replication_policy),
-        ),
-        slo_multiplier=slo_multiplier,
-        mean_service_seconds=mean_service,
-    )
-    rows = sweep(
-        base,
-        axes={
-            "tier.shards": tuple(int(num_shards) for num_shards in shard_counts),
-            "arrival.utilization": tuple(utilizations),
-        },
-        workers=workers,
-        row_fn=_legacy_shard_row,
-    )
-    return {
-        "rows": rows,
-        "mean_service_seconds": mean_service,
-        "slo_seconds": slo_seconds,
-        "process": process,
-        "max_queue_depth": max_queue_depth,
-        "shed_policy": shed_policy,
-        "router": router_kind,
-        "num_requests": num_requests,
-        "workloads": list(workloads),
-        "seed": seed,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Autoscale sweep — scaling policy x utilization on the resizable tier
-# ---------------------------------------------------------------------------
-
-
-def _legacy_autoscale_row(report: RunReport) -> dict:
-    """Project a scenario run onto the historical autoscale-sweep row schema."""
-    spec = report.spec
-    row = {
-        "autoscaler": spec.tier.autoscaler.policy,
-        "process": spec.arrival.kind,
-        "utilization": spec.arrival.utilization,
-    }
-    row.update(report.load.row())
-    row["conserved"] = report.conserved
-    row.update({k: v for k, v in report.autoscale.row().items() if k != "autoscaler"})
-    return row
-
-
-#: The policies the legacy autoscale sweep enumerates by default — pinned to
-#: the pre-"slo" tuple so its golden output never moves; pass
-#: ``policies=AUTOSCALER_KINDS`` (or the CLI's ``--policies``) to include
-#: newer policies.
-LEGACY_AUTOSCALE_POLICIES: tuple[str, ...] = ("none", "reactive", "predictive")
-
-#: The headline columns of an autoscale-sweep row, shared by the CLI table
-#: and the benchmark report so the two never drift.
-AUTOSCALE_REPORT_COLUMNS: tuple[str, ...] = (
-    "autoscaler",
-    "utilization",
-    "p99_sojourn_seconds",
-    "shed_rate",
-    "violation_rate",
-    "capacity_unit_seconds",
-    "warm_capacity_cost_dollars",
-    "scale_events",
-    "shard_adds",
-    "shard_removes",
-    "conserved",
-)
-
-
-def run_autoscale_sweep(
-    model_name: str = "efficientnet_v2_small",
-    workloads: Sequence[str] = LOAD_SWEEP_WORKLOADS,
-    process: str = "diurnal",
-    policies: Sequence[str] = LEGACY_AUTOSCALE_POLICIES,
-    utilizations: Sequence[float] = (2.5,),
-    num_rounds: int = 12,
-    num_requests: int = 160,
-    seed: int = 7,
-    max_queue_depth: int = 6,
-    shed_policy: str = "drop",
-    start_shards: int = 1,
-    control_interval: float = 5.0,
-    slo_multiplier: float = 3.0,
-    workers: int | None = None,
-) -> dict:
-    """Autoscale sweep: scaling policy x offered utilization on one process.
-
-    Every cell serves the same deterministic request mix with arrivals drawn
-    from ``process`` (the diurnal cycle by default — the regime autoscaling
-    exists for) at rate ``rho / E[S]``, on a resizable
-    ``ShardedEngineFLStore`` driven by one autoscaling policy
-    (:data:`repro.engine.autoscale.AUTOSCALER_KINDS`).  Rows report the
-    latency/shedding quality of each policy **and** what it paid for it:
-    p99 sojourn, shed rate, SLO-violation rate, the warm-capacity integral
-    (unit-seconds and dollars), and the scale-event counts.  Conservation
-    (``served + requeued + degraded + shed == offered``, with requeued
-    counted inside ``served``) is asserted inside every cell — a resize must
-    never lose a request.  A thin grid over the scenario API (axes
-    ``arrival.utilization`` x ``tier.autoscaler.policy``), pinned
-    byte-identical to its pre-spec output at fixed seeds.  Cells are
-    independent; ``workers > 1`` fans them out to worker processes.
-    """
-    unknown = sorted(set(policies) - set(AUTOSCALER_KINDS))
-    if unknown:
-        # Fail before the calibration run and the worker fan-out, not deep
-        # inside a cell.
-        raise ValueError(f"unknown autoscaler policies {unknown}; expected {AUTOSCALER_KINDS}")
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
-    )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
-    base = ScenarioSpec(
-        name="autoscale-sweep",
-        model=model_name,
-        seed=seed,
-        num_rounds=num_rounds,
-        workload=WorkloadMixSpec(workloads=tuple(workloads), num_requests=num_requests),
-        arrival=ArrivalSpec(kind=process),
-        tier=TierSpec(
-            shards=start_shards,
-            router_kind="consistent-hash",
-            admission=AdmissionSpec(max_queue_depth=max_queue_depth, shed_policy=shed_policy),
-            autoscaler=AutoscalerSpec(
-                enabled=True, control_interval_seconds=control_interval
-            ),
-        ),
-        slo_multiplier=slo_multiplier,
-        mean_service_seconds=mean_service,
-    )
-    rows = sweep(
-        base,
-        axes={
-            "arrival.utilization": tuple(utilizations),
-            "tier.autoscaler.policy": tuple(policies),
-        },
-        workers=workers,
-        row_fn=_legacy_autoscale_row,
-    )
-    return {
-        "rows": rows,
-        "mean_service_seconds": mean_service,
-        "slo_seconds": slo_seconds,
-        "process": process,
-        "max_queue_depth": max_queue_depth,
-        "shed_policy": shed_policy,
-        "start_shards": start_shards,
-        "control_interval_seconds": control_interval,
-        "num_requests": num_requests,
-        "workloads": list(workloads),
-        "seed": seed,
-    }
-
-
-def compare_autoscale_policies(rows: Sequence[Mapping]) -> list[dict]:
-    """Predictive-vs-reactive deltas per utilization level.
-
-    The comparison the sweep exists to make: at each offered utilization,
-    how much p99 sojourn and shed rate does forecast-ahead scaling buy, and
-    at what relative warm-capacity cost.
-    """
-    comparisons = []
-    by_point: dict[float, dict[str, Mapping]] = {}
-    for row in rows:
-        by_point.setdefault(row["utilization"], {})[row["autoscaler"]] = row
-    for rho in sorted(by_point):
-        cell = by_point[rho]
-        reactive, predictive = cell.get("reactive"), cell.get("predictive")
-        if reactive is None or predictive is None:
-            continue
-        reactive_cost = reactive["capacity_unit_seconds"]
-        comparisons.append(
-            {
-                "utilization": rho,
-                "p99_reactive": reactive["p99_sojourn_seconds"],
-                "p99_predictive": predictive["p99_sojourn_seconds"],
-                "p99_reduction_pct": percent_reduction(
-                    reactive["p99_sojourn_seconds"], predictive["p99_sojourn_seconds"]
-                ),
-                "shed_rate_reactive": reactive["shed_rate"],
-                "shed_rate_predictive": predictive["shed_rate"],
-                "capacity_cost_ratio": (
-                    predictive["capacity_unit_seconds"] / reactive_cost
-                    if reactive_cost
-                    else float("inf")
-                ),
-            }
-        )
-    return comparisons
-
-
-# ---------------------------------------------------------------------------
-# Fault-recovery sweep — fault kind x remediation controller on/off
-# ---------------------------------------------------------------------------
-
-
-#: Canonical fault cells of the recovery sweep: one clause per fault kind,
-#: each paired with the base router whose remediation path it exercises.
-#: Crashes hit a JSQ tier, where routing follows live queue depth and
-#: re-added capacity genuinely absorbs load (under consistent hashing the
-#: hot keys rarely remap, so an extra shard is dead weight).  The storm and
-#: gray faults hit a consistent-hash tier, where the capacity-neutral
-#: reroute-to-JSQ actuation is live.
-FAULT_RECOVERY_CELLS: tuple[dict, ...] = (
-    {
-        "fault": "shard-crash",
-        "router": "jsq",
-        "clause": {"kind": "shard-crash", "onset_seconds": 30.0, "magnitude": 1.0},
-    },
-    {
-        "fault": "reclamation-storm",
-        "router": "consistent-hash",
-        "clause": {
-            "kind": "reclamation-storm",
-            "onset_seconds": 30.0,
-            "duration_seconds": 90.0,
-            "magnitude": 2.0,
-            "interval_seconds": 5.0,
-        },
-    },
-    {
-        "fault": "slow-shard",
-        "router": "consistent-hash",
-        "clause": {
-            "kind": "slow-shard",
-            "onset_seconds": 30.0,
-            "duration_seconds": 90.0,
-            "magnitude": 3.0,
-        },
-    },
-    {
-        "fault": "network-spike",
-        "router": "consistent-hash",
-        "clause": {
-            "kind": "network-spike",
-            "onset_seconds": 30.0,
-            "duration_seconds": 90.0,
-            "magnitude": 4.0,
-        },
-    },
-)
-
-
-def _fault_recovery_row(report: RunReport) -> dict:
-    """Project a faulted scenario run onto the recovery-sweep row schema.
-
-    Controller-off cells carry no remediation summary, so the remediation
-    counters default to zero here — every cell exposes the same columns.
-    """
-    spec = report.spec
-    row = {
-        "fault": spec.faults[0].kind if spec.faults else "none",
-        "router": spec.tier.router_kind,
-        "controller": spec.remediation.enabled,
-        "remediation_ticks": 0,
-        "anomalies_detected": 0,
-        "actions_taken": 0,
-        "shadow_accepts": 0,
-        "shadow_rejects": 0,
-        "shadow_runs": 0,
-    }
-    row.update(report.row())
-    return row
-
-
-#: The headline columns of a fault-recovery row, shared by the CLI table
-#: and the benchmark report so the two never drift.
-FAULT_RECOVERY_COLUMNS: tuple[str, ...] = (
-    "fault",
-    "controller",
-    "time_to_recovery_seconds",
-    "goodput_dip_area",
-    "recovered",
-    "p99_sojourn_seconds",
-    "goodput_rps",
-    "shed_rate",
-    "actions_taken",
-    "shadow_accepts",
-    "shadow_rejects",
-    "conserved",
-)
-
-
-def run_fault_recovery_sweep(
-    model_name: str = "efficientnet_v2_small",
-    workloads: Sequence[str] = LOAD_SWEEP_WORKLOADS,
-    kinds: Sequence[str] | None = None,
-    num_rounds: int = 8,
-    num_requests: int = 96,
-    seed: int = 7,
-    utilization: float = 0.7,
-    shards: int = 3,
-    max_queue_depth: int = 8,
-    shed_policy: str = "drop",
-    control_interval: float = 5.0,
-    shadow_requests: int = 36,
-    slo_multiplier: float = 3.0,
-    workers: int | None = None,
-) -> dict:
-    """Fault-recovery sweep: fault kind x remediation controller on/off.
-
-    Every cell injects one canonical fault clause
-    (:data:`FAULT_RECOVERY_CELLS`) into a three-shard tier serving the same
-    deterministic Poisson trace at ``utilization`` x the service rate, and
-    runs it twice — once with the closed-loop remediation controller riding
-    the control ticks, once without.  Rows report the recovery story of each
-    cell: time-to-recovery (cumulative catch-up clock against the offered
-    rate), goodput dip area (windowed deficit integral), whether the tier
-    caught back up inside the horizon, tail latency, and the controller's
-    accounting (anomalies detected, shadow accepts/rejects, actions taken).
-    Conservation (``served + requeued + degraded + shed == offered``, with
-    requeued counted inside ``served``) is asserted inside every faulted
-    cell.  Cells are independent; ``workers > 1`` fans them out to worker
-    processes.
-    """
-    known = tuple(cell["fault"] for cell in FAULT_RECOVERY_CELLS)
-    if kinds is None:
-        kinds = known
-    unknown = sorted(set(kinds) - set(known))
-    if unknown:
-        # Fail before the calibration run and the worker fan-out, not deep
-        # inside a cell.
-        raise ValueError(f"unknown fault kinds {unknown}; expected {known}")
-    mean_service = calibrate_service_time(
-        model_name,
-        workloads=workloads,
-        num_rounds=num_rounds,
-        num_requests=num_requests,
-        seed=seed,
-    )
-    slo_seconds = slo_multiplier * mean_service if slo_multiplier else None
-    rows: list[dict] = []
-    for cell in FAULT_RECOVERY_CELLS:
-        if cell["fault"] not in kinds:
-            continue
-        base = ScenarioSpec(
-            name=f"fault-recovery-{cell['fault']}",
-            model=model_name,
-            seed=seed,
-            num_rounds=num_rounds,
-            workload=WorkloadMixSpec(workloads=tuple(workloads), num_requests=num_requests),
-            arrival=ArrivalSpec(kind="poisson", utilization=utilization),
-            tier=TierSpec(
-                shards=shards,
-                router_kind=cell["router"],
-                admission=AdmissionSpec(
-                    max_queue_depth=max_queue_depth, shed_policy=shed_policy
-                ),
-            ),
-            slo_multiplier=slo_multiplier,
-            mean_service_seconds=mean_service,
-            faults=(FaultSpec(**cell["clause"]),),
-            remediation=RemediationSpec(
-                enabled=False,
-                control_interval_seconds=control_interval,
-                shadow_requests=shadow_requests,
-            ),
-        )
-        rows.extend(
-            sweep(
-                base,
-                axes={"remediation.enabled": (True, False)},
-                workers=workers,
-                row_fn=_fault_recovery_row,
-            )
-        )
-    return {
-        "rows": rows,
-        "mean_service_seconds": mean_service,
-        "slo_seconds": slo_seconds,
-        "utilization": utilization,
-        "shards": shards,
-        "max_queue_depth": max_queue_depth,
-        "shed_policy": shed_policy,
-        "control_interval_seconds": control_interval,
-        "shadow_requests": shadow_requests,
-        "num_requests": num_requests,
-        "workloads": list(workloads),
-        "seed": seed,
-    }
-
-
-def compare_fault_recovery(rows: Sequence[Mapping]) -> list[dict]:
-    """Controller-on vs controller-off deltas per fault kind.
-
-    The comparison the sweep exists to make: for each injected fault, how
-    much time-to-recovery and goodput-dip area does closed-loop remediation
-    buy, and how many shadow-verified actions it took to buy it.
-    """
-    comparisons = []
-    by_fault: dict[str, dict[bool, Mapping]] = {}
-    for row in rows:
-        by_fault.setdefault(row["fault"], {})[bool(row["controller"])] = row
-    for fault in sorted(by_fault):
-        cell = by_fault[fault]
-        on, off = cell.get(True), cell.get(False)
-        if on is None or off is None:
-            continue
-        comparisons.append(
-            {
-                "fault": fault,
-                "ttr_controller": on["time_to_recovery_seconds"],
-                "ttr_baseline": off["time_to_recovery_seconds"],
-                "ttr_reduction_pct": percent_reduction(
-                    off["time_to_recovery_seconds"], on["time_to_recovery_seconds"]
-                ),
-                "dip_controller": on["goodput_dip_area"],
-                "dip_baseline": off["goodput_dip_area"],
-                "dip_reduction_pct": percent_reduction(
-                    off["goodput_dip_area"], on["goodput_dip_area"]
-                ),
-                "actions_taken": on["actions_taken"],
-                "shadow_accepts": on["shadow_accepts"],
-                "shadow_rejects": on["shadow_rejects"],
-            }
-        )
-    return comparisons
-
-
-# ---------------------------------------------------------------------------
-# Tenant sweep — queue discipline x tenant weight on a shared warm slot
-# ---------------------------------------------------------------------------
-
-
-#: The queue disciplines the tenant sweep compares by default: FIFO (no
-#: isolation — the burst owns the queue), WFQ, and DRR (weighted fairness).
-TENANT_SWEEP_DISCIPLINES: tuple[str, ...] = ("fifo", "wfq", "drr")
-
-#: The headline columns of a tenant-sweep row, shared by the CLI table and
-#: the benchmark report so the two never drift.  The per-tenant triples are
-#: named after the noisy-neighbor scenario's tenants.
-TENANT_REPORT_COLUMNS: tuple[str, ...] = (
-    "discipline",
-    "steady_weight",
-    "bursty_weight",
-    "served",
-    "shed",
-    "p99_sojourn_seconds",
-    "steady_p99",
-    "steady_share",
-    "steady_violations",
-    "bursty_p99",
-    "bursty_share",
-    "bursty_violations",
-    "conserved",
-)
-
-
-def _tenant_sweep_row(report: RunReport) -> dict:
-    """Project a scenario run onto the tenant-sweep row schema."""
-    spec = report.spec
-    row: dict = {"discipline": spec.tier.queue_discipline}
-    for tenant in spec.tenants:
-        row[f"{tenant.name}_weight"] = tenant.weight
-    base = report.row()
-    for key in ("served", "shed", "degraded", "p99_sojourn_seconds", "conserved"):
-        row[key] = base[key]
-    for tenant_row in report.tenants or []:
-        name = tenant_row["tenant"]
-        row[f"{name}_p99"] = tenant_row["p99_sojourn_seconds"]
-        row[f"{name}_share"] = tenant_row["service_share"]
-        row[f"{name}_violations"] = tenant_row["violation_rate"]
-    return row
-
-
-def run_tenant_sweep(
-    disciplines: Sequence[str] = TENANT_SWEEP_DISCIPLINES,
-    steady_weights: Sequence[float] = (1.0, 2.0, 4.0),
-    bursty_utilization: float | None = None,
-    num_rounds: int | None = None,
-    num_requests: int | None = None,
-    seed: int = 7,
-    workers: int | None = None,
-) -> dict:
-    """Tenant sweep: queue discipline x steady-tenant weight on one warm slot.
-
-    Every cell serves the registered ``noisy-neighbor`` scenario — a
-    well-behaved Poisson tenant sharing one warm slot with a bursty
-    neighbour offering twice its arrival rate — under one queue discipline
-    and one weight for the steady tenant.  Rows report per-tenant p99 sojourn, service share,
-    and SLO-violation rate beside the tier-level aggregates: under FIFO the
-    burst owns the queue and the steady tenant's tail inflates with it,
-    while WFQ and DRR bound the steady tenant's p99 in proportion to its
-    weight (the weight axis is a no-op for FIFO — its rows stay flat).
-    Per-tenant conservation (``served + requeued + degraded + shed ==
-    offered``) is asserted inside every cell.  Cells are independent;
-    ``workers > 1`` fans them out to worker processes.
-    """
-    unknown = sorted(set(disciplines) - set(QUEUE_DISCIPLINES))
-    if unknown:
-        # Fail before the calibration run and the worker fan-out, not deep
-        # inside a cell.
-        raise ValueError(f"unknown queue disciplines {unknown}; expected {QUEUE_DISCIPLINES}")
-    overrides: dict = {"seed": seed}
-    if num_rounds is not None:
-        overrides["num_rounds"] = num_rounds
-    if bursty_utilization is not None:
-        overrides["tenants.bursty.utilization"] = bursty_utilization
-    base = get_scenario("noisy-neighbor")
-    if num_requests is not None:
-        for tenant in base.tenants:
-            overrides[f"tenants.{tenant.name}.num_requests"] = num_requests
-    base = apply_overrides(base, overrides)
-    # The weight axis never moves the calibrated service time; pin it once
-    # so the grid shares one calibration and one per-tenant SLO.
-    mean_service = calibrate(base)
-    base = apply_overrides(base, {"mean_service_seconds": mean_service})
-    rows = sweep(
-        base,
-        axes={
-            "tier.queue_discipline": tuple(disciplines),
-            "tenants.steady.weight": tuple(float(w) for w in steady_weights),
-        },
-        workers=workers,
-        row_fn=_tenant_sweep_row,
-    )
-    return {
-        "rows": rows,
-        "mean_service_seconds": mean_service,
-        "tenant_slo_seconds": {
-            tenant.name: (
-                tenant.slo_multiplier * mean_service if tenant.slo_multiplier else None
-            )
-            for tenant in base.tenants
-        },
-        "disciplines": list(disciplines),
-        "steady_weights": [float(w) for w in steady_weights],
-        "seed": base.seed,
-    }
-
-
-def compare_tenant_disciplines(rows: Sequence[Mapping]) -> list[dict]:
-    """WFQ/DRR-vs-FIFO deltas on the steady tenant, per weight level.
-
-    The comparison the sweep exists to make: at each steady-tenant weight,
-    how much of the steady tenant's p99 and violation rate does weighted
-    fairness claw back from the noisy neighbour, relative to FIFO.
-    """
-    comparisons = []
-    by_weight: dict[float, dict[str, Mapping]] = {}
-    for row in rows:
-        by_weight.setdefault(row["steady_weight"], {})[row["discipline"]] = row
-    for weight in sorted(by_weight):
-        cell = by_weight[weight]
-        fifo = cell.get("fifo")
-        if fifo is None:
-            continue
-        for discipline in ("wfq", "drr"):
-            fair = cell.get(discipline)
-            if fair is None:
-                continue
-            comparisons.append(
-                {
-                    "steady_weight": weight,
-                    "discipline": discipline,
-                    "steady_p99_fifo": fifo["steady_p99"],
-                    "steady_p99_fair": fair["steady_p99"],
-                    "steady_p99_reduction_pct": percent_reduction(
-                        fifo["steady_p99"], fair["steady_p99"]
-                    ),
-                    "steady_violations_fifo": fifo["steady_violations"],
-                    "steady_violations_fair": fair["steady_violations"],
-                    "steady_share_fair": fair["steady_share"],
-                }
-            )
-    return comparisons
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ Usage examples::
     python -m repro.cli run table2 --out table2.json # save the rows as JSON
     python -m repro.cli run fig7 --parallel          # fan model sweeps out to worker processes
     python -m repro.cli run fig11 --workers 4        # explicit worker count
-    python -m repro.cli run-load --workers 4         # open-loop load sweep, parallel cells
-    python -m repro.cli run-shard-sweep --shards 1,2,4 --shed-policy drop
-    python -m repro.cli run-faults --kinds shard-crash,reclamation-storm
-    python -m repro.cli run-tenants --disciplines fifo,wfq --steady-weights 1,2,4
     python -m repro.cli run-scenario --list           # registered scenario specs
     python -m repro.cli run-scenario --name jsq-hotkey --set tier.shards=8
     python -m repro.cli run-scenario --spec examples/scenarios/sharded_burst.json \
         --sweep tier.router_kind=consistent-hash,jsq
+    python -m repro.cli run-scenario --name engine-baseline --workers 4 \
+        --sweep arrival.kind=poisson,bursty,diurnal --sweep arrival.utilization=0.5,1.0,2.0
+    python -m repro.cli run-scenario --name fault-recovery --sweep remediation.enabled=true,false
+    python -m repro.cli run-scenario --name noisy-neighbor \
+        --sweep tier.queue_discipline=fifo,wfq,drr --sweep tenants.steady.weight=1,2,4
     python -m repro.cli run-missing --artifacts artifacts --parallel
     python -m repro.cli run-missing --dry-run         # plan only: what would run and why
     python -m repro.cli report --artifacts artifacts --out report
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.analysis import experiments as E
@@ -34,8 +34,7 @@ from repro.analysis import experiments_appendix as A
 from repro.analysis.export import export_csv, export_json
 from repro.analysis.perf import tune_gc
 from repro.analysis.runner import set_max_workers
-from repro.analysis.tables import format_table
-from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES
+from repro.analysis.tables import format_table, union_columns
 from repro.fleet import (
     ArtifactStore,
     FleetError,
@@ -44,11 +43,7 @@ from repro.fleet import (
     load_fleet,
     run_missing,
 )
-from repro.engine.autoscale import AUTOSCALER_KINDS
-from repro.engine.faults import FAULT_KINDS
-from repro.engine.sharded import REPLICATION_POLICIES
 from repro.engine.vectorized import explain_fast_path
-from repro.routing import ROUTER_KINDS
 from repro.scenario import (
     ScenarioSpec,
     ScenarioValidationError,
@@ -61,7 +56,6 @@ from repro.scenario import (
 )
 from repro.scenario import run as run_scenario_spec
 from repro.scenario import sweep as scenario_sweep
-from repro.traces.arrivals import ARRIVAL_KINDS
 from repro.workloads.registry import TAXONOMY, WORKLOAD_DISPLAY_NAMES
 
 #: Experiment name -> (callable, description, accepts num_rounds kwarg).
@@ -92,246 +86,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., Any], str]] = {
 _ACCEPTS_ROUNDS = {
     "fig1", "fig2", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11", "table2",
     "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "prefetch",
-}
-
-
-@dataclass(frozen=True)
-class _SweepFlag:
-    """One shared sweep flag: described once, exposed by several sweeps.
-
-    ``key`` names the scenario-spec field the flag maps onto (axis flags map
-    onto the field they sweep), so flag semantics, choices, and help come
-    from the spec layer instead of being hand-triplicated per subcommand;
-    per-sweep parsers override only the *default*.
-    """
-
-    flag: str
-    key: str
-    type: Callable[[str], Any] = str
-    help: str = ""
-    choices: tuple[str, ...] | None = None
-
-
-#: The shared flag catalog of every ``run-*`` sweep subcommand.
-_SWEEP_FLAGS: dict[str, _SweepFlag] = {
-    flag.flag: flag
-    for flag in (
-        _SweepFlag("--rounds", "num_rounds", int, "number of ingested training rounds"),
-        _SweepFlag("--requests", "workload.num_requests", int, "requests per sweep point"),
-        _SweepFlag("--seed", "seed", int, "simulation seed"),
-        _SweepFlag("--model", "model", str, "model name"),
-        _SweepFlag(
-            "--process",
-            "arrival.kind",
-            str,
-            "arrival process driving every sweep cell",
-            choices=ARRIVAL_KINDS,
-        ),
-        _SweepFlag(
-            "--processes",
-            "arrival.kind (axis)",
-            str,
-            f"comma-separated arrival processes ({', '.join(ARRIVAL_KINDS)})",
-        ),
-        _SweepFlag(
-            "--utilizations",
-            "arrival.utilization (axis)",
-            str,
-            "comma-separated offered utilizations (multiples of the calibrated service rate)",
-        ),
-        _SweepFlag("--shards", "tier.shards (axis)", str, "comma-separated shard counts to sweep"),
-        _SweepFlag(
-            "--policies",
-            "tier.autoscaler.policy (axis)",
-            str,
-            f"comma-separated autoscaling policies ({', '.join(AUTOSCALER_KINDS)})",
-        ),
-        _SweepFlag(
-            "--max-queue-depth",
-            "tier.admission.max_queue_depth",
-            int,
-            "admission bound: waiting requests allowed per shard (0 = unbounded)",
-        ),
-        _SweepFlag(
-            "--shed-policy",
-            "tier.admission.shed_policy",
-            str,
-            "what happens to arrivals refused admission",
-            choices=SHED_POLICIES,
-        ),
-        _SweepFlag(
-            "--router", "tier.router_kind", str, "key-to-shard placement", choices=ROUTER_KINDS
-        ),
-        _SweepFlag(
-            "--replication-factor",
-            "tier.replication.factor",
-            int,
-            "shards holding each hot key (primary included; 1 = no extra copies)",
-        ),
-        _SweepFlag(
-            "--replication-policy",
-            "tier.replication.policy",
-            str,
-            "which keys get replicated across shards",
-            choices=REPLICATION_POLICIES,
-        ),
-        _SweepFlag(
-            "--start-shards",
-            "tier.shards",
-            int,
-            "shard count the tier starts from (the autoscaler takes it from there)",
-        ),
-        _SweepFlag(
-            "--control-interval",
-            "control_interval_seconds",
-            float,
-            "virtual-time spacing of control-loop ticks (autoscaler or remediation), in seconds",
-        ),
-        _SweepFlag(
-            "--kinds",
-            "faults[0].kind (axis)",
-            str,
-            f"comma-separated fault kinds to inject ({', '.join(FAULT_KINDS)})",
-        ),
-        _SweepFlag(
-            "--utilization",
-            "arrival.utilization",
-            float,
-            "offered utilization (multiple of the calibrated service rate)",
-        ),
-        _SweepFlag(
-            "--shadow-requests",
-            "remediation.shadow_requests",
-            int,
-            "trace length of each bounded shadow-verification run",
-        ),
-        _SweepFlag(
-            "--disciplines",
-            "tier.queue_discipline (axis)",
-            str,
-            f"comma-separated queue disciplines ({', '.join(QUEUE_DISCIPLINES)})",
-        ),
-        _SweepFlag(
-            "--steady-weights",
-            "tenants.steady.weight (axis)",
-            str,
-            "comma-separated fair-queueing weights for the steady tenant",
-        ),
-        _SweepFlag(
-            "--bursty-utilization",
-            "tenants.bursty.utilization",
-            float,
-            "offered utilization of the noisy neighbour (multiple of the calibrated service rate)",
-        ),
-        _SweepFlag(
-            "--tenant-requests",
-            "tenants.<name>.num_requests",
-            int,
-            "per-tenant trace length (overrides every tenant's num_requests)",
-        ),
-    )
-}
-
-#: Per-sweep flag exposure: subcommand -> {flag: default}.  This is the
-#: whole difference between the three sweep CLIs; everything else about a
-#: flag lives once in :data:`_SWEEP_FLAGS`.
-_SWEEP_COMMAND_FLAGS: dict[str, dict[str, Any]] = {
-    "run-load": {
-        "--rounds": 12,
-        "--requests": 120,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--processes": ",".join(ARRIVAL_KINDS),
-        "--utilizations": "0.5,1.0,2.0",
-    },
-    "run-shard-sweep": {
-        "--rounds": 12,
-        "--requests": 120,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--process": "bursty",
-        "--shards": "1,2,4",
-        "--utilizations": "0.5,1.0,2.0",
-        "--max-queue-depth": 8,
-        "--shed-policy": "drop",
-        "--router": "consistent-hash",
-        "--replication-factor": 1,
-        "--replication-policy": "none",
-    },
-    "run-autoscale": {
-        "--rounds": 12,
-        "--requests": 160,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--process": "diurnal",
-        "--policies": ",".join(AUTOSCALER_KINDS),
-        "--utilizations": "2.5",
-        "--max-queue-depth": 6,
-        "--shed-policy": "drop",
-        "--start-shards": 1,
-        "--control-interval": 5.0,
-    },
-    "run-faults": {
-        "--rounds": 8,
-        "--requests": 96,
-        "--seed": 7,
-        "--model": "efficientnet_v2_small",
-        "--kinds": ",".join(FAULT_KINDS),
-        "--utilization": 0.7,
-        "--start-shards": 3,
-        "--max-queue-depth": 8,
-        "--shed-policy": "drop",
-        "--control-interval": 5.0,
-        "--shadow-requests": 36,
-    },
-    "run-tenants": {
-        "--rounds": 8,
-        "--seed": 7,
-        "--disciplines": "fifo,wfq,drr",
-        "--steady-weights": "1.0,2.0,4.0",
-        "--bursty-utilization": 1.0,
-        "--tenant-requests": None,
-    },
-}
-
-_SWEEP_COMMAND_HELP: dict[str, tuple[str, str]] = {
-    "run-load": (
-        "open-loop load sweep through the discrete-event engine",
-        "Serve the load-sweep request mix with open-loop arrivals (Poisson, "
-        "bursty, diurnal) at several offered utilizations and print offered "
-        "load vs goodput, queue depth, and p50/p95/p99 sojourn time.",
-    ),
-    "run-shard-sweep": (
-        "shard count x utilization sweep through the routed serving tier",
-        "Serve the load-sweep request mix on a ShardedEngineFLStore at "
-        "several shard counts and offered utilizations, with per-shard "
-        "admission control, and print goodput, p50/p99 sojourn, shed "
-        "rate, and SLO-violation rate per sweep cell.",
-    ),
-    "run-autoscale": (
-        "autoscaling-policy comparison on the resizable serving tier",
-        "Serve the load-sweep request mix on a resizable ShardedEngineFLStore "
-        "under each autoscaling policy (none, reactive, predictive) and print "
-        "p99 sojourn, shed rate, SLO-violation rate, warm-capacity cost, and "
-        "scale-event counts per cell, plus the predictive-vs-reactive deltas.",
-    ),
-    "run-faults": (
-        "fault-injection grid with the closed-loop remediation controller",
-        "Inject each canonical fault (shard crash, reclamation storm, slow "
-        "shard, network spike) into the serving tier twice — with and without "
-        "the shadow-verified remediation controller — and print time-to-"
-        "recovery, goodput dip area, tail latency, and the controller's "
-        "accept/reject accounting per cell, plus the on-vs-off deltas.",
-    ),
-    "run-tenants": (
-        "queue-discipline x tenant-weight sweep on the noisy-neighbor scenario",
-        "Serve the noisy-neighbor scenario — a steady Poisson tenant sharing "
-        "one warm slot with a bursty neighbour at twice its arrival rate — "
-        "under each queue discipline (fifo, wfq, drr) and steady-tenant weight, and "
-        "print per-tenant p99 sojourn, service share, and SLO-violation "
-        "rate per cell, plus the WFQ/DRR-vs-FIFO deltas on the steady "
-        "tenant.",
-    ),
 }
 
 
@@ -398,29 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker-process count for --parallel (default: CPU count); implies --parallel",
     )
 
-    # The three legacy sweeps share one generated flag surface.
-    for command, flag_defaults in _SWEEP_COMMAND_FLAGS.items():
-        help_line, description = _SWEEP_COMMAND_HELP[command]
-        sweep_parser = sub.add_parser(command, help=help_line, description=description)
-        for flag, default in flag_defaults.items():
-            info = _SWEEP_FLAGS[flag]
-            sweep_parser.add_argument(
-                flag,
-                type=info.type,
-                default=default,
-                choices=info.choices,
-                help=f"{info.help} [spec: {info.key}]",
-            )
-        _add_worker_and_out_flags(sweep_parser)
-        sweep_parser.add_argument(
-            "--save-artifact",
-            type=str,
-            default=None,
-            metavar="DIR",
-            help="record the sweep rows as a versioned artifact under DIR "
-            "(keyed by the full flag set; identical re-runs overwrite in place)",
-        )
-
     scenario = sub.add_parser(
         "run-scenario",
         help="run (or sweep) a declarative scenario spec",
@@ -464,14 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="shrink rounds/requests for a fast end-to-end validation run (CI uses this)",
     )
     _add_worker_and_out_flags(scenario)
-    scenario.add_argument(
-        "--save-artifact",
-        type=str,
-        default=None,
-        metavar="DIR",
-        help="record the result rows as a versioned artifact under DIR "
-        "(keyed by the full flag set; identical re-runs overwrite in place)",
-    )
 
     missing = sub.add_parser(
         "run-missing",
@@ -610,7 +333,7 @@ def _run_scenario_command(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     result["spec"] = spec.to_dict()
-    print(format_table(rows, title=title))
+    print(format_table(rows, columns=union_columns(rows), title=title))
     print(
         "summary:",
         {k: v for k, v in result.items() if k not in ("rows", "spec")},
@@ -621,26 +344,7 @@ def _run_scenario_command(args) -> int:
         else:
             path = export_json(result, args.out)
         print(f"wrote {path}")
-    _maybe_save_sweep_artifact(args, rows)
     return 0
-
-
-#: argparse attributes that are execution mechanics, not sweep semantics —
-#: excluded from the parameter set that keys a recorded sweep artifact.
-_NON_SEMANTIC_ARGS = ("command", "workers", "parallel", "out", "save_artifact", "list")
-
-
-def _maybe_save_sweep_artifact(args, rows: list[dict]) -> None:
-    """Record a sweep's rows through the artifact store (``--save-artifact``)."""
-    directory = getattr(args, "save_artifact", None)
-    if not directory:
-        return
-    params = {
-        key: value for key, value in vars(args).items() if key not in _NON_SEMANTIC_ARGS
-    }
-    store = ArtifactStore(directory)
-    path = store.record_sweep(args.command, params, rows)
-    print(f"recorded sweep artifact {path}")
 
 
 def _fleet_experiments(args):
@@ -731,149 +435,6 @@ def main(argv: list[str] | None = None) -> int:
         return _report_command(args)
 
     tune_gc()
-    if args.command in ("run-load", "run-shard-sweep", "run-autoscale", "run-faults", "run-tenants"):
-        workers = args.workers
-        if workers is None and args.parallel:
-            workers = os.cpu_count() or 1
-        columns = None
-        extra_tables = []
-        if args.command == "run-autoscale":
-            title = "Autoscale sweep (resizable serving tier)"
-            policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-            unknown = sorted(set(policies) - set(AUTOSCALER_KINDS))
-            if unknown:
-                print(
-                    f"error: unknown --policies {','.join(unknown)}; "
-                    f"expected a comma list of {', '.join(AUTOSCALER_KINDS)}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = E.run_autoscale_sweep(
-                model_name=args.model,
-                process=args.process,
-                policies=policies,
-                utilizations=tuple(float(u) for u in args.utilizations.split(",") if u.strip()),
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                max_queue_depth=args.max_queue_depth,
-                shed_policy=args.shed_policy,
-                start_shards=args.start_shards,
-                control_interval=args.control_interval,
-                workers=workers,
-            )
-            columns = list(E.AUTOSCALE_REPORT_COLUMNS)
-            comparisons = E.compare_autoscale_policies(result["rows"])
-            if comparisons:
-                extra_tables.append(
-                    format_table(comparisons, title="Predictive vs reactive (same offered load)")
-                )
-        elif args.command == "run-faults":
-            title = "Fault-recovery sweep (fault kind x remediation controller)"
-            kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-            known = tuple(cell["fault"] for cell in E.FAULT_RECOVERY_CELLS)
-            unknown = sorted(set(kinds) - set(known))
-            if unknown:
-                print(
-                    f"error: unknown --kinds {','.join(unknown)}; "
-                    f"expected a comma list of {', '.join(known)}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = E.run_fault_recovery_sweep(
-                model_name=args.model,
-                kinds=kinds,
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                utilization=args.utilization,
-                shards=args.start_shards,
-                max_queue_depth=args.max_queue_depth,
-                shed_policy=args.shed_policy,
-                control_interval=args.control_interval,
-                shadow_requests=args.shadow_requests,
-                workers=workers,
-            )
-            columns = list(E.FAULT_RECOVERY_COLUMNS)
-            comparisons = E.compare_fault_recovery(result["rows"])
-            if comparisons:
-                extra_tables.append(
-                    format_table(
-                        comparisons, title="Controller on vs off (same fault, same capacity)"
-                    )
-                )
-        elif args.command == "run-tenants":
-            title = "Tenant sweep (queue discipline x steady weight, noisy-neighbor)"
-            disciplines = tuple(d.strip() for d in args.disciplines.split(",") if d.strip())
-            unknown = sorted(set(disciplines) - set(QUEUE_DISCIPLINES))
-            if unknown:
-                print(
-                    f"error: unknown --disciplines {','.join(unknown)}; "
-                    f"expected a comma list of {', '.join(QUEUE_DISCIPLINES)}",
-                    file=sys.stderr,
-                )
-                return 2
-            result = E.run_tenant_sweep(
-                disciplines=disciplines,
-                steady_weights=tuple(
-                    float(w) for w in args.steady_weights.split(",") if w.strip()
-                ),
-                bursty_utilization=args.bursty_utilization,
-                num_rounds=args.rounds,
-                num_requests=args.tenant_requests,
-                seed=args.seed,
-                workers=workers,
-            )
-            columns = list(E.TENANT_REPORT_COLUMNS)
-            comparisons = E.compare_tenant_disciplines(result["rows"])
-            if comparisons:
-                extra_tables.append(
-                    format_table(comparisons, title="Weighted fairness vs FIFO (steady tenant)")
-                )
-        elif args.command == "run-load":
-            title = "Open-loop load sweep (engine)"
-            result = E.run_load_sweep(
-                model_name=args.model,
-                processes=tuple(p.strip() for p in args.processes.split(",") if p.strip()),
-                utilizations=tuple(float(u) for u in args.utilizations.split(",") if u.strip()),
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                workers=workers,
-            )
-        else:
-            title = "Shard sweep (routed serving tier)"
-            result = E.run_shard_sweep(
-                model_name=args.model,
-                process=args.process,
-                shard_counts=tuple(int(s) for s in args.shards.split(",") if s.strip()),
-                utilizations=tuple(float(u) for u in args.utilizations.split(",") if u.strip()),
-                num_rounds=args.rounds,
-                num_requests=args.requests,
-                seed=args.seed,
-                max_queue_depth=args.max_queue_depth,
-                shed_policy=args.shed_policy,
-                router_kind=args.router,
-                replication_factor=args.replication_factor,
-                replication_policy=args.replication_policy,
-                workers=workers,
-            )
-        print(format_table(result["rows"], columns=columns, title=title))
-        for table in extra_tables:
-            print(table)
-        print(
-            "summary:",
-            {k: v for k, v in result.items() if k != "rows" and not isinstance(v, (list, dict))},
-        )
-        if args.out:
-            if args.out.endswith(".csv"):
-                path = export_csv(result["rows"], args.out)
-            else:
-                path = export_json(result, args.out)
-            print(f"wrote {path}")
-        _maybe_save_sweep_artifact(args, result["rows"])
-        return 0
-
     if args.parallel or args.workers is not None:
         set_max_workers(args.workers if args.workers is not None else (os.cpu_count() or 1))
 

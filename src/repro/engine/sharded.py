@@ -14,7 +14,8 @@ keys, warm functions) summed over the tier.
 Each shard keeps its own admission controller
 (``ServerlessConfig.max_queue_depth`` / ``shed_policy``), so overload on a
 hot shard sheds or degrades only that shard's arrivals while cold shards
-keep serving — the scaling behaviour ``repro.cli run-shard-sweep`` measures.
+keep serving — the scaling behaviour a ``tier.shards`` sweep of the
+``sharded-burst`` scenario measures.
 
 The tier resizes online (:meth:`add_shard` / :meth:`remove_shard`), which is
 what the autoscaler (:mod:`repro.engine.autoscale`) actuates:

@@ -14,7 +14,9 @@ fleet, in three layers:
   absent/stale ones in parallel, and records artifacts as they land;
 * :mod:`repro.fleet.report` — the report generator: Markdown + CSV tables
   rendered purely from stored artifacts, failing loudly (with the exact
-  repair command) on any missing cell.
+  repair command) on any missing cell, plus the headline comparisons
+  (predictive vs reactive scaling, controller on vs off, fair queueing vs
+  FIFO) reduced from the stored reports.
 
 Surfaced as ``repro.cli run-missing`` and ``repro.cli report``.
 """
@@ -28,9 +30,16 @@ from repro.fleet.manifest import (
     RunManifest,
     clear_fingerprint_cache,
     code_fingerprint,
-    params_hash,
 )
-from repro.fleet.report import collect_rows, fix_command, generate_report
+from repro.fleet.report import (
+    collect_rows,
+    compare_autoscale_policies,
+    compare_fault_recovery,
+    compare_tenant_disciplines,
+    fix_command,
+    generate_report,
+    load_reports,
+)
 from repro.fleet.runner import (
     CELL_STATUSES,
     FleetCell,
@@ -59,11 +68,14 @@ __all__ = [
     "clear_fingerprint_cache",
     "code_fingerprint",
     "collect_rows",
+    "compare_autoscale_policies",
+    "compare_fault_recovery",
+    "compare_tenant_disciplines",
     "default_fleet",
     "fix_command",
     "generate_report",
     "load_fleet",
-    "params_hash",
+    "load_reports",
     "plan",
     "plan_cells",
     "run_missing",

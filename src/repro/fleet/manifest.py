@@ -97,18 +97,6 @@ def clear_fingerprint_cache() -> None:
     _fingerprint_cache = None
 
 
-def params_hash(params: Mapping[str, Any]) -> str:
-    """SHA-256 of a flat parameter mapping's canonical JSON.
-
-    The sweep-artifact analog of :meth:`ScenarioSpec.content_hash`: the
-    ``--save-artifact`` surface keys a recorded sweep on its full flag set,
-    so re-running the same sweep overwrites its artifact in place while any
-    changed flag records a new one.
-    """
-    canonical = json.dumps(dict(params), sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` atomically (temp file + rename)."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -165,13 +153,14 @@ class ManifestEntry:
 
 @dataclass
 class RunManifest:
-    """The manifest file: cell id -> :class:`ManifestEntry`, plus recorded sweeps."""
+    """The manifest file: cell id -> :class:`ManifestEntry`.
+
+    Top-level keys other than ``cells`` are ignored on load (and dropped on
+    the next save), so manifests written by older code still load.
+    """
 
     root: Path
     cells: dict[str, ManifestEntry] = field(default_factory=dict)
-    #: ``--save-artifact`` records: sweep id -> {command, params, params_hash,
-    #: fingerprint, artifact}.  Kept as plain dicts — sweeps are open-schema.
-    sweeps: dict[str, dict] = field(default_factory=dict)
 
     @property
     def path(self) -> Path:
@@ -193,7 +182,6 @@ class RunManifest:
             raise FleetError(f"corrupt run manifest {path}: expected a JSON object")
         for cell_id, entry in data.get("cells", {}).items():
             manifest.cells[cell_id] = ManifestEntry.from_dict(entry)
-        manifest.sweeps = dict(data.get("sweeps", {}))
         return manifest
 
     def save(self) -> Path:
@@ -202,7 +190,6 @@ class RunManifest:
         payload = {
             "manifest_version": MANIFEST_VERSION,
             "cells": {cell_id: entry.to_dict() for cell_id, entry in self.cells.items()},
-            "sweeps": self.sweeps,
         }
         _atomic_write_text(self.path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return self.path
@@ -223,9 +210,7 @@ class ArtifactStore:
     The write side of the fleet: :meth:`record_cell` persists a run report
     and its manifest entry together (artifact first, manifest after, both
     atomic — a crash between the two leaves a re-runnable cell, never a
-    dangling manifest entry), and :meth:`record_sweep` gives the legacy
-    ``run-*`` sweep subcommands the same durability for their row lists
-    (the ``--save-artifact`` flag).
+    dangling manifest entry).
     """
 
     def __init__(self, root: str | Path) -> None:
@@ -270,41 +255,3 @@ class ArtifactStore:
         if not path.exists():
             raise FleetError(f"manifest entry for {cell_id!r} points at missing {path}")
         return path.read_text(encoding="utf-8")
-
-    def record_sweep(
-        self,
-        command: str,
-        params: Mapping[str, Any],
-        rows: list[dict],
-        extra: Mapping[str, Any] | None = None,
-    ) -> Path:
-        """Persist one legacy sweep's rows as a versioned artifact.
-
-        The artifact is keyed by ``command`` plus :func:`params_hash` of the
-        full flag set; re-running the identical sweep overwrites in place.
-        Returns the artifact's absolute path.
-        """
-        digest = params_hash(params)
-        relpath = f"sweeps/{command}-{digest[:12]}.json"
-        payload: dict[str, Any] = {
-            "schema_version": 1,
-            "kind": "sweep",
-            "command": command,
-            "params": dict(params),
-            "fingerprint": code_fingerprint(),
-            "rows": rows,
-        }
-        if extra:
-            payload.update(dict(extra))
-        _atomic_write_text(
-            self.root / relpath, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-        )
-        sweep_id = f"{command}@{digest[:12]}"
-        self.manifest.sweeps[sweep_id] = {
-            "command": command,
-            "params_hash": digest,
-            "fingerprint": code_fingerprint(),
-            "artifact": relpath,
-        }
-        self.manifest.save()
-        return self.root / relpath

@@ -21,7 +21,6 @@ an interrupted fleet resumes where it stopped.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from repro.fleet.manifest import ArtifactStore, FleetError, code_fingerprint
 from repro.scenario.build import run
 from repro.scenario.registry import get_scenario, list_scenarios, smoke_spec
 from repro.scenario.spec import ScenarioSpec
-from repro.scenario.sweep import expand_axes
+from repro.scenario.sweep import axis_points, expand_axes
 
 #: Cell statuses, in the order the plan table reports them.
 CELL_STATUSES = ("fresh", "missing", "stale-spec", "stale-code")
@@ -231,30 +230,21 @@ def plan_cells(experiments: Sequence[FleetExperiment], smoke: bool = False) -> l
     for experiment in experiments:
         axes = experiment.axes_mapping()
         for scenario_name in experiment.resolved_scenarios():
-            base = get_scenario(scenario_name)
-            keys = list(axes)
-            grid = expand_axes(base, {key: list(values) for key, values in axes.items()})
-            combos = _axis_combos(axes)
-            for spec, combo in zip(grid, combos):
+            grid = expand_axes(get_scenario(scenario_name), axes)
+            for spec, point in zip(grid, axis_points(axes)):
                 if smoke:
                     spec = smoke_spec(spec)
                 cells.append(
                     FleetCell(
                         experiment=experiment.name,
                         scenario=scenario_name,
-                        axes=dict(zip(keys, combo)),
+                        axes=point,
                         variant="smoke" if smoke else "full",
                         spec=spec,
                         spec_hash=spec.content_hash(),
                     )
                 )
     return cells
-
-
-def _axis_combos(axes: Mapping[str, Sequence[Any]]) -> list[tuple]:
-    if not axes:
-        return [()]
-    return list(itertools.product(*axes.values()))
 
 
 def classify(cells: Sequence[FleetCell], store: ArtifactStore) -> list[FleetCell]:

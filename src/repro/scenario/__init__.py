@@ -10,8 +10,7 @@ The package splits cleanly into four layers:
 * :mod:`repro.scenario.build` — :func:`build_tier` (spec -> serving stack)
   and :func:`run` (spec -> :class:`RunReport`, conservation asserted);
 * :mod:`repro.scenario.sweep` — the generic grid runner :func:`sweep`
-  (base spec x dotted axes), which the legacy ``run_*_sweep`` entrypoints
-  are now thin shims over;
+  (base spec x dotted axes), whose rows lead with each cell's axis values;
 * :mod:`repro.scenario.registry` — named, ready-to-run scenarios mirrored
   by the example spec files under ``examples/scenarios/``.
 """
@@ -50,7 +49,7 @@ from repro.scenario.spec import (
     coerce_override,
     field_value,
 )
-from repro.scenario.sweep import expand_axes, scenario_row, sweep
+from repro.scenario.sweep import expand_axes, sweep, sweep_row
 
 __all__ = [
     "DEFAULT_SCENARIO_WORKLOADS",
@@ -81,7 +80,7 @@ __all__ = [
     "register_scenario",
     "run",
     "scenario_config",
-    "scenario_row",
     "smoke_spec",
     "sweep",
+    "sweep_row",
 ]

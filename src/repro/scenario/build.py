@@ -12,8 +12,8 @@ invariant (``served + degraded + shed == offered``) asserted on every run.
 
 Both are pure functions of the spec: same spec, same virtual timeline, same
 report — which is what lets the sweep layer fan cells out to worker
-processes and what pins the legacy ``run_*_sweep`` entrypoints byte-
-identical to their pre-spec outputs.
+processes and what keeps the pre-spec sweep captures under
+``tests/data/golden_sweeps/`` reproducible value for value.
 """
 
 from __future__ import annotations

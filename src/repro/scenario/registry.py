@@ -185,7 +185,7 @@ for _spec in (
     # shares one warm slot with a bursty noisy neighbour offering twice its
     # arrival rate.  Under WFQ/DRR the steady tenant's 2:1 weight bounds its
     # p99 under its own SLO (zero violations at seed 7); sweep
-    # tier.queue_discipline=fifo,wfq,drr (repro.cli run-tenants) to watch
+    # tier.queue_discipline=fifo,wfq,drr (repro.cli run-scenario --sweep) to watch
     # FIFO hand the whole queue to the burst and push the steady tenant to
     # ~2x its SLO.
     ScenarioSpec(

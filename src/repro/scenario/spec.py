@@ -6,8 +6,7 @@ and the tier topology (shard count, router, admission control, per-function
 concurrency, autoscaling policy) — detached from any particular entrypoint.
 The same spec builds the stack (:func:`repro.scenario.build.build_tier`),
 runs it (:func:`repro.scenario.build.run`), and sweeps it
-(:func:`repro.scenario.sweep.sweep`); the legacy ``run_*_sweep`` functions
-are thin grids of specs.
+(:func:`repro.scenario.sweep.sweep`).
 
 Design rules:
 
@@ -46,8 +45,7 @@ from repro.workloads.registry import list_workloads
 
 #: The default workload mix of serving scenarios: one P1 (inference), one P2
 #: (clustering), one P4 (metadata) workload, so the offered stream touches
-#: the policy classes with distinct data needs.  (The legacy load sweep's
-#: ``LOAD_SWEEP_WORKLOADS`` aliases this.)
+#: the policy classes with distinct data needs.
 DEFAULT_SCENARIO_WORKLOADS: tuple[str, ...] = ("inference", "clustering", "scheduling_perf")
 
 

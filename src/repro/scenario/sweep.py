@@ -1,24 +1,26 @@
 """Sweeping scenario specs over axes: one generic grid for every sweep.
 
-Where the pre-spec code grew one ``run_*_sweep`` function (and one CLI flag
-list) per scenario axis, :func:`sweep` is the single grid runner: it takes a
-base :class:`~repro.scenario.spec.ScenarioSpec` plus a mapping of dotted
-spec paths to value sequences, expands the cartesian product in axis order
-(first axis outermost — the row order the legacy sweeps printed), and runs
-every cell through :func:`repro.scenario.build.run`, fanning independent
-cells out to worker processes via the same
-:func:`~repro.analysis.runner.map_tasks` runner the figure experiments use.
+:func:`sweep` is the single grid runner: it takes a base
+:class:`~repro.scenario.spec.ScenarioSpec` plus a mapping of dotted spec
+paths to value sequences, expands the cartesian product in axis order
+(first axis outermost), and runs every cell through
+:func:`repro.scenario.build.run`, fanning independent cells out to worker
+processes via the same :func:`~repro.analysis.runner.map_tasks` runner the
+figure experiments use.  Each row leads with its cell's axis values
+(:func:`sweep_row`, the projection the fleet report renders too), so a
+swept field names its cell.
 
 Calibration is hoisted: unless an axis changes what calibration depends on
 (model, seed, rounds, the workload mix), ``E[S]`` is measured once on the
-base spec and pinned into every cell via ``mean_service_seconds``, so a grid
-shares one calibration and one SLO — and parallel workers never recalibrate.
+base spec — after every grid point has validated — and pinned into every
+cell via ``mean_service_seconds``, so a grid shares one calibration and one
+SLO, and parallel workers never recalibrate.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.analysis.runner import map_tasks
 from repro.scenario.build import RunReport, calibrate, run
@@ -36,39 +38,51 @@ _CALIBRATION_PREFIXES: tuple[str, ...] = (
 )
 
 
-def expand_axes(
-    base_spec: ScenarioSpec, axes: Mapping[str, Sequence[Any]]
-) -> list[ScenarioSpec]:
-    """The grid of specs ``axes`` describes, in cartesian product order.
+def axis_points(axes: Mapping[str, Sequence[Any]]) -> list[dict[str, Any]]:
+    """Every point of the grid ``axes`` describes, in cartesian product order.
 
     Axis order is significant: the first axis varies slowest (outermost
-    loop), matching how the legacy sweeps ordered their rows.  Every
-    combination is applied through :func:`apply_overrides`, so each grid
-    point is fully re-validated.
+    loop).  No axes is one point with no coordinates.
     """
-    if not axes:
-        return [base_spec]
-    keys = list(axes)
     for key, values in axes.items():
         if not isinstance(values, (list, tuple)):
             raise TypeError(f"axis {key!r} must be a list/tuple of values, got {values!r}")
         if not values:
             raise ValueError(f"axis {key!r} must provide at least one value")
-    return [
-        apply_overrides(base_spec, dict(zip(keys, combo)))
-        for combo in itertools.product(*(axes[key] for key in keys))
-    ]
+    keys = list(axes)
+    return [dict(zip(keys, combo)) for combo in itertools.product(*axes.values())]
 
 
-def scenario_row(report: RunReport) -> dict:
-    """The default cell projection: the run report's flat row."""
-    return report.row()
+def expand_axes(
+    base_spec: ScenarioSpec, axes: Mapping[str, Sequence[Any]]
+) -> list[ScenarioSpec]:
+    """The grid of specs ``axes`` describes, one per :func:`axis_points` point.
+
+    Every point is applied through :func:`apply_overrides`, so each grid
+    spec is fully re-validated.
+    """
+    if not axes:
+        return [base_spec]
+    return [apply_overrides(base_spec, point) for point in axis_points(axes)]
 
 
-def _sweep_cell(task: tuple) -> dict:
+def sweep_row(report: RunReport, point: Mapping[str, Any]) -> dict:
+    """One grid cell's row: its scenario, its axis values, then ``report.row()``.
+
+    The one projection of a swept run, shared by :func:`sweep` and the fleet
+    report, so a cell reads the same (same columns, same order) wherever it
+    is rendered.
+    """
+    row: dict = {"scenario": report.spec.name}
+    row.update(point)
+    row.update(report.row())
+    return row
+
+
+def _sweep_cell(task: tuple[ScenarioSpec, dict]) -> dict:
     """One grid cell (module-level so worker processes can pickle it)."""
-    spec, row_fn = task
-    return row_fn(run(spec))
+    spec, point = task
+    return sweep_row(run(spec), point)
 
 
 def _affects_calibration(axes: Mapping[str, Sequence[Any]]) -> bool:
@@ -83,20 +97,18 @@ def sweep(
     base_spec: ScenarioSpec,
     axes: Mapping[str, Sequence[Any]] | None = None,
     workers: int | None = None,
-    row_fn: Callable[[RunReport], dict] | None = None,
 ) -> list[dict]:
     """Run the grid ``axes`` describes over ``base_spec``; one row per cell.
 
-    ``row_fn`` projects each cell's :class:`RunReport` to its result row
-    (default: :func:`scenario_row`); the legacy sweep shims pass their own
-    projections to reproduce their historical row schemas.  It must be a
-    module-level callable when ``workers > 1`` (cells are pickled to worker
-    processes).  Rows come back in grid order regardless of parallelism.
+    Every grid point is validated before anything runs, calibration
+    included, so a bad axis value fails fast.  Each row is the cell's
+    :func:`sweep_row`; rows come back in grid order regardless of
+    parallelism.
     """
     axes = dict(axes or {})
-    row_fn = row_fn or scenario_row
-    base = base_spec
-    if base.mean_service_seconds is None and not _affects_calibration(axes):
-        base = apply_overrides(base, {"mean_service_seconds": calibrate(base)})
-    specs = expand_axes(base, axes)
-    return map_tasks(_sweep_cell, [(spec, row_fn) for spec in specs], workers=workers)
+    points = axis_points(axes)
+    specs = expand_axes(base_spec, axes)
+    if base_spec.mean_service_seconds is None and not _affects_calibration(axes):
+        pinned = {"mean_service_seconds": calibrate(base_spec)}
+        specs = [apply_overrides(spec, pinned) for spec in specs]
+    return map_tasks(_sweep_cell, list(zip(specs, points)), workers=workers)

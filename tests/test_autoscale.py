@@ -530,16 +530,17 @@ class TestAutoscalerDriver:
 
 class TestAutoscaleSweep:
     def test_sweep_conserves_and_reports_capacity_columns(self):
-        from repro.analysis.experiments import run_autoscale_sweep
+        from repro.scenario import get_scenario, sweep
 
-        result = run_autoscale_sweep(
-            policies=("none", "reactive"),
-            utilizations=(2.0,),
-            num_rounds=5,
-            num_requests=24,
-            max_queue_depth=3,
+        base = get_scenario("autoscale-diurnal").with_overrides(
+            {
+                "num_rounds": 5,
+                "workload.num_requests": 24,
+                "tier.admission.max_queue_depth": 3,
+                "arrival.utilization": 2.0,
+            }
         )
-        rows = result["rows"]
+        rows = sweep(base, {"tier.autoscaler.policy": ("none", "reactive")})
         assert [row["autoscaler"] for row in rows] == ["none", "reactive"]
         for row in rows:
             assert row["conserved"] is True
@@ -550,26 +551,25 @@ class TestAutoscaleSweep:
         assert none_row["scale_events"] == 0
 
     def test_reactive_vs_predictive_ordering_is_deterministic(self):
-        """The acceptance comparison, pinned at the default seed: on the
-        diurnal process the predictive policy beats the reactive one on p99
-        sojourn AND shed rate at no more warm-capacity cost — and the whole
-        sweep is reproducible row for row."""
-        from repro.analysis.experiments import compare_autoscale_policies, run_autoscale_sweep
+        """The acceptance comparison, pinned at the default seed and at 12
+        rounds x 160 requests: on the diurnal process the predictive policy
+        beats the reactive one on p99 sojourn AND shed rate at no more
+        warm-capacity cost — and the whole grid is reproducible row for row."""
+        from repro.fleet import compare_autoscale_policies
+        from repro.scenario import expand_axes, get_scenario, run
+
+        base = get_scenario("autoscale-diurnal").with_overrides(
+            {"num_rounds": 12, "workload.num_requests": 160, "seed": 7}
+        )
 
         def run_once():
-            result = run_autoscale_sweep(
-                policies=("reactive", "predictive"),
-                utilizations=(2.5,),
-                num_rounds=12,
-                num_requests=160,
-                seed=7,
-            )
-            return result["rows"]
+            grid = expand_axes(base, {"tier.autoscaler.policy": ("reactive", "predictive")})
+            return [run(spec) for spec in grid]
 
         first = run_once()
         second = run_once()
-        assert first == second
-        by_policy = {row["autoscaler"]: row for row in first}
+        assert [report.row() for report in first] == [report.row() for report in second]
+        by_policy = {report.spec.tier.autoscaler.policy: report.row() for report in first}
         reactive, predictive = by_policy["reactive"], by_policy["predictive"]
         assert predictive["shed_rate"] <= reactive["shed_rate"]
         assert predictive["p99_sojourn_seconds"] <= reactive["p99_sojourn_seconds"]
@@ -577,6 +577,6 @@ class TestAutoscaleSweep:
         # The predictive policy actually scales ahead (it moves capacity),
         # and both policies conserve every offered request.
         assert predictive["scale_events"] > 0
-        assert all(row["conserved"] for row in first)
+        assert all(report.conserved for report in first)
         comparisons = compare_autoscale_policies(first)
         assert comparisons and comparisons[0]["capacity_cost_ratio"] <= 1.0

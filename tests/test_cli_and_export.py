@@ -63,56 +63,81 @@ class TestCli:
         assert out_file.exists()
         assert "concurrent_requests" in out_file.read_text()
 
-    def test_run_load_accepts_seed_and_workers(self, tmp_path, capsys):
+    def test_run_scenario_sweep_accepts_seed_and_workers(self, tmp_path, capsys):
         out_file = tmp_path / "load.json"
         assert (
             main(
                 [
-                    "run-load",
-                    "--rounds", "5",
-                    "--requests", "12",
-                    "--seed", "9",
+                    "run-scenario",
+                    "--name", "engine-baseline",
+                    "--set", "num_rounds=5",
+                    "--set", "workload.num_requests=12",
+                    "--set", "seed=9",
                     "--workers", "1",
-                    "--processes", "poisson",
-                    "--utilizations", "1.0",
+                    "--sweep", "arrival.kind=poisson",
+                    "--sweep", "arrival.utilization=1.0",
                     "--out", str(out_file),
                 ]
             )
             == 0
         )
         printed = capsys.readouterr().out
-        assert "Open-loop load sweep" in printed
+        assert "Scenario sweep: engine-baseline" in printed
         result = load_json(out_file)
-        assert result["seed"] == 9
+        assert result["spec"]["seed"] == 9
         assert len(result["rows"]) == 1
         assert "shed_rate" in result["rows"][0] and "violation_rate" in result["rows"][0]
 
-    def test_run_shard_sweep_command(self, tmp_path, capsys):
+    def test_run_scenario_shard_sweep_with_degrade(self, tmp_path, capsys):
         out_file = tmp_path / "shards.json"
         assert (
             main(
                 [
-                    "run-shard-sweep",
-                    "--rounds", "5",
-                    "--requests", "12",
-                    "--shards", "1,2",
-                    "--utilizations", "2.0",
-                    "--max-queue-depth", "3",
-                    "--shed-policy", "degrade-to-objstore",
+                    "run-scenario",
+                    "--name", "sharded-burst",
+                    "--set", "num_rounds=5",
+                    "--set", "workload.num_requests=12",
+                    "--set", "arrival.utilization=2.0",
+                    "--set", "tier.admission.max_queue_depth=3",
+                    "--set", "tier.admission.shed_policy=degrade-to-objstore",
+                    "--sweep", "tier.shards=1,2",
                     "--out", str(out_file),
                 ]
             )
             == 0
         )
         printed = capsys.readouterr().out
-        assert "Shard sweep" in printed
+        assert "Scenario sweep: sharded-burst" in printed
         result = load_json(out_file)
-        assert result["shed_policy"] == "degrade-to-objstore"
+        assert result["spec"]["tier"]["admission"]["shed_policy"] == "degrade-to-objstore"
         rows = result["rows"]
+        assert [row["tier.shards"] for row in rows] == [1, 2]
         assert [row["shards"] for row in rows] == [1, 2]
         for row in rows:
             assert row["conserved"] is True
             assert row["served"] + row["shed"] + row["degraded"] == 12
+
+    def test_run_scenario_sweep_prints_columns_only_later_rows_have(self, capsys):
+        # Controller-off runs carry no remediation columns; the table must
+        # still show them for the controller-on row that follows.
+        assert (
+            main(
+                [
+                    "run-scenario",
+                    "--name", "fault-recovery",
+                    "--smoke",
+                    "--sweep", "remediation.enabled=false,true",
+                ]
+            )
+            == 0
+        )
+        header = next(
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("scenario ")
+        )
+        assert "remediation.enabled" in header
+        assert "actions_taken" in header and "shadow_accepts" in header
 
     def test_run_scenario_list(self, capsys):
         assert main(["run-scenario", "--list"]) == 0

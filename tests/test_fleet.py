@@ -17,11 +17,11 @@ from repro.fleet import (
     FleetExperiment,
     RunManifest,
     code_fingerprint,
+    collect_rows,
     default_fleet,
     fix_command,
     generate_report,
     load_fleet,
-    params_hash,
     plan,
     plan_cells,
     run_missing,
@@ -33,6 +33,8 @@ from repro.scenario import (
     get_scenario,
     list_scenarios,
     register_scenario,
+    smoke_spec,
+    sweep,
 )
 
 
@@ -155,19 +157,34 @@ class TestManifest:
         with pytest.raises(FleetError, match="missing"):
             store.load_cell_json("exp/s#full")
 
-    def test_params_hash_is_order_insensitive_but_value_sensitive(self):
-        assert params_hash({"a": 1, "b": 2}) == params_hash({"b": 2, "a": 1})
-        assert params_hash({"a": 1}) != params_hash({"a": 2})
-
-    def test_record_sweep_overwrites_identical_params_in_place(self, tmp_path):
+    def test_manifest_with_a_legacy_sweeps_key_still_loads(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        first = store.record_sweep("run-load", {"seed": 7}, [{"x": 1}])
-        second = store.record_sweep("run-load", {"seed": 7}, [{"x": 2}])
-        assert first == second
-        assert len(store.manifest.sweeps) == 1
-        other = store.record_sweep("run-load", {"seed": 8}, [{"x": 1}])
-        assert other != first
-        assert len(store.manifest.sweeps) == 2
+        store.record_cell(
+            "exp/s#full",
+            experiment="exp",
+            scenario="s",
+            axes={"tier.shards": 2},
+            variant="full",
+            spec_hash="abc",
+            seed=7,
+            artifact_relpath="exp/s.json",
+            report_json='{"ok": true}',
+        )
+        path = tmp_path / "manifest.json"
+        payload = json.loads(path.read_text())
+        payload["sweeps"] = {
+            "old-sweep@0123456789ab": {
+                "command": "old-sweep",
+                "params_hash": "0" * 64,
+                "fingerprint": "0" * 64,
+                "artifact": "sweeps/old-sweep-0123456789ab.json",
+            }
+        }
+        path.write_text(json.dumps(payload))
+        manifest = RunManifest.load(tmp_path)
+        assert manifest.cells == store.manifest.cells
+        assert manifest.cells["exp/s#full"].axes == {"tier.shards": 2}
+        assert ArtifactStore(tmp_path).load_cell_json("exp/s#full") == '{"ok": true}'
 
 
 class TestPlanning:
@@ -338,6 +355,45 @@ class TestReport:
         generate_report(fleet, store, tmp_path / "report", smoke=True)
         assert "424242" in (tmp_path / "report" / "report.md").read_text()
 
+    def test_stored_rows_match_a_live_sweep_of_the_same_grid(self, tmp_path):
+        """One projection: a recorded cell reads exactly like the live
+        ``sweep()`` row of the same grid point — same columns, same order."""
+        axes = {"tier.shards": (1, 2)}
+        fleet = [
+            FleetExperiment(
+                name="grid",
+                title="grid",
+                scenarios=("sharded-burst",),
+                axes=tuple(axes.items()),
+            )
+        ]
+        store = ArtifactStore(tmp_path)
+        run_missing(fleet, store, smoke=True)
+        stored = collect_rows(plan(fleet, store, smoke=True), store)
+        live = sweep(smoke_spec(get_scenario("sharded-burst")), axes)
+        assert [list(row) for row in stored] == [list(row) for row in live]
+        assert stored == live
+
+    def test_report_renders_the_controller_comparison_from_artifacts(self, tmp_path):
+        fleet = [
+            FleetExperiment(
+                name="fault-recovery",
+                title="Fault recovery",
+                scenarios=("fault-recovery",),
+                axes=(("remediation.enabled", (True, False)),),
+            )
+        ]
+        store = ArtifactStore(tmp_path / "artifacts")
+        run_missing(fleet, store, smoke=True)
+        generate_report(fleet, store, tmp_path / "report", smoke=True)
+        report_text = (tmp_path / "report" / "report.md").read_text()
+        assert "### Controller on vs off (same fault, same capacity)" in report_text
+        assert "| fault | ttr_controller | ttr_baseline |" in report_text
+        assert "| shard-crash |" in report_text
+        # Nothing in this section pairs autoscaler policies or disciplines.
+        assert "Predictive vs reactive" not in report_text
+        assert "Weighted fairness vs FIFO" not in report_text
+
 
 class TestFleetCLI:
     def _fleet_file(self, tmp_path):
@@ -382,27 +438,3 @@ class TestFleetCLI:
         missing = str(tmp_path / "nope.json")
         assert main(["run-missing", "--fleet", missing, "--dry-run"]) == 2
         assert "does not exist" in capsys.readouterr().err
-
-    def test_save_artifact_records_sweep_through_the_store(self, tmp_path, capsys):
-        artifacts = tmp_path / "artifacts"
-        code = main(
-            [
-                "run-scenario",
-                "--name",
-                "engine-baseline",
-                "--smoke",
-                "--save-artifact",
-                str(artifacts),
-            ]
-        )
-        assert code == 0
-        assert "recorded sweep artifact" in capsys.readouterr().out
-        store = ArtifactStore(artifacts)
-        (sweep_id,) = store.manifest.sweeps
-        assert sweep_id.startswith("run-scenario@")
-        relpath = store.manifest.sweeps[sweep_id]["artifact"]
-        payload = json.loads((artifacts / relpath).read_text())
-        assert payload["kind"] == "sweep"
-        assert payload["schema_version"] == 1
-        assert payload["params"]["name"] == "engine-baseline"
-        assert payload["rows"]

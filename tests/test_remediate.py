@@ -256,38 +256,45 @@ class TestScenarioIntegration:
 
 class TestFaultRecoverySweep:
     @pytest.fixture(scope="class")
-    def sweep_result(self):
-        from repro.analysis.experiments import run_fault_recovery_sweep
+    def reports(self):
+        """Shard-crash and reclamation-storm cells, controller on and off."""
+        from repro.scenario import expand_axes
 
-        return run_fault_recovery_sweep(kinds=("shard-crash", "reclamation-storm"))
+        crash = get_scenario("fault-recovery")
+        storm = crash.with_overrides(
+            {
+                "tier.router_kind": "consistent-hash",
+                "faults.0.kind": "reclamation-storm",
+                "faults.0.duration_seconds": 90,
+                "faults.0.magnitude": 2,
+                "faults.0.interval_seconds": 5,
+            }
+        )
+        controller = {"remediation.enabled": (True, False)}
+        return [run(spec) for base in (crash, storm) for spec in expand_axes(base, controller)]
 
-    def test_every_cell_conserves(self, sweep_result):
-        assert sweep_result["rows"]
-        assert all(row["conserved"] for row in sweep_result["rows"])
+    def test_every_cell_conserves(self, reports):
+        assert reports
+        assert all(report.conserved for report in reports)
 
     @pytest.mark.parametrize("fault", ["shard-crash", "reclamation-storm"])
-    def test_controller_strictly_improves_recovery(self, sweep_result, fault):
-        cells = {bool(r["controller"]): r for r in sweep_result["rows"] if r["fault"] == fault}
+    def test_controller_strictly_improves_recovery(self, reports, fault):
+        cells = {r.spec.remediation.enabled: r for r in reports if r.spec.faults[0].kind == fault}
         on, off = cells[True], cells[False]
-        assert on["time_to_recovery_seconds"] < off["time_to_recovery_seconds"]
-        assert on["goodput_dip_area"] < off["goodput_dip_area"]
-        assert on["shadow_accepts"] >= 1 and on["actions_taken"] >= 1
-        assert off["actions_taken"] == 0
+        assert on.recovery.time_to_recovery_seconds < off.recovery.time_to_recovery_seconds
+        assert on.recovery.goodput_dip_area < off.recovery.goodput_dip_area
+        assert on.remediation.accepts >= 1 and on.remediation.actions_taken >= 1
+        # Controller off: no control loop is attached, so nothing acted.
+        assert off.remediation is None
 
-    def test_comparison_rows_report_the_deltas(self, sweep_result):
-        from repro.analysis.experiments import compare_fault_recovery
+    def test_comparison_rows_report_the_deltas(self, reports):
+        from repro.fleet import compare_fault_recovery
 
-        comparisons = {c["fault"]: c for c in compare_fault_recovery(sweep_result["rows"])}
+        comparisons = {c["fault"]: c for c in compare_fault_recovery(reports)}
         assert set(comparisons) == {"shard-crash", "reclamation-storm"}
         for row in comparisons.values():
             assert row["ttr_reduction_pct"] > 0
             assert row["dip_reduction_pct"] > 0
-
-    def test_unknown_kind_rejected_before_running(self):
-        from repro.analysis.experiments import run_fault_recovery_sweep
-
-        with pytest.raises(ValueError, match="unknown fault kinds"):
-            run_fault_recovery_sweep(kinds=("meteor",))
 
 
 # ---------------------------------------------------------------------------

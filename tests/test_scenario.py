@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import string
 
 import pytest
@@ -33,6 +34,7 @@ from repro.scenario import (
     run,
     smoke_spec,
     sweep,
+    sweep_row,
 )
 from repro.traces.arrivals import ARRIVAL_KINDS
 from repro.workloads.registry import list_workloads
@@ -490,6 +492,88 @@ class TestSweep:
         # Both cells share one calibration, hence one SLO: the violation
         # rates are comparable across the grid.
         assert all(row["conserved"] for row in rows)
+
+    def test_rows_lead_with_scenario_then_axis_values(self):
+        rows = sweep(_tiny_spec(), {"arrival.kind": ("poisson",), "arrival.utilization": (0.5,)})
+        (row,) = rows
+        assert list(row)[:3] == ["scenario", "arrival.kind", "arrival.utilization"]
+        assert (row["scenario"], row["arrival.kind"], row["arrival.utilization"]) == (
+            "tiny",
+            "poisson",
+            0.5,
+        )
+
+    @pytest.mark.parametrize(
+        "scenario, axis, values",
+        [
+            ("autoscale-diurnal", "tier.autoscaler.policy", ("reactive", "psychic")),
+            ("fault-recovery", "faults.0.kind", ("shard-crash", "meteor")),
+            ("noisy-neighbor", "tier.queue_discipline", ("fifo", "lifo")),
+        ],
+    )
+    def test_bad_axis_value_fails_before_any_calibration(
+        self, monkeypatch, scenario, axis, values
+    ):
+        # The package's ``sweep`` attribute is the function; fetch the module.
+        sweep_module = importlib.import_module("repro.scenario.sweep")
+        calibrations = []
+
+        def spy(spec):
+            calibrations.append(spec.name)
+            return 1.0
+
+        monkeypatch.setattr(sweep_module, "calibrate", spy)
+        with pytest.raises(ScenarioValidationError):
+            sweep(get_scenario(scenario), {axis: values})
+        assert calibrations == []
+
+    def _spy(self, monkeypatch) -> tuple[list[str], list[float | None]]:
+        """Record every hoisted calibration and the E[S] each cell runs with."""
+        sweep_module = importlib.import_module("repro.scenario.sweep")
+        calibrations: list[str] = []
+        pinned: list[float | None] = []
+
+        def calibrate_spy(spec):
+            calibrations.append(spec.name)
+            return 0.5
+
+        def run_spy(spec):
+            pinned.append(spec.mean_service_seconds)
+            return run(spec)
+
+        monkeypatch.setattr(sweep_module, "calibrate", calibrate_spy)
+        monkeypatch.setattr(sweep_module, "run", run_spy)
+        return calibrations, pinned
+
+    def test_valid_grid_calibrates_once_and_pins_it_into_every_cell(self, monkeypatch):
+        calibrations, pinned = self._spy(monkeypatch)
+        rows = sweep(_tiny_spec(), {"arrival.utilization": (0.5, 1.0, 2.0)}, workers=1)
+        assert calibrations == ["tiny"]
+        assert pinned == [0.5, 0.5, 0.5]
+        assert [row["utilization"] for row in rows] == [0.5, 1.0, 2.0]
+
+    def test_pinned_service_time_is_not_recalibrated(self, monkeypatch):
+        calibrations, pinned = self._spy(monkeypatch)
+        base = _tiny_spec(mean_service_seconds=0.25)
+        sweep(base, {"arrival.utilization": (0.5, 2.0)}, workers=1)
+        assert calibrations == []
+        assert pinned == [0.25, 0.25]
+
+    def test_calibration_axis_leaves_calibration_to_each_cell(self, monkeypatch):
+        calibrations, pinned = self._spy(monkeypatch)
+        rows = sweep(_tiny_spec(), {"seed": (1, 2)}, workers=1)
+        # No shared E[S] is hoisted: each cell calibrates for its own seed.
+        assert calibrations == []
+        assert pinned == [None, None]
+        assert [row["seed"] for row in rows] == [1, 2]
+
+    def test_sweep_row_is_the_report_row_behind_scenario_and_axes(self):
+        report = run(_tiny_spec())
+        assert list(sweep_row(report, {})) == list(report.row())
+        assert sweep_row(report, {}) == report.row()
+        row = sweep_row(report, {"arrival.kind": "poisson", "seed": 7})
+        assert list(row) == ["scenario", "arrival.kind", "seed", *list(report.row())[1:]]
+        assert {key: row[key] for key in report.row()} == report.row()
 
 
 # ---------------------------------------------------------------------------

@@ -552,45 +552,46 @@ class TestAdmissionControl:
 
 class TestShardSweep:
     def test_shard_sweep_reports_tail_latency_and_shedding(self):
-        from repro.analysis.experiments import run_shard_sweep
+        from repro.scenario import calibrate, get_scenario, sweep
 
-        result = run_shard_sweep(
-            shard_counts=(1, 2),
-            utilizations=(2.0,),
-            num_rounds=5,
-            num_requests=16,
-            max_queue_depth=3,
-            shed_policy="drop",
+        base = get_scenario("sharded-burst").with_overrides(
+            {
+                "num_rounds": 5,
+                "workload.num_requests": 16,
+                "tier.admission.max_queue_depth": 3,
+                "arrival.utilization": 2.0,
+            }
         )
-        rows = result["rows"]
+        rows = sweep(base, {"tier.shards": (1, 2)})
         assert len(rows) == 2
+        assert [row["tier.shards"] for row in rows] == [1, 2]
         for row in rows:
             assert row["conserved"] is True
             assert row["served"] + row["shed"] + row["degraded"] == 16
             assert "p99_sojourn_seconds" in row and "shed_rate" in row
             assert 0.0 <= row["shed_rate"] <= 1.0
             assert row["shards"] in (1, 2)
-        assert result["shed_policy"] == "drop"
-        assert result["mean_service_seconds"] > 0
+        assert base.tier.admission.shed_policy == "drop"
+        assert calibrate(base) > 0
 
     def test_shard_sweep_jsq_reduces_hot_key_imbalance(self):
-        """`--router jsq` in the sweep: on a P1-only (single hot key) mix the
+        """``tier.router_kind=jsq`` on a P1-only (single hot key) mix: the
         JSQ placement's ``max_shard_routed`` must sit well below hashing's
         all-on-one-shard count at the same offered overload."""
-        from repro.analysis.experiments import run_shard_sweep
+        from repro.scenario import get_scenario, sweep
 
         def max_routed(router_kind):
-            result = run_shard_sweep(
-                workloads=("inference",),
-                process="bursty",
-                shard_counts=(4,),
-                utilizations=(2.0,),
-                num_rounds=5,
-                num_requests=16,
-                max_queue_depth=0,
-                router_kind=router_kind,
+            base = get_scenario("sharded-burst").with_overrides(
+                {
+                    "workload.workloads": ["inference"],
+                    "num_rounds": 5,
+                    "workload.num_requests": 16,
+                    "tier.admission.max_queue_depth": 0,
+                    "tier.router_kind": router_kind,
+                    "arrival.utilization": 2.0,
+                }
             )
-            (row,) = result["rows"]
+            (row,) = sweep(base, {"tier.shards": (4,)})
             assert row["conserved"] is True
             return row["max_shard_routed"]
 

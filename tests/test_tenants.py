@@ -7,7 +7,7 @@ seed-7 noisy-neighbor isolation pin (a bursty tenant doubling its offered
 load cannot move the steady tenant's p99 by more than its fair share under
 WFQ/DRR, while FIFO demonstrably violates the steady tenant's SLO), the
 ``slo`` autoscaler policy, report serialization for tenant runs, and the
-deprecation shim over the legacy ``MultiTenantFLStore``.
+queue-discipline x steady-weight grid with its fair-vs-FIFO comparison.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import experiments as E
-from repro.config import SimulationConfig
-from repro.core.multitenant import MultiTenantFLStore
 from repro.engine.autoscale import (
     AUTOSCALER_KINDS,
     AutoscaleConfig,
@@ -26,6 +23,7 @@ from repro.engine.autoscale import (
     SLOViolationAutoscaler,
     make_autoscaler_policy,
 )
+from repro.fleet import compare_tenant_disciplines
 from repro.scenario import (
     RunReport,
     ScenarioSpec,
@@ -33,10 +31,12 @@ from repro.scenario import (
     TenantSpec,
     apply_overrides,
     calibrate,
+    expand_axes,
     field_value,
     get_scenario,
     run,
     smoke_spec,
+    sweep,
 )
 from repro.serverless.function import RequestQueue
 from repro.traces.arrivals import ARRIVAL_KINDS
@@ -431,50 +431,35 @@ def test_slo_autoscaler_relieves_the_noisy_neighbor():
 
 
 # ---------------------------------------------------------------------------
-# The run-tenants sweep entry point
+# The queue-discipline x steady-weight grid
 # ---------------------------------------------------------------------------
 
 
-def test_run_tenant_sweep_rows_and_comparisons():
-    result = E.run_tenant_sweep(
-        disciplines=("fifo", "wfq"),
-        steady_weights=(2.0,),
-        num_rounds=3,
-        num_requests=12,
-        seed=7,
+def test_tenant_sweep_rows_and_comparisons():
+    base = get_scenario("noisy-neighbor").with_overrides(
+        {"num_rounds": 3, "tenants.steady.num_requests": 12, "tenants.bursty.num_requests": 12}
     )
-    rows = result["rows"]
-    assert [row["discipline"] for row in rows] == ["fifo", "wfq"]
+    axes = {"tier.queue_discipline": ("fifo", "wfq"), "tenants.steady.weight": (2.0,)}
+    rows = sweep(base, axes)
+    assert [row["tier.queue_discipline"] for row in rows] == ["fifo", "wfq"]
     for row in rows:
         assert row["conserved"] is True
-        for column in E.TENANT_REPORT_COLUMNS:
+        for column in (
+            "tier.queue_discipline",
+            "tenants.steady.weight",
+            "served",
+            "shed",
+            "p99_sojourn_seconds",
+            "steady_p99",
+            "steady_share",
+            "steady_violations",
+            "bursty_p99",
+            "bursty_share",
+            "bursty_violations",
+            "conserved",
+        ):
             assert column in row, column
-    comparisons = E.compare_tenant_disciplines(rows)
+    comparisons = compare_tenant_disciplines([run(spec) for spec in expand_axes(base, axes)])
     assert len(comparisons) == 1
     assert comparisons[0]["discipline"] == "wfq"
     assert comparisons[0]["steady_weight"] == 2.0
-
-
-def test_run_tenant_sweep_rejects_unknown_disciplines():
-    with pytest.raises(ValueError, match="unknown queue disciplines"):
-        E.run_tenant_sweep(disciplines=("fifo", "lifo"))
-
-
-# ---------------------------------------------------------------------------
-# The deprecated MultiTenantFLStore shim
-# ---------------------------------------------------------------------------
-
-
-class TestMultiTenantDeprecation:
-    def test_construction_warns_with_the_replacement_snippet(self):
-        with pytest.warns(DeprecationWarning, match="TenantSpec"):
-            MultiTenantFLStore(SimulationConfig())
-
-    def test_scenario_spec_bridges_registered_tenants(self):
-        with pytest.warns(DeprecationWarning):
-            manager = MultiTenantFLStore(SimulationConfig())
-        manager.register_tenant("team-b")
-        manager.register_tenant("team-a")
-        spec = manager.scenario_spec(name="converted")
-        assert isinstance(spec, ScenarioSpec)
-        assert [t.name for t in spec.tenants] == ["team-a", "team-b"]
