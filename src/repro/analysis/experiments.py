@@ -63,15 +63,6 @@ def clear_summary_cache() -> None:
     _summary_cache.clear()
 
 
-def _experiment_config(model_name: str, seed: int = 7) -> SimulationConfig:
-    """The paper's evaluation configuration, with a small reduced-weight dimension.
-
-    One definition, shared with the scenario layer, so figure experiments
-    and scenario runs draw on the same calibrations and setup snapshots.
-    """
-    return paper_experiment_config(model_name, seed=seed)
-
-
 def compare_systems_on_workloads(
     model_name: str,
     workloads: Sequence[str],
@@ -84,7 +75,7 @@ def compare_systems_on_workloads(
     """Serve identical traces on every system; return (system, workload) summaries."""
 
     def compute() -> dict[tuple[str, str], MetricSummary]:
-        config = _experiment_config(model_name, seed=seed)
+        config = paper_experiment_config(model_name, seed=seed)
         setup = prepare_setup(config, num_rounds=num_rounds, systems=systems, policy_mode=policy_mode)
         collector = MetricsCollector()
         for workload_name in workloads:
@@ -122,7 +113,7 @@ def _single_system_summaries(
     """
 
     def compute() -> dict[str, MetricSummary]:
-        config = _experiment_config(model_name, seed=seed)
+        config = paper_experiment_config(model_name, seed=seed)
         setup = prepare_setup(config, num_rounds=num_rounds, systems=(system,))
         summaries: dict[str, MetricSummary] = {}
         for workload_name in workloads:
@@ -207,7 +198,7 @@ def run_figure1_latency_share(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 1: fraction of per-round FL latency spent in each non-training workload."""
-    config = _experiment_config(model_name, seed=seed)
+    config = paper_experiment_config(model_name, seed=seed)
     training_seconds, _ = _training_profile(config, setup_cache.simulate_rounds(config, num_rounds))
     summaries = _single_system_summaries(
         model_name, workloads, "objstore-agg", num_rounds, requests_per_workload, seed
@@ -236,7 +227,7 @@ def run_figure2_cost_share(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 2: fraction of per-round FL cost attributable to each non-training workload."""
-    config = _experiment_config(model_name, seed=seed)
+    config = paper_experiment_config(model_name, seed=seed)
     _, training_cost = _training_profile(config, setup_cache.simulate_rounds(config, num_rounds))
     summaries = _single_system_summaries(
         model_name, workloads, "objstore-agg", num_rounds, requests_per_workload, seed
@@ -426,7 +417,7 @@ def run_figure10_overall_cost(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 10: overall FL cost per round with and without FLStore."""
-    config = _experiment_config(model_name, seed=seed)
+    config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore", "objstore-agg"))
     _, training_cost = _training_round_profile(setup)
     rows = []
@@ -461,7 +452,7 @@ def _policy_variant_task(kwargs: dict) -> dict:
     data another workload's trace already pulled in.  Module-level so the
     parallel runner can pickle it.
     """
-    config = _experiment_config(kwargs["model_name"], seed=kwargs["seed"])
+    config = paper_experiment_config(kwargs["model_name"], seed=kwargs["seed"])
     setup = prepare_setup(
         config,
         num_rounds=kwargs["num_rounds"],
@@ -535,7 +526,7 @@ def _table2_task(kwargs: dict) -> dict:
     # trajectory long enough for the P3 group, and the metadata window
     # covers every ingested round so the P4 pattern is fully cacheable
     # (the paper's R is tunable).
-    config = _experiment_config(model_name, seed=seed).with_job(total_clients=50)
+    config = paper_experiment_config(model_name, seed=seed).with_job(total_clients=50)
     config = dataclasses.replace(
         config,
         cache_policy=dataclasses.replace(config.cache_policy, metadata_recent_rounds=num_rounds),
@@ -741,7 +732,7 @@ def run_figure18_static_ablation(
     """
     results = {}
     for variant, mode in (("FLStore", "tailored"), ("FLStore-Static", "static")):
-        config = _experiment_config(model_name, seed=seed)
+        config = paper_experiment_config(model_name, seed=seed)
         setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",), policy_mode=mode)
         generator = setup.generator
         warmup = generator.workload_trace("inference", warmup_requests)

@@ -31,14 +31,11 @@ from repro.fl.keys import DataKey
 from repro.fl.models import MODEL_ZOO, average_model_size_mb
 from repro.network.costs import TransferCostModel
 from repro.network.model import NetworkTopology
+from repro.scenario import paper_experiment_config
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.metrics import summarize_records
 from repro.workloads.registry import WORKLOAD_DISPLAY_NAMES
-
-
-def _experiment_config(model_name: str, seed: int = 7) -> SimulationConfig:
-    return SimulationConfig.paper(model_name=model_name, seed=seed).with_job(reduced_dim=64)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +63,7 @@ def run_figure12_scalability(
     waves, so latency stays flat up to the number of cached copies and grows
     in steps beyond it — the paper's observed behaviour.
     """
-    config = _experiment_config(model_name, seed=seed)
+    config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
     rows = []
     for workload_name in workloads:
@@ -118,7 +115,7 @@ def run_figure13_fault_tolerance(
     """Figure 13: latency/cost per request under Zipfian reclamations vs replica count."""
     rows = []
     for instances in function_instances:
-        config = _experiment_config(model_name, seed=seed)
+        config = paper_experiment_config(model_name, seed=seed)
         injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=seed)
         setup = prepare_setup(
             config,
@@ -176,7 +173,7 @@ def run_figure14_replication_vs_refetch(
     per_workload: dict[str, dict[str, dict[str, float]]] = {}
     strategy_totals = {name: 0.0 for name in strategies}
     for strategy, replication in strategies.items():
-        config = _experiment_config(model_name, seed=seed)
+        config = paper_experiment_config(model_name, seed=seed)
         injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=seed)
         setup = prepare_setup(
             config, num_rounds=num_rounds, systems=("flstore",), replication_factor=replication
@@ -192,7 +189,7 @@ def run_figure14_replication_vs_refetch(
             }
             strategy_totals[strategy] += summary.total_cost_dollars
 
-    config = _experiment_config(model_name, seed=seed)
+    config = paper_experiment_config(model_name, seed=seed)
     keepalive = (
         TransferCostModel(config.pricing)
         .lambda_keepalive_cost(replica_count, trace_duration_hours)
@@ -333,7 +330,7 @@ def run_ablation_prefetch_depth(
 
     rows = []
     for depth in prefetch_depths:
-        config = _experiment_config(model_name, seed=seed)
+        config = paper_experiment_config(model_name, seed=seed)
         config = dataclasses.replace(
             config,
             cache_policy=dataclasses.replace(config.cache_policy, prefetch_rounds_ahead=depth),

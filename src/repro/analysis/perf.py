@@ -26,7 +26,7 @@ from typing import Sequence
 
 from repro.analysis import setup_cache
 from repro.analysis.runner import prepare_setup
-from repro.config import SimulationConfig
+from repro.scenario import paper_experiment_config
 
 #: GC thresholds for experiment processes (default CPython is (700, 10, 10),
 #: which rescans the setup caches' object graphs constantly).
@@ -87,7 +87,7 @@ def measure_serve_hotpath(
     repeated measurements exercise the setup cache exactly like the
     experiment layer does; the report includes its hit/miss counters.
     """
-    config = SimulationConfig.paper(model_name=model_name, seed=seed).with_job(reduced_dim=64)
+    config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
     flstore = setup.flstore
 

@@ -8,7 +8,7 @@ engine-backed shards on one shared event loop (a plain spec is a single
 shard).  :mod:`repro.engine.flstore` is the per-shard engine: overlapping
 requests, per-function concurrency limits with FIFO/priority queues,
 admission control with shedding (drop / degrade-to-objstore), and
-keep-alive/reclamation as scheduled events.  :mod:`repro.engine.autoscale`
+keep-alive pings as scheduled events.  :mod:`repro.engine.autoscale`
 closes the control loop over the tier: one :class:`ControlSampler` per
 control loop turns the front door's counters into per-tick
 :class:`ControlSignals`, and policies spawn/retire warm capacity
@@ -65,11 +65,7 @@ from repro.engine.remediate import (
     RemediationRecord,
     RemediationSummary,
 )
-from repro.engine.sharded import (
-    REPLICATION_POLICIES,
-    ShardedEngineFLStore,
-    merge_depth_samples,
-)
+from repro.engine.sharded import REPLICATION_POLICIES, ShardedEngineFLStore
 
 __all__ = [
     "AUTOSCALER_KINDS",
@@ -107,7 +103,6 @@ __all__ = [
     "Timeout",
     "build_load_report",
     "compute_recovery_metrics",
-    "merge_depth_samples",
     "rejection_result",
     "serve_degraded",
 ]

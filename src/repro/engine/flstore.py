@@ -14,8 +14,9 @@ are); the shard adds what the analytic path cannot express:
   concurrent requests; excess requests wait in the function's FIFO/priority
   queue (:class:`repro.serverless.function.RequestQueue`), so *sojourn time*
   (queue wait + service) degrades under load,
-* keep-alive pings and provider reclamations fire as *scheduled events* on
-  the event heap instead of eager per-request callbacks.
+* keep-alive pings fire as *scheduled events* on the event heap instead of
+  eager per-request callbacks; provider reclamations arrive the same way, as
+  the ``reclamation-storm`` fault clause (:mod:`repro.engine.faults`).
 
 Closed-loop equivalence is the design invariant: when requests arrive
 sequentially (each one after the previous completed), a tier reproduces the
@@ -35,8 +36,8 @@ import numpy as np
 from repro.common.units import GB
 from repro.core.flstore import FLStore, ServeResult
 from repro.engine.kernel import EventLoop, SimTask, Timeout
+from repro.engine.streaming import DepthAccumulator
 from repro.network.model import spike_cost, spike_latency
-from repro.serverless.faults import ZipfianFaultInjector
 from repro.simulation.metrics import RequestRecord
 from repro.simulation.records import (
     CostAccumulator,
@@ -311,7 +312,7 @@ def build_load_report(
     outcomes: list[EngineOutcome],
     arrival_times: Sequence[float],
     label: str,
-    depth_samples: Sequence[tuple[float, int]],
+    depth: DepthAccumulator,
     keepalive_pings: int = 0,
     reclamations: int = 0,
     slo_seconds: float | None = None,
@@ -322,7 +323,8 @@ def build_load_report(
     The front door's full-metrics report
     (:meth:`repro.engine.sharded.ShardedEngineFLStore.run_open_loop`).
     Sojourn statistics cover completed (non-shed) requests; shed rejections
-    count toward ``shed``/``shed_rate`` only.
+    count toward ``shed``/``shed_rate`` only.  ``depth`` is the run's
+    tier-wide queue-depth profile, finalized over the run's horizon.
     """
     submitted = len(arrival_times)
     finished = [o for o in outcomes if o.disposition != "shed"]
@@ -343,7 +345,7 @@ def build_load_report(
     waits = np.array([o.wait_seconds for o in finished], dtype=float)
     services = sojourns - waits
     violations = int(np.count_nonzero(sojourns > slo_seconds)) if slo_seconds is not None else 0
-    mean_depth, max_depth = _queue_depth_profile(depth_samples, first_arrival, last_completion)
+    mean_depth, max_depth = depth.finalize(first_arrival, last_completion)
     return LoadReport(
         label=label,
         submitted=submitted,
@@ -373,86 +375,49 @@ def build_load_report(
     )
 
 
-def _queue_depth_profile(
-    samples: Sequence[tuple[float, int]], start: float, end: float
-) -> tuple[float, int]:
-    """Time-weighted mean and maximum of the waiting-request count."""
-    if not samples or end <= start:
-        return 0.0, max((depth for _, depth in samples), default=0)
-    max_depth = 0
-    weighted = 0.0
-    prev_time = start
-    prev_depth = 0
-    for time_point, depth in samples:
-        clamped = min(max(time_point, start), end)
-        weighted += prev_depth * (clamped - prev_time)
-        prev_time = clamped
-        prev_depth = depth
-        max_depth = max(max_depth, depth)
-    weighted += prev_depth * (end - prev_time)
-    return weighted / (end - start), max_depth
-
-
 class EngineFLStore:
     """One engine-backed shard of the serving tier, driven by the front door.
 
     The routing front door (:class:`repro.engine.sharded.ShardedEngineFLStore`)
     schedules arrivals, retains the outcome rows, and owns the tier-level
-    counters; the shard serves what is routed to it.
+    counters; the shard serves what is routed to it.  Admission control
+    reads ``config.serverless``: at most ``max_queue_depth`` requests wait
+    for a slot on this shard (``0`` means unbounded), and arrivals beyond
+    that are shed per ``shed_policy`` (``"drop"`` or
+    ``"degrade-to-objstore"``), which the front door may switch online.
 
     Parameters
     ----------
     flstore:
         The analytic core used as the serving oracle.  It must *not* carry
-        its own fault injector — the engine schedules reclamations as events
-        (pass ``fault_injector`` here instead).
+        its own fault injector: on the engine path, reclamations come from
+        the ``reclamation-storm`` fault clause (:mod:`repro.engine.faults`).
     loop:
         The front door's shared event loop (a fresh one by default).
-    fault_injector:
-        Optional reclamation sampler; fired every
-        ``reclamation_interval_seconds`` of virtual time as a scheduled
-        event rather than eagerly inside each serve.
-    reclamation_interval_seconds:
-        Virtual-time spacing of reclamation events.
-    max_queue_depth:
-        Admission bound — maximum number of requests waiting for a slot on
-        this engine before new arrivals are shed.  Defaults to
-        ``config.serverless.max_queue_depth``; ``0`` means unbounded.
-    shed_policy:
-        What happens to shed arrivals (``"drop"`` or
-        ``"degrade-to-objstore"``).  Defaults to
-        ``config.serverless.shed_policy``.
+    on_queue_change:
+        Called with ``+1`` / ``-1`` whenever a request starts / stops
+        waiting for a slot on this shard; the front door sums these into
+        the tier-wide queue depth.
     """
 
     def __init__(
         self,
         flstore: FLStore,
         loop: EventLoop | None = None,
-        fault_injector: ZipfianFaultInjector | None = None,
-        reclamation_interval_seconds: float = 60.0,
-        max_queue_depth: int | None = None,
-        shed_policy: str | None = None,
+        on_queue_change: Callable[[int], None] | None = None,
     ) -> None:
         if flstore.fault_injector is not None:
             raise ValueError(
-                "the engine schedules reclamations itself; build the FLStore "
-                "without a fault injector and pass it to EngineFLStore instead"
+                "the engine does not sample reclamations; build the FLStore without "
+                "a fault injector and schedule a reclamation-storm fault clause instead"
             )
         self.flstore = flstore
         self.loop = loop or EventLoop()
         self.platform = flstore.platform
-        self.fault_injector = fault_injector
-        self.reclamation_interval_seconds = reclamation_interval_seconds
+        self._on_queue_change = on_queue_change
         serverless = flstore.config.serverless
-        self.max_queue_depth = (
-            serverless.max_queue_depth if max_queue_depth is None else int(max_queue_depth)
-        )
-        self.shed_policy = serverless.shed_policy if shed_policy is None else shed_policy
-        # Keep the per-function queue capacities in lockstep with the bound
-        # admission control actually enforces; otherwise an override looser
-        # than config.max_queue_depth would admit a request only for the
-        # function queue to reject it mid-simulation.
-        self.platform.set_queue_capacity(self.max_queue_depth)
+        self.max_queue_depth = serverless.max_queue_depth
+        self.shed_policy = serverless.shed_policy
         self.keepalive_pings = 0
         self.reclamations = 0
         self.shed_requests = 0
@@ -470,7 +435,6 @@ class EngineFLStore:
         self.network_fault_multiplier = 1.0
         self._outstanding = 0
         self._waiting = 0
-        self._depth_samples: list[tuple[float, int]] = []
         #: Multi-tenant state (empty on single-tenant engines, which keeps
         #: every untagged code path byte-identical).  Weights feed the
         #: wfq/drr queue disciplines; per-tenant SLOs and the lifetime
@@ -480,15 +444,10 @@ class EngineFLStore:
         self.tenant_finished: dict[str, int] = {}
         self.tenant_slo_violations: dict[str, int] = {}
         self._tenant_waiting: dict[str, int] = {}
-        #: Streaming-mode hook: when set, queue-depth changes flow to this
-        #: callback *instead of* the retained ``_depth_samples`` list
-        #: (``metrics="streaming"`` keeps memory flat in request count).
-        self.depth_listener: Callable[["EngineFLStore", float, int], None] | None = None
-        # One daemon of each kind at a time: a shard retired and re-activated
+        # One keep-alive daemon at a time: a shard retired and re-activated
         # within one interval would otherwise end up with two concurrent
         # daemons (the old one has not yet observed its dead re-arm check).
         self._keepalive_daemon = False
-        self._reclaim_daemon = False
 
     # --------------------------------------------------------- passthroughs
 
@@ -604,49 +563,43 @@ class EngineFLStore:
                 and self._waiting >= self.max_queue_depth
                 and not self._try_pushout(request)
             ):
-                self._shed(request, task)
+                process = self._shed_process(request, self.loop.now)
             else:
-                self.loop.process(self._request_process(request, priority), task=task)
+                process = self._request_process(request, priority)
+            self.loop.process(process, task=task)
 
         self.loop.schedule_at(at, _arrive)
         return task
 
-    def _shed(self, request: WorkloadRequest, task: SimTask) -> None:
-        """Apply the shedding policy to an arrival refused admission."""
+    def _shed_process(self, request: WorkloadRequest, arrived_at: float):
+        """Shed ``request`` per ``shed_policy`` from now on; returns its outcome.
+
+        ``"drop"`` rejects it on the spot (the process never waits, so a
+        drop at admission resolves inside the arrival event);
+        ``"degrade-to-objstore"`` serves it on the object-store bypass — no
+        queue, no cache.  Runs for an arrival refused admission and for a
+        waiter pushed out of its queue, whose serving-oracle side effects
+        stand; ``arrived_at`` is the request's original arrival.
+        """
+        shed_at = self.loop.now
         if self.shed_policy == "degrade-to-objstore":
             self.degraded_requests += 1
-            self.platform.stats.requests_degraded += 1
-            self.loop.process(self._degraded_process(request), task=task)
-            return
-        self.shed_requests += 1
-        self.platform.stats.requests_shed += 1
-        now = self.loop.now
-        outcome = EngineOutcome(
-            request=request,
-            result=rejection_result(self.flstore, request),
-            arrived_at=now,
-            started_at=now,
-            completed_at=now,
-            disposition="shed",
-        )
-        self._outstanding -= 1
-        task.resolve(outcome)
-
-    def _degraded_process(self, request: WorkloadRequest):
-        """A shed request served on the object-store bypass (no queue, no cache)."""
-        arrived_at = self.loop.now
-        result = serve_degraded(self.flstore, request)
-        result = self._apply_network_fault(result)
-        service_seconds = result.latency.total_seconds * self.service_time_multiplier
-        if service_seconds > 0:
-            yield Timeout(service_seconds)
+            result = self._apply_network_fault(serve_degraded(self.flstore, request))
+            service_seconds = result.latency.total_seconds * self.service_time_multiplier
+            if service_seconds > 0:
+                yield Timeout(service_seconds)
+            disposition = "degraded"
+        else:
+            self.shed_requests += 1
+            result = rejection_result(self.flstore, request)
+            disposition = "shed"
         outcome = EngineOutcome(
             request=request,
             result=result,
             arrived_at=arrived_at,
-            started_at=arrived_at,
+            started_at=shed_at,
             completed_at=self.loop.now,
-            disposition="degraded",
+            disposition=disposition,
         )
         self._record(outcome)
         self._outstanding -= 1
@@ -700,35 +653,8 @@ class EngineFLStore:
                         self._tenant_waiting.pop(tenant, None)
                 if granted == "shed":
                     # Pushed out of the queue by SLO-aware admission in
-                    # favour of a better-behaved arrival.  The request is
-                    # shed per ``shed_policy`` from the moment of eviction;
-                    # its serving-oracle side effects stand (like a
-                    # requeued request's).
-                    evicted_at = self.loop.now
-                    if self.shed_policy == "degrade-to-objstore":
-                        self.degraded_requests += 1
-                        self.platform.stats.requests_degraded += 1
-                        result = self._apply_network_fault(serve_degraded(self.flstore, request))
-                        service_seconds = result.latency.total_seconds * self.service_time_multiplier
-                        if service_seconds > 0:
-                            yield Timeout(service_seconds)
-                        disposition = "degraded"
-                    else:
-                        self.shed_requests += 1
-                        self.platform.stats.requests_shed += 1
-                        result = rejection_result(self.flstore, request)
-                        disposition = "shed"
-                    outcome = EngineOutcome(
-                        request=request,
-                        result=result,
-                        arrived_at=arrived_at,
-                        started_at=evicted_at,
-                        completed_at=self.loop.now,
-                        disposition=disposition,
-                    )
-                    self._record(outcome)
-                    self._outstanding -= 1
-                    return outcome
+                    # favour of a better-behaved arrival.
+                    return (yield from self._shed_process(request, arrived_at))
                 # A False grant means the function was reclaimed while the
                 # request waited; it proceeds without holding a slot (its
                 # analytic outcome already happened at arrival) and is
@@ -737,7 +663,6 @@ class EngineFLStore:
                 if not holds_slot:
                     disposition = "requeued"
                     self.requeued_requests += 1
-                    self.platform.stats.requests_requeued += 1
         started_at = self.loop.now
         service_seconds = result.latency.total_seconds * self.service_time_multiplier
         if service_seconds > 0:
@@ -770,11 +695,8 @@ class EngineFLStore:
 
     def _note_queue_change(self, delta: int) -> None:
         self._waiting += delta
-        listener = self.depth_listener
-        if listener is None:
-            self._depth_samples.append((self.loop.now, self._waiting))
-        else:
-            listener(self, self.loop.now, self._waiting)
+        if self._on_queue_change is not None:
+            self._on_queue_change(delta)
 
     def _apply_network_fault(self, result: ServeResult) -> ServeResult:
         """Scale a result's communication latency/cost during a network spike."""
@@ -817,12 +739,13 @@ class EngineFLStore:
     def force_reclaim(self, function_ids: Iterable[str]) -> list[str]:
         """Reclaim the named warm functions *now* (a correlated fault burst).
 
-        The storm-injection actuator (:mod:`repro.engine.faults`): unlike the
-        sampled reclamation daemon, the caller decides exactly which
-        functions die.  Waiters queued on a reclaimed function resume without
-        a slot and are accounted as ``requeued`` — the same conservation
-        semantics as the daemon — and the cache drops the lost keys.
-        Returns the function ids actually reclaimed (cold ones are skipped).
+        The engine path's only reclamation actuator, driven by the
+        ``reclamation-storm`` fault clause (:mod:`repro.engine.faults`): the
+        caller decides exactly which functions die.  Waiters queued on a
+        reclaimed function resume without a slot and are accounted as
+        ``requeued`` — the same conservation semantics as :meth:`retire` —
+        and the cache drops the lost keys.  Returns the function ids
+        actually reclaimed (cold ones are skipped).
         """
         reclaimed: list[str] = []
         for function_id in function_ids:
@@ -849,8 +772,8 @@ class EngineFLStore:
         conservation holds across the resize; in-flight executions finish on
         the shared loop.  Warm functions are reclaimed, so the shard stops
         counting toward the tier's warm capacity and cache liveness.  Its
-        daemons wind down at their next tick (their re-arm predicate checks
-        that the shard is still active).
+        keep-alive daemon winds down at its next tick (the re-arm predicate
+        checks that the shard is still active).
         """
         for function in list(self.platform.functions()):
             function_id = function.function_id
@@ -899,38 +822,3 @@ class EngineFLStore:
                 self._keepalive_daemon = False
 
         self.loop.schedule(interval, _ping)
-
-    def schedule_reclamations(
-        self, alive: Callable[[], bool], interval_seconds: float | None = None
-    ) -> None:
-        """Sample provider reclamations on a timer while ``alive()`` holds."""
-        if self.fault_injector is None:
-            return
-        interval = (
-            interval_seconds if interval_seconds is not None else self.reclamation_interval_seconds
-        )
-        if interval <= 0:
-            raise ValueError(f"reclamation interval must be positive, got {interval}")
-        if self._reclaim_daemon:
-            return
-        self._reclaim_daemon = True
-
-        def _reclaim() -> None:
-            reclaimed = self.fault_injector.sample_reclamations(
-                self.flstore.cluster.function_ids(), now=self.loop.now
-            )
-            for function_id in reclaimed:
-                self.platform.reclaim_function(function_id)
-                self.reclamations += 1
-                # Resuming a waiter (resolve) re-enters its process, which
-                # performs its own queue-depth decrement.
-                for token in self.platform.drain_waiters(function_id):
-                    token.resolve(False)
-            if reclaimed:
-                self.flstore.engine.drop_lost_keys()
-            if alive():
-                self.loop.schedule(interval, _reclaim)
-            else:
-                self._reclaim_daemon = False
-
-        self.loop.schedule(interval, _reclaim)

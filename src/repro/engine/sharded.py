@@ -7,9 +7,10 @@ shards running on **one shared event loop** (a single virtual timeline),
 drives the open-loop run, routes every request to a shard by its
 data-affinity key (:mod:`repro.routing`), and aggregates the results:
 per-request :class:`~repro.engine.flstore.EngineOutcome` rows in global
-completion order, running latency/cost accumulators, queue-depth profiles
-merged across shards, and cache-liveness accounting (cached bytes, live
-keys, warm functions) summed over the tier.
+completion order, running latency/cost accumulators, one tier-wide
+queue-depth profile summed from the shards' ``+1``/``-1`` queue reports, and
+cache-liveness accounting (cached bytes, live keys, warm functions) summed
+over the tier.
 
 Each shard keeps its own admission controller
 (``ServerlessConfig.max_queue_depth`` / ``shed_policy``), so overload on a
@@ -57,9 +58,8 @@ from repro.engine.flstore import (
     build_load_report,
 )
 from repro.engine.kernel import EventLoop, SimTask
-from repro.engine.streaming import StreamingLoadCollector, check_metrics_mode
+from repro.engine.streaming import DepthAccumulator, StreamingLoadCollector, check_metrics_mode
 from repro.routing import ShardRouter, make_router, request_routing_key, stable_hash_u64
-from repro.serverless.faults import ZipfianFaultInjector
 from repro.simulation.records import CostAccumulator, LatencyAccumulator
 from repro.workloads.base import WorkloadRequest
 from repro.workloads.registry import get_workload
@@ -70,31 +70,6 @@ from repro.workloads.registry import get_workload
 #: latest round — the P1 pattern); ``"hot-tracked"`` replicates any routing
 #: key whose observed arrival count reaches the hot threshold.
 REPLICATION_POLICIES: tuple[str, ...] = ("none", "hot-static", "hot-tracked")
-
-
-def merge_depth_samples(
-    per_shard: Sequence[Sequence[tuple[float, int]]],
-) -> list[tuple[float, int]]:
-    """Merge per-shard queue-depth samples into one fleet-wide profile.
-
-    Each shard records ``(time, waiting)`` samples of its own queue; the
-    fleet-wide depth at any instant is the sum of the shards' last-seen
-    depths.  Same-time samples merge in (position, shard) order, which is
-    deterministic and collapses to the identity for a single shard.
-    """
-    if len(per_shard) == 1:
-        return list(per_shard[0])
-    events: list[tuple[float, int, int, int]] = []
-    for shard_index, samples in enumerate(per_shard):
-        for position, (time_point, depth) in enumerate(samples):
-            events.append((time_point, position, shard_index, depth))
-    events.sort()
-    current = [0] * len(per_shard)
-    merged: list[tuple[float, int]] = []
-    for time_point, _, shard_index, depth in events:
-        current[shard_index] = depth
-        merged.append((time_point, sum(current)))
-    return merged
 
 
 class ShardedEngineFLStore:
@@ -114,13 +89,6 @@ class ShardedEngineFLStore:
         router's kind and parameters (e.g. ``vnodes``).
     loop:
         Shared event loop; all shards schedule on one virtual timeline.
-    fault_injectors:
-        Optional per-shard reclamation samplers (initial shards only; shards
-        added by the autoscaler join without one).
-    max_queue_depth / shed_policy:
-        Per-shard admission-control overrides (default: each shard's
-        ``config.serverless`` values).  Applied to added shards too, so the
-        per-function queue bounds stay in lockstep across resizes.
     shard_factory:
         Zero-argument callable building a fresh (un-ingested) ``FLStore``
         for :meth:`add_shard`; without one the tier cannot scale out.
@@ -151,10 +119,6 @@ class ShardedEngineFLStore:
         flstores: Sequence[FLStore],
         router: ShardRouter | None = None,
         loop: EventLoop | None = None,
-        fault_injectors: Sequence[ZipfianFaultInjector | None] | None = None,
-        reclamation_interval_seconds: float = 60.0,
-        max_queue_depth: int | None = None,
-        shed_policy: str | None = None,
         shard_factory: Callable[[], FLStore] | None = None,
         warm_rounds: Sequence[object] | None = None,
         replication_factor: int = 1,
@@ -171,9 +135,6 @@ class ShardedEngineFLStore:
                 f"router covers {self.router.num_shards} shards "
                 f"but {len(flstores)} were provided"
             )
-        injectors = list(fault_injectors) if fault_injectors is not None else [None] * len(flstores)
-        if len(injectors) != len(flstores):
-            raise ValueError("fault_injectors must match the shard count")
         if replication_policy not in REPLICATION_POLICIES:
             raise ConfigurationError(
                 f"unknown replication policy {replication_policy!r}; "
@@ -202,15 +163,17 @@ class ShardedEngineFLStore:
         self.replica_warm_events = 0
         #: Hot-key arrivals served by a non-primary replica holder.
         self.replica_hits = 0
-        self._max_queue_depth = max_queue_depth
-        self._shed_policy = shed_policy
-        self._reclamation_interval = reclamation_interval_seconds
+        #: The shedding policy every shard applies (``config.serverless``
+        #: until :meth:`set_shed_policy` switches it online).
+        self._shed_policy = flstores[0].config.serverless.shed_policy
+        #: Requests waiting for a slot tier-wide — the running sum of the
+        #: shards' queue reports — and the current run's profile of it.
+        self._queue_depth = 0
+        self._note_depth: Callable[[float, int], None] = DepthAccumulator().observe
         self._shard_factory = shard_factory
         #: All shards ever created, in creation order; retired shards stay
         #: (their completed work and counters remain part of the tier).
-        self.shards = [
-            self._new_shard(flstore, injector) for flstore, injector in zip(flstores, injectors)
-        ]
+        self.shards = [self._new_shard(flstore) for flstore in flstores]
         #: Indices into ``shards`` currently receiving traffic; resized
         #: last-in-first-out so router slot ``i`` is always ``_active[i]``.
         self._active: list[int] = list(range(len(self.shards)))
@@ -240,6 +203,9 @@ class ShardedEngineFLStore:
         self.latency_totals = LatencyAccumulator()
         self.cost_totals = CostAccumulator()
         self._completed: list[EngineOutcome] = []
+        #: Where resolved outcomes go: the retained rows, or a streaming
+        #: run's collector.
+        self._outcome_sink: Callable[[EngineOutcome], None] = self._completed.append
         #: Tier-lifetime outcome counters: the control loops read per-window
         #: deltas off these (``watch_slo_seconds`` arms the violation
         #: counter) instead of re-scanning ``_completed`` every control tick,
@@ -257,16 +223,6 @@ class ShardedEngineFLStore:
         self.tenant_slo_seconds: dict[str, float] = {}
         self.tenant_finished: dict[str, int] = {}
         self.tenant_slo_violations: dict[str, int] = {}
-        #: Streaming-mode hook: when set, resolved outcomes flow here
-        #: instead of the retained ``_completed`` list.
-        self.outcome_sink: Callable[[EngineOutcome], None] | None = None
-        # Fleet-wide queue depth, maintained incrementally during streaming
-        # runs: last-seen depth per shard plus the running total, folded into
-        # the collector in observation order (the same sum-of-last-seen
-        # semantics as ``merge_depth_samples``).
-        self._stream_collector: StreamingLoadCollector | None = None
-        self._stream_depths: dict[int, int] = {}
-        self._stream_depth_total = 0
 
     @classmethod
     def build(
@@ -285,27 +241,25 @@ class ShardedEngineFLStore:
         )
         return cls(flstores, router=router or make_router(router_kind, num_shards), **kwargs)
 
-    def _new_shard(
-        self, flstore: FLStore, fault_injector: ZipfianFaultInjector | None = None
-    ) -> EngineFLStore:
-        """Wrap ``flstore`` as a shard on the tier's loop and admission knobs."""
-        return EngineFLStore(
-            flstore,
-            loop=self.loop,
-            fault_injector=fault_injector,
-            reclamation_interval_seconds=self._reclamation_interval,
-            max_queue_depth=self._max_queue_depth,
-            shed_policy=self._shed_policy,
-        )
+    def _new_shard(self, flstore: FLStore) -> EngineFLStore:
+        """Wrap ``flstore`` as a shard on the tier's loop and shedding policy."""
+        shard = EngineFLStore(flstore, loop=self.loop, on_queue_change=self._on_queue_change)
+        shard.shed_policy = self._shed_policy
+        return shard
+
+    def _on_queue_change(self, delta: int) -> None:
+        """Fold one shard's ``+1``/``-1`` queue report into the tier-wide depth."""
+        self._queue_depth += delta
+        self._note_depth(self.loop.now, self._queue_depth)
 
     def _daemons_alive(self, index: int) -> Callable[[], bool]:
-        """Re-arm predicate of shard ``index``'s keep-alive/reclamation daemons.
+        """Re-arm predicate of shard ``index``'s keep-alive daemon.
 
-        They run while the *tier* has requests in flight (including
+        It runs while the *tier* has requests in flight (including
         submitted-but-not-yet-arrived ones) and the shard is active, so a
-        retired shard's daemons wind down at their next tick.  Only the
-        scheduled daemons hold the predicate, so shards keep no reference
-        back to the tier.
+        retired shard's daemon winds down at its next tick.  Only the
+        scheduled daemon holds the predicate, so its shard keeps no
+        reference back to the tier.
         """
         return lambda: self._inflight > 0 and index in self._active
 
@@ -374,15 +328,6 @@ class ShardedEngineFLStore:
         for shard in self.shards:
             shard.configure_tenants(weights, slo_seconds)
 
-    def tenant_violation_rate(self, tenant: str | None) -> float:
-        """Tier-lifetime SLO-violation rate of ``tenant`` (0.0 before any finish)."""
-        if tenant is None:
-            return 0.0
-        finished = self.tenant_finished.get(tenant, 0)
-        if not finished:
-            return 0.0
-        return self.tenant_slo_violations.get(tenant, 0) / finished
-
     # ------------------------------------------------------------ submission
 
     def submit(self, request: WorkloadRequest, at: float, priority: float = 0.0) -> SimTask:
@@ -396,18 +341,16 @@ class ShardedEngineFLStore:
         task = SimTask(self.loop, name=request.request_id)
         task.add_done_callback(self._collect)
         self._inflight += 1
-
-        def _admit() -> None:
-            self.arrived_requests += 1
-            shard_index = self._route(request)
-            self.routed_counts[shard_index] += 1
-            shard_task = self.shards[shard_index].submit(
-                request, at=self.loop.now, priority=priority
-            )
-            shard_task.add_done_callback(task.resolve)
-
-        self.loop.schedule_at(at, _admit)
+        self.loop.schedule_at(at, lambda: self._arrive(request, task, priority))
         return task
+
+    def _arrive(self, request: WorkloadRequest, task: SimTask, priority: float) -> None:
+        """Route one arrival (fires at its arrival instant) and hand it to its shard."""
+        self.arrived_requests += 1
+        shard_index = self._route(request)
+        self.routed_counts[shard_index] += 1
+        shard_task = self.shards[shard_index].submit(request, at=self.loop.now, priority=priority)
+        shard_task.add_done_callback(task.resolve)
 
     def _collect(self, outcome: EngineOutcome) -> None:
         """Aggregate one resolved outcome (fires in global completion order)."""
@@ -427,11 +370,7 @@ class ShardedEngineFLStore:
                     self.tenant_slo_violations[tenant] = (
                         self.tenant_slo_violations.get(tenant, 0) + 1
                     )
-        sink = self.outcome_sink
-        if sink is None:
-            self._completed.append(outcome)
-        else:
-            sink(outcome)
+        self._outcome_sink(outcome)
         self.latency_totals.add(outcome.result.latency)
         self.cost_totals.add(outcome.result.cost)
         self._inflight -= 1
@@ -466,19 +405,12 @@ class ShardedEngineFLStore:
             task.add_done_callback(self._collect)
             tasks.append(task)
         self._inflight += count
-
-        def _admit(index: int) -> None:
-            request = requests[index]
-            self.arrived_requests += 1
-            shard_index = self._route(request)
-            self.routed_counts[shard_index] += 1
-            priority = priorities[index] if priorities is not None else 0.0
-            shard_task = self.shards[shard_index].submit(
-                request, at=self.loop.now, priority=priority
-            )
-            shard_task.add_done_callback(tasks[index].resolve)
-
-        self.loop.schedule_many(times, _admit)
+        self.loop.schedule_many(
+            times,
+            lambda index: self._arrive(
+                requests[index], tasks[index], priorities[index] if priorities is not None else 0.0
+            ),
+        )
 
     @property
     def inflight(self) -> int:
@@ -637,38 +569,6 @@ class ShardedEngineFLStore:
         """Bytes held as tier replicas across every shard."""
         return sum(shard.flstore.cluster.replica_cached_bytes for shard in self.shards)
 
-    # ------------------------------------------------------ streaming hooks
-
-    def _begin_streaming(self, collector: StreamingLoadCollector) -> None:
-        """Route outcomes and queue-depth changes into ``collector``.
-
-        The front door folds every resolved outcome; each shard reports
-        queue-depth changes to :meth:`_on_shard_depth`, which maintains the
-        fleet-wide depth incrementally.  Shards added mid-run get the same
-        hook (see :meth:`add_shard`).
-        """
-        self._stream_collector = collector
-        self._stream_depths = {}
-        self._stream_depth_total = 0
-        self.outcome_sink = collector.fold
-        for shard in self.shards:
-            shard.depth_listener = self._on_shard_depth
-
-    def _on_shard_depth(self, shard: EngineFLStore, now: float, depth: int) -> None:
-        key = id(shard)
-        previous = self._stream_depths.get(key, 0)
-        self._stream_depths[key] = depth
-        self._stream_depth_total += depth - previous
-        self._stream_collector.note_depth(now, self._stream_depth_total)
-
-    def _end_streaming(self) -> None:
-        self._stream_collector = None
-        self._stream_depths = {}
-        self._stream_depth_total = 0
-        self.outcome_sink = None
-        for shard in self.shards:
-            shard.depth_listener = None
-
     # --------------------------------------------------------- online resize
 
     @staticmethod
@@ -735,26 +635,17 @@ class ShardedEngineFLStore:
             self.shards.append(shard)
             self.routed_counts.append(0)
             self._ingested_counts.append(len(self._round_log))
-        # Keep the within-shard capacity levers in lockstep with the tier:
-        # the admission bound (set at construction and unchanged since) and
-        # the provisioned per-function slots, which may have been re-scaled
-        # while this shard was retired.
+        # Keep the provisioned per-function slots in lockstep with the tier:
+        # they may have been re-scaled while this shard was retired.
         shard.set_function_concurrency(self.slots_per_function)
         if self._tenant_weights:
             shard.configure_tenants(self._tenant_weights, self.tenant_slo_seconds)
-        if self._stream_collector is not None:
-            shard.depth_listener = self._on_shard_depth
         self._active.append(index)
         self.router = self.router.resized(len(self._active))
         self._bind_router()
         self._refresh_replicas()
         if self._keepalive_active:
             shard.schedule_keepalive(self._daemons_alive(index))
-        if self._inflight > 0:
-            # Re-activated initial shards may carry a fault injector whose
-            # daemon wound down while the shard was retired (no-op and
-            # idempotent otherwise).
-            shard.schedule_reclamations(self._daemons_alive(index))
         return index
 
     def remove_shard(self) -> int:
@@ -867,14 +758,15 @@ class ShardedEngineFLStore:
         run (the loop's current virtual time), so repeated runs on one tier
         compose; overlapping requests contend for execution slots and queue
         per function.  With ``keepalive`` the keep-alive daemons run as
-        recurring events; shard fault injectors (if configured) add
-        reclamation events.  ``slo_seconds`` (optional) sets the sojourn-time
+        recurring events.  ``slo_seconds`` (optional) sets the sojourn-time
         SLO the report's ``violation_rate`` is measured against.  Per-run
-        counters (queue-depth samples, keep-alive pings, reclamations, shed
-        accounting) are reported per run, not tier-lifetime, and the report
-        aggregates outcomes in global completion order with queue-depth
-        profiles merged across shards (including shards added or retired
-        mid-run).  An ``autoscaler``
+        counters (keep-alive pings, reclamations, shed accounting) are
+        reported per run, not tier-lifetime, and the report aggregates
+        outcomes in global completion order with one tier-wide queue-depth
+        profile: every shard (including shards added or retired mid-run)
+        reports its queue changes to the front door, which folds their
+        running sum into one :class:`~repro.engine.streaming.DepthAccumulator`
+        per run in either metrics mode.  An ``autoscaler``
         (:class:`repro.engine.autoscale.Autoscaler`) runs its control loop
         as scheduled events on the same virtual timeline; a ``fault_plan``
         (:class:`repro.engine.faults.FaultPlan`) schedules its fault clauses
@@ -884,10 +776,9 @@ class ShardedEngineFLStore:
 
         ``metrics`` selects the report pipeline: ``"full"`` (default)
         retains every outcome and reports exact percentiles; ``"streaming"``
-        folds outcomes and the fleet-wide queue depth into O(1)-memory
-        accumulators (:mod:`repro.engine.streaming`) — every scalar column
-        except the percentile sketches stays exact, and ``report.outcomes``
-        is empty.
+        folds outcomes into O(1)-memory accumulators
+        (:mod:`repro.engine.streaming`) — every scalar column except the
+        percentile sketches stays exact, and ``report.outcomes`` is empty.
         """
         if len(requests) != len(arrival_times):
             raise ValueError("requests and arrival_times must have the same length")
@@ -898,36 +789,33 @@ class ShardedEngineFLStore:
         pings_before = self.keepalive_pings
         reclamations_before = self.reclamations
         self._keepalive_active = keepalive
-        for shard in self.shards:
-            shard._depth_samples = []
         collector: StreamingLoadCollector | None = None
         if metrics == "streaming":
             collector = StreamingLoadCollector(
                 slo_seconds, tenant_slos=self.tenant_slo_seconds or None
             )
-            self._begin_streaming(collector)
-        try:
-            self._submit_block(requests, absolute_times, priorities)
-            if keepalive:
-                for index in self._active:
-                    self.shards[index].schedule_keepalive(self._daemons_alive(index))
+            self._outcome_sink = collector.fold
+            self._note_depth = collector.note_depth
+        else:
+            depth = DepthAccumulator()
+            self._outcome_sink = self._completed.append
+            self._note_depth = depth.observe
+        self._submit_block(requests, absolute_times, priorities)
+        if keepalive:
             for index in self._active:
-                self.shards[index].schedule_reclamations(self._daemons_alive(index))
-            if autoscaler is not None:
-                autoscaler.start()
-            if fault_plan is not None:
-                fault_plan.start()
-            if remediation is not None:
-                remediation.start()
-            self.loop.run()
-            if autoscaler is not None:
-                autoscaler.finalize()
-            if remediation is not None:
-                remediation.finalize()
-            self._keepalive_active = False
-        finally:
-            if collector is not None:
-                self._end_streaming()
+                self.shards[index].schedule_keepalive(self._daemons_alive(index))
+        if autoscaler is not None:
+            autoscaler.start()
+        if fault_plan is not None:
+            fault_plan.start()
+        if remediation is not None:
+            remediation.start()
+        self.loop.run()
+        if autoscaler is not None:
+            autoscaler.finalize()
+        if remediation is not None:
+            remediation.finalize()
+        self._keepalive_active = False
         if collector is not None:
             return collector.build_report(
                 label,
@@ -937,12 +825,11 @@ class ShardedEngineFLStore:
                 keepalive_pings=self.keepalive_pings - pings_before,
                 reclamations=self.reclamations - reclamations_before,
             )
-        outcomes = self._completed[start_count:]
         return build_load_report(
-            outcomes,
+            self._completed[start_count:],
             absolute_times,
             label,
-            depth_samples=merge_depth_samples([shard._depth_samples for shard in self.shards]),
+            depth,
             keepalive_pings=self.keepalive_pings - pings_before,
             reclamations=self.reclamations - reclamations_before,
             slo_seconds=slo_seconds,
@@ -958,7 +845,7 @@ class ShardedEngineFLStore:
 
     @property
     def reclamations(self) -> int:
-        """Provider reclamations sampled across every shard."""
+        """Functions force-reclaimed by storm faults across every shard."""
         return sum(shard.reclamations for shard in self.shards)
 
     @property

@@ -1,19 +1,20 @@
 """Streaming O(1)-memory load metrics (the ``metrics="streaming"`` mode).
 
 The default (``metrics="full"``) report pipeline retains every
-:class:`~repro.engine.flstore.EngineOutcome` and every queue-depth sample,
-then aggregates at the end (:func:`repro.engine.flstore.build_load_report`)
-— exact, byte-stable, and O(n) in request count.  At a million requests
-that's hundreds of MB of Python objects, so this module provides the
-constant-memory alternative the scenario knob selects:
+:class:`~repro.engine.flstore.EngineOutcome`, then aggregates at the end
+(:func:`repro.engine.flstore.build_load_report`) — exact, byte-stable, and
+O(n) in request count.  At a million requests that's hundreds of MB of
+Python objects, so this module provides the constant-memory alternative the
+scenario knob selects:
 
 * :class:`StreamingQuantiles` — a log-bucketed histogram sketch.  Counts per
   geometric bucket, quantiles answered at the bucket's geometric midpoint:
   ~1% relative error at ``growth=1.02``, a few KB of state, deterministic.
 * :class:`DepthAccumulator` — the time-weighted queue-depth integral updated
-  incrementally per queue change; the mean is exact (same accumulation
-  order as the retained-sample profile), the max is exact up to same-instant
-  sample ordering.
+  incrementally per queue change.  On the event path both pipelines use it
+  (the full one directly, this one through
+  :meth:`StreamingLoadCollector.note_depth`), so their mean and max queue
+  depth agree exactly.
 * :class:`StreamingLoadCollector` — folds outcomes (or whole numpy batches
   from the vectorized fast path) into running counts, sums, SLO-violation
   counters, and the sketches above, then builds a
@@ -113,12 +114,9 @@ class StreamingQuantiles:
 class DepthAccumulator:
     """Incremental time-weighted queue-depth profile (mean and max).
 
-    Mirrors :func:`repro.engine.flstore._queue_depth_profile` over a stream
-    of ``(time, depth)`` observations without retaining them: the integral
-    accumulates in observation order (the same float additions the retained
-    profile performs), so the mean is exact; the max matches except when
-    several shards change depth at the same virtual instant, where sample
-    ordering is implementation-defined either way.
+    The one queue-depth path of both metrics modes: the front door observes
+    the tier-wide waiting count at every change, in firing order, and the
+    integral accumulates without retaining the ``(time, depth)`` stream.
     """
 
     __slots__ = ("_integral", "_prev_time", "_depth", "max_depth")

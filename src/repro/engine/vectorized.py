@@ -31,8 +31,8 @@ What the fast path approximates, relative to the event path: per-request
 cache-state evolution (every request of a class gets the class's
 steady-state oracle result; only the first few serves of a run differ),
 same-instant tie ordering in the max-depth column, the sketched percentile
-columns, and the keep-alive/reclamation daemons (not scheduled — eligibility
-requires a fault-free tier, where they only add report counters).  Counts,
+columns, and the keep-alive daemon (not scheduled — eligibility requires a
+fault-free tier, where it only adds a report counter).  Counts,
 conservation, means, rates, and the mean queue depth are exact given the
 memoized oracle.
 

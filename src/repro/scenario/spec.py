@@ -474,6 +474,12 @@ class ScenarioSpec:
                         f"{self.tier.shards}-shard tier would crash the last "
                         "shard; at least one shard must survive"
                     )
+        if self.faults and self.metrics == "streaming":
+            _fail(
+                'metrics="streaming" cannot score fault recovery: time to recovery '
+                "and the goodput dip are measured from per-request rows, which a "
+                'streaming run does not keep; use metrics="full" on a faulted spec'
+            )
         object.__setattr__(self, "tenants", tuple(self.tenants))
         seen_tenants: set[str] = set()
         for index, tenant in enumerate(self.tenants):

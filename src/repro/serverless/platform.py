@@ -37,12 +37,6 @@ class PlatformStats:
     cold_starts: int = 0
     billed_gb_seconds: float = 0.0
     total_execution_cost: float = 0.0
-    #: Admission control: requests rejected outright at a full queue.
-    requests_shed: int = 0
-    #: Admission control: requests served on the degraded object-store path.
-    requests_degraded: int = 0
-    #: Waiters drained by a reclamation that finished without a slot.
-    requests_requeued: int = 0
 
 
 class ServerlessPlatform:
@@ -85,11 +79,6 @@ class ServerlessPlatform:
         #: Per-function queues of requests waiting for an execution slot
         #: (populated by the discrete-event engine; empty on the analytic path).
         self._queues: dict[str, RequestQueue] = {}
-        #: Capacity bound applied to newly created waiter queues.  Starts at
-        #: the config value; the engine layer overrides it (see
-        #: :meth:`set_queue_capacity`) when its admission bound differs, so
-        #: the two layers never disagree about how deep a queue may grow.
-        self._queue_capacity = self.config.max_queue_depth
         #: Concurrency limit applied to newly spawned functions.  Starts at
         #: the config value; the autoscaler re-scales it at runtime (see
         #: :meth:`set_function_concurrency`) to model spawning/retiring warm
@@ -278,31 +267,14 @@ class ServerlessPlatform:
         """The waiter queue of ``function_id`` (created on first use).
 
         The queue inherits the platform's discipline and admission bound
-        (``config.max_queue_depth`` unless overridden via
-        :meth:`set_queue_capacity`; 0 keeps it unbounded).
+        (``config.max_queue_depth``; 0 keeps it unbounded) — the same bound
+        the engine's admission control enforces.
         """
         queue = self._queues.get(function_id)
         if queue is None:
-            queue = RequestQueue(self.config.queue_discipline, capacity=self._queue_capacity)
+            queue = RequestQueue(self.config.queue_discipline, capacity=self.config.max_queue_depth)
             self._queues[function_id] = queue
         return queue
-
-    def set_queue_capacity(self, capacity: int) -> None:
-        """Re-bound every waiter queue (existing and future) at ``capacity``.
-
-        Called by the engine layer when its admission bound overrides
-        ``config.max_queue_depth``, so per-function queue capacities always
-        match the bound admission control actually enforces.
-        """
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0 (0 means unbounded), got {capacity}")
-        self._queue_capacity = int(capacity)
-        for queue in self._queues.values():
-            queue.capacity = self._queue_capacity
-
-    def queue_is_full(self, function_id: str) -> bool:
-        """Whether ``function_id``'s waiter queue is at its admission bound."""
-        return self.request_queue(function_id).full
 
     def set_function_concurrency(self, limit: int) -> list[object]:
         """Re-scale every function (existing and future) to ``limit`` slots.

@@ -350,7 +350,7 @@ class TestOnlineResize:
         """Requests arriving after a mid-run add land on the new shard, and
         a mid-run remove drains its waiters as requeued — conservation holds
         through both resizes."""
-        tier = _built_tier(scale_config, scale_rounds, max_queue_depth=0)
+        tier = _built_tier(scale_config, scale_rounds)
         generator = RequestTraceGenerator(tier.catalog, seed=3)
         trace = generator.mixed_trace(["inference", "clustering", "scheduling_perf"], 40)
         arrivals = [0.5 * i for i in range(len(trace))]
@@ -361,7 +361,7 @@ class TestOnlineResize:
         assert tier.routed_counts[1] > 0
 
     def test_remove_shard_requeues_waiters(self, scale_config, scale_rounds):
-        tier = _built_tier(scale_config, scale_rounds, max_queue_depth=0)
+        tier = _built_tier(scale_config, scale_rounds)
         tier.add_shard()
         generator = RequestTraceGenerator(tier.catalog, seed=3)
         # A simultaneous burst on every shard queues waiters behind the
@@ -375,30 +375,14 @@ class TestOnlineResize:
         if tier.requeued_requests:
             assert report.requeued == tier.requeued_requests
 
-    def test_added_shard_rebounds_queues_with_tier_override(self, scale_config, scale_rounds):
-        """Regression: shard add must re-bound per-function queues in
-        lockstep with the tier's max_queue_depth override, not the config
-        value — otherwise an admitted burst crashes on the config-sized
-        queue (the PR-3 invariant, extended to resize)."""
+    def test_added_shard_inherits_tighter_bound_and_slots(self, scale_config, scale_rounds):
         from dataclasses import replace
 
         config = replace(
             scale_config,
-            serverless=replace(scale_config.serverless, max_queue_depth=2),
+            serverless=replace(scale_config.serverless, max_queue_depth=3),
         )
-        tier = _built_tier(config, scale_rounds, max_queue_depth=0)
-        tier.add_shard()
-        added = tier.shards[-1]
-        assert added.max_queue_depth == 0
-        assert added.platform.request_queue("probe").capacity == 0
-        generator = RequestTraceGenerator(tier.catalog, seed=3)
-        trace = generator.workload_trace("inference", 12)
-        report = tier.run_open_loop(trace, [0.0] * len(trace), label="burst")
-        assert report.shed == 0 and report.degraded == 0
-        assert report.served == report.submitted
-
-    def test_added_shard_inherits_tighter_bound_and_slots(self, scale_config, scale_rounds):
-        tier = _built_tier(scale_config, scale_rounds, max_queue_depth=3)
+        tier = _built_tier(config, scale_rounds)
         tier.set_function_concurrency(2)
         tier.add_shard()
         added = tier.shards[-1]
@@ -406,9 +390,21 @@ class TestOnlineResize:
         assert added.platform.request_queue("probe").capacity == 3
         assert added.platform.function_concurrency == 2
 
+    def test_online_shed_policy_reaches_every_shard(self, scale_config, scale_rounds):
+        """``set_shed_policy`` reaches retired shards and shards built later."""
+        tier = _built_tier(scale_config, scale_rounds)
+        assert tier.shards[0].shed_policy == scale_config.serverless.shed_policy == "drop"
+        retired = tier.shards[tier.add_shard()]
+        tier.remove_shard()
+        tier.set_shed_policy("degrade-to-objstore")
+        assert tier.shards[tier.add_shard()] is retired
+        built = tier.shards[tier.add_shard()]
+        assert built is not retired
+        assert {shard.shed_policy for shard in tier.shards} == {"degrade-to-objstore"}
+
     def test_raising_slots_mid_run_shortens_the_burst(self, scale_config, scale_rounds):
         def run(rescale: bool) -> float:
-            tier = _built_tier(scale_config, scale_rounds, max_queue_depth=0)
+            tier = _built_tier(scale_config, scale_rounds)
             generator = RequestTraceGenerator(tier.catalog, seed=3)
             trace = generator.workload_trace("inference", 8)
             if rescale:

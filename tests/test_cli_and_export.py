@@ -206,6 +206,9 @@ class TestCli:
             == 2
         )
         assert main(["run-scenario", "--name", "engine-baseline", "--sweep", "tier.shards=2,4"]) == 2
+        # Streaming metrics keep no rows to score a faulted run's recovery from.
+        streaming = ["--set", "metrics=streaming"]
+        assert main(["run-scenario", "--name", "fault-recovery", "--smoke", *streaming]) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and "error:" in err
 

@@ -7,7 +7,15 @@ import pytest
 from repro.common.errors import CapacityError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
-from repro.engine import EngineFLStore, EventLoop, ShardedEngineFLStore, SimTask, Timeout
+from repro.engine import (
+    EngineFLStore,
+    EventLoop,
+    FaultClause,
+    FaultPlan,
+    ShardedEngineFLStore,
+    SimTask,
+    Timeout,
+)
 from repro.fl.trainer import FLJobSimulator
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.function import RequestQueue, ServerlessFunction
@@ -227,7 +235,7 @@ class TestEngineShard:
         flstore = build_default_flstore(
             engine_config, fault_injector=ZipfianFaultInjector(fault_rate=0.5)
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="reclamation-storm"):
             EngineFLStore(flstore)
 
 
@@ -322,17 +330,26 @@ class TestOpenLoop:
         assert report.completed == 10
         assert report.keepalive_pings > 0
 
-    def test_scheduled_reclamations_drain_waiters(self, engine_config, engine_rounds):
-        injector = ZipfianFaultInjector(fault_rate=1.0, seed=13)
-        engine = ShardedEngineFLStore(
-            [_ingested_flstore(engine_config, engine_rounds)],
-            fault_injectors=[injector],
-            reclamation_interval_seconds=0.5,
+    def _storm_run(self, engine_config, engine_rounds):
+        """Twenty requests 0.1 s apart under a reclamation storm (four bursts)."""
+        engine = self._engine(engine_config, engine_rounds)
+        storm = FaultClause(
+            kind="reclamation-storm",
+            onset_seconds=0.5,
+            duration_seconds=1.5,
+            interval_seconds=0.5,
+            magnitude=4.0,
         )
         generator = RequestTraceGenerator(engine.catalog, seed=3)
         trace = generator.mixed_trace(["inference", "clustering"], 20)
         arrivals = [0.1 * i for i in range(len(trace))]
-        report = engine.run_open_loop(trace, arrivals, label="faulty")
+        report = engine.run_open_loop(
+            trace, arrivals, label="faulty", fault_plan=FaultPlan(engine, [storm], seed=13)
+        )
+        return engine, report
+
+    def test_scheduled_reclamations_drain_waiters(self, engine_config, engine_rounds):
+        engine, report = self._storm_run(engine_config, engine_rounds)
         # Every request completes even though functions are being reclaimed
         # underneath the queues.
         assert report.completed == 20
@@ -341,26 +358,17 @@ class TestOpenLoop:
 
     def test_drained_waiters_are_recorded_as_requeued(self, engine_config, engine_rounds):
         """Satellite fix: waiters drained by a reclamation must show up in the
-        accounting (disposition, report counters, platform stats) instead of
+        accounting (disposition, report counters, shard counters) instead of
         silently completing as if they had been served normally."""
-        injector = ZipfianFaultInjector(fault_rate=1.0, seed=13)
-        engine = ShardedEngineFLStore(
-            [_ingested_flstore(engine_config, engine_rounds)],
-            fault_injectors=[injector],
-            reclamation_interval_seconds=0.5,
-        )
-        generator = RequestTraceGenerator(engine.catalog, seed=3)
-        trace = generator.mixed_trace(["inference", "clustering"], 20)
-        arrivals = [0.1 * i for i in range(len(trace))]
-        report = engine.run_open_loop(trace, arrivals, label="faulty")
+        engine, report = self._storm_run(engine_config, engine_rounds)
         requeued = [o for o in report.outcomes if o.disposition == "requeued"]
-        assert requeued, "the full-rate injector must drain at least one waiter"
+        assert requeued, "the storm must drain at least one waiter"
         assert report.requeued == len(requeued)
         # Requeued requests still completed with a response (they are part
         # of served goodput), and conservation covers every submission.
         assert report.served + report.degraded + report.shed == report.submitted
         assert engine.requeued_requests == report.requeued
-        assert engine.shards[0].platform.stats.requests_requeued == report.requeued
+        assert engine.shards[0].requeued_requests == report.requeued
         # Every requeued row is ServeResult-compatible: it converts into a
         # RequestRecord like any served request.
         records = report.to_records(system="engine-flstore", model_name="m")

@@ -104,7 +104,7 @@ class TestFaultClause:
 
 class TestFaultInjection:
     def test_crash_mid_run_conserves_and_records_sim_time(self, fault_config, fault_rounds):
-        tier = _tier(fault_config, fault_rounds, shards=2, max_queue_depth=0)
+        tier = _tier(fault_config, fault_rounds, shards=2)
         trace, arrivals = _trace(tier, 30)
         plan = FaultPlan(tier, [FaultClause(kind="shard-crash", onset_seconds=3.0)], seed=7)
         report = tier.run_open_loop(trace, arrivals, fault_plan=plan)

@@ -116,6 +116,17 @@ class TestValidation:
                 faults=(FaultSpec(kind="shard-crash", magnitude=2.0),),
             )
 
+    def test_faults_need_full_metrics(self):
+        """Recovery is scored from per-request rows, which a streaming run
+        does not keep: a faulted streaming spec would report every run as
+        unrecovered, so it is rejected up front."""
+        with pytest.raises(ScenarioValidationError, match='metrics="streaming"'):
+            get_scenario("fault-recovery").with_overrides({"metrics": "streaming"})
+        slow = FaultSpec(kind="slow-shard", duration_seconds=1.0)
+        with pytest.raises(ScenarioValidationError, match="fault recovery"):
+            ScenarioSpec(faults=(slow,), metrics="streaming")
+        assert ScenarioSpec(faults=(slow,)).metrics == "full"
+
     def test_remediation_and_autoscaler_are_mutually_exclusive(self):
         with pytest.raises(ScenarioValidationError, match="control loops"):
             ScenarioSpec(

@@ -12,7 +12,7 @@ import pytest
 from repro.common.errors import CapacityError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
-from repro.engine import ShardedEngineFLStore, merge_depth_samples
+from repro.engine import ShardedEngineFLStore
 from repro.routing import (
     ROUTER_KINDS,
     ConsistentHashRouter,
@@ -78,17 +78,6 @@ class TestRouting:
             ModuloRouter(0)
         with pytest.raises(ValueError):
             ConsistentHashRouter(2, vnodes=0)
-
-    def test_merge_depth_samples_sums_across_shards(self):
-        merged = merge_depth_samples(
-            [
-                [(1.0, 1), (3.0, 0)],
-                [(2.0, 2), (4.0, 1)],
-            ]
-        )
-        assert merged == [(1.0, 1), (2.0, 3), (3.0, 2), (4.0, 1)]
-        # Single shard: identity.
-        assert merge_depth_samples([[(1.0, 5)]]) == [(1.0, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +161,9 @@ class TestBoundedQueue:
         platform = ServerlessPlatform(config=ServerlessConfig(max_queue_depth=1))
         function, _ = platform.spawn_function()
         fid = function.function_id
-        assert not platform.queue_is_full(fid)
+        assert not platform.request_queue(fid).full
         platform.enqueue_waiter(fid, "a")
-        assert platform.queue_is_full(fid)
-        # Raising the capacity re-bounds the existing queue too.
-        platform.set_queue_capacity(2)
-        assert not platform.queue_is_full(fid)
-        platform.enqueue_waiter(fid, "b")
-        assert platform.queue_is_full(fid)
-        with pytest.raises(ValueError):
-            platform.set_queue_capacity(-1)
+        assert platform.request_queue(fid).full
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +176,11 @@ def _ingested_flstore(config, rounds):
     for record in rounds:
         system.ingest_round(record)
     return system
+
+
+def _admitting(config, **serverless):
+    """``config`` with the given ``ServerlessConfig`` (admission) knobs."""
+    return replace(config, serverless=replace(config.serverless, **serverless))
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +243,8 @@ def wfq_pushout_case(make_tier, config, rounds) -> dict:
     """Two tenants under WFQ with a two-deep queue: the noisy tenant floods
     the queue and violates its tight SLO, so steady arrivals push its
     waiters out."""
-    wfq = replace(config, serverless=replace(config.serverless, queue_discipline="wfq"))
-    tier = make_tier(_ingested_flstore(wfq, rounds), max_queue_depth=2)
+    wfq = _admitting(config, queue_discipline="wfq", max_queue_depth=2)
+    tier = make_tier(_ingested_flstore(wfq, rounds))
     tier.configure_tenants({"noisy": 1.0, "steady": 3.0}, {"noisy": 0.2, "steady": 5.0})
     generator = RequestTraceGenerator(tier.catalog, seed=3)
     noisy = generator.tenant_trace("noisy", ["inference"], 40)
@@ -279,7 +266,7 @@ def wfq_pushout_case(make_tier, config, rounds) -> dict:
 
 def streaming_case(make_tier, config, rounds) -> dict:
     """Poisson arrivals on a bounded queue, folded by the streaming pipeline."""
-    tier = make_tier(_ingested_flstore(config, rounds), max_queue_depth=3)
+    tier = make_tier(_ingested_flstore(_admitting(config, max_queue_depth=3), rounds))
     generator = RequestTraceGenerator(tier.catalog, seed=3)
     trace = generator.mixed_trace(["inference", "clustering", "scheduling_perf"], 30)
     arrivals = PoissonArrivals(rate_rps=0.3, seed=5).times(len(trace))
@@ -289,8 +276,8 @@ def streaming_case(make_tier, config, rounds) -> dict:
     return report_snapshot(report)
 
 
-def one_shard_tier(flstore, **kwargs) -> ShardedEngineFLStore:
-    return ShardedEngineFLStore([flstore], **kwargs)
+def one_shard_tier(flstore) -> ShardedEngineFLStore:
+    return ShardedEngineFLStore([flstore])
 
 
 def recorded(case: str):
@@ -462,11 +449,8 @@ class TestAdmissionControl:
         return sharded.run_open_loop(trace, [0.0] * len(trace), label="burst")
 
     def test_drop_policy_sheds_and_conserves(self, shard_config, shard_rounds):
-        sharded = ShardedEngineFLStore(
-            [_ingested_flstore(shard_config, shard_rounds)],
-            max_queue_depth=2,
-            shed_policy="drop",
-        )
+        config = _admitting(shard_config, max_queue_depth=2, shed_policy="drop")
+        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
         report = self._burst(sharded, num_requests=12)
         assert report.shed > 0
         assert report.degraded == 0
@@ -481,16 +465,13 @@ class TestAdmissionControl:
             assert outcome.completed_at == outcome.arrived_at
             assert outcome.result.cost.total_dollars == 0.0
             assert outcome.result.latency.communication_seconds > 0
-        # Platform-level shed accounting ties out.
+        # Tier- and shard-level shed accounting tie out.
         assert sharded.shed_requests == report.shed
-        assert sharded.shards[0].platform.stats.requests_shed == report.shed
+        assert sharded.shards[0].shed_requests == report.shed
 
     def test_degrade_policy_serves_on_objstore_path(self, shard_config, shard_rounds):
-        sharded = ShardedEngineFLStore(
-            [_ingested_flstore(shard_config, shard_rounds)],
-            max_queue_depth=2,
-            shed_policy="degrade-to-objstore",
-        )
+        config = _admitting(shard_config, max_queue_depth=2, shed_policy="degrade-to-objstore")
+        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
         report = self._burst(sharded, num_requests=12)
         assert report.degraded > 0
         assert report.shed == 0
@@ -508,37 +489,17 @@ class TestAdmissionControl:
         assert sharded.degraded_requests == report.degraded
 
     def test_unbounded_queue_never_sheds(self, shard_config, shard_rounds):
-        sharded = ShardedEngineFLStore(
-            [_ingested_flstore(shard_config, shard_rounds)], max_queue_depth=0
-        )
-        report = self._burst(sharded, num_requests=12)
-        assert report.shed == 0 and report.degraded == 0
-        assert report.served == report.submitted
-
-    def test_engine_override_rebounds_platform_queues(self, shard_config, shard_rounds):
-        """An admission bound looser than config.max_queue_depth must loosen
-        the per-function queues too, not crash with CapacityError when the
-        admitted burst outgrows the config-sized queue."""
-        from dataclasses import replace
-
-        config = replace(
-            shard_config,
-            serverless=replace(shard_config.serverless, max_queue_depth=2),
-        )
-        rounds = shard_rounds
-        sharded = ShardedEngineFLStore(
-            [_ingested_flstore(config, rounds)], max_queue_depth=0
-        )
+        config = _admitting(shard_config, max_queue_depth=0)
+        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
         report = self._burst(sharded, num_requests=12)
         assert report.shed == 0 and report.degraded == 0
         assert report.served == report.submitted
 
     def test_shedding_is_deterministic(self, shard_config, shard_rounds):
         def run_once():
+            config = _admitting(shard_config, max_queue_depth=2, shed_policy="drop")
             sharded = ShardedEngineFLStore(
-                [_ingested_flstore(shard_config, shard_rounds) for _ in range(2)],
-                max_queue_depth=2,
-                shed_policy="drop",
+                [_ingested_flstore(config, shard_rounds) for _ in range(2)]
             )
             generator = RequestTraceGenerator(sharded.catalog, seed=3)
             trace = generator.mixed_trace(["inference", "clustering"], 20)

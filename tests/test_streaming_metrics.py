@@ -6,8 +6,10 @@ specs — the event loop for the vectorized fast path
 (:mod:`repro.engine.vectorized`).  These tests pin the contract:
 
 * on the *event path*, a streaming run's report equals a full run's report
-  in every exact column (counts, rates, means, depth profile), with only
-  the percentile columns sketched (log-bucket quantiles, ~1% bucket error);
+  in every exact column (counts, rates, means, depth profile, tenant rows),
+  with only the percentile columns sketched (log-bucket quantiles, ~1%
+  bucket error); both modes share one queue-depth accumulator, so the depth
+  profile matches to the bit;
 * the fast path preserves counts and conservation exactly, and its queueing
   columns stay within the documented approximation of the event path;
 * a streaming run retains no per-request rows and its peak allocation stays
@@ -25,8 +27,9 @@ from repro.scenario import get_scenario, run
 from repro.scenario.spec import ScenarioValidationError
 
 #: LoadReport columns that must be *exactly* preserved by streaming
-#: accumulation (integer accounting and closed-form aggregates).
-EXACT_INT_FIELDS = (
+#: accumulation: integer accounting, and the depth profile both modes read
+#: off one accumulator.
+EXACT_FIELDS = (
     "submitted",
     "completed",
     "served",
@@ -34,9 +37,11 @@ EXACT_INT_FIELDS = (
     "degraded",
     "shed",
     "max_queue_depth",
+    "mean_queue_depth",
     "keepalive_pings",
     "reclamations",
 )
+#: Closed-form aggregates, equal up to float summation order.
 EXACT_FLOAT_FIELDS = (
     "offered_rps",
     "goodput_rps",
@@ -44,27 +49,71 @@ EXACT_FLOAT_FIELDS = (
     "mean_sojourn_seconds",
     "mean_wait_seconds",
     "mean_service_seconds",
-    "mean_queue_depth",
     "shed_rate",
     "violation_rate",
 )
 #: The only approximated columns on the event path: sketch-quantile error
 #: is ~1% per bucket; 5% leaves headroom for interpolation at the tails.
 SKETCHED_FIELDS = ("p50_sojourn_seconds", "p95_sojourn_seconds", "p99_sojourn_seconds")
+#: The same three classes for each per-tenant row.  A tenant holds few
+#: requests, so its sketched quantiles are bounded by the sketch's own
+#: guarantee rather than by a relative error (see ``assert_within_sketch``).
+TENANT_EXACT_COLUMNS = (
+    "tenant",
+    "offered",
+    "served",
+    "requeued",
+    "degraded",
+    "shed",
+    "slo_seconds",
+)
+TENANT_FLOAT_COLUMNS = ("service_share", "mean_sojourn_seconds", "violation_rate")
+TENANT_SKETCHED_COLUMNS = {"p50_sojourn_seconds": 0.50, "p99_sojourn_seconds": 0.99}
+#: Bucket growth of the default ``StreamingQuantiles`` sketch.
+SKETCH_GROWTH = 1.02
+
+
+def _close(actual, expected) -> bool:
+    return math.isclose(actual, expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def assert_within_sketch(sketched, values, q, label):
+    """``sketched`` is within one bucket of the order statistics around the
+    exact ``q``-quantile of ``values`` (the pair ``np.percentile``
+    interpolates between): the sketch answers from the lower one's bucket."""
+    if not values:
+        assert sketched == 0.0, label
+        return
+    ordered = sorted(values)
+    position = q * (len(ordered) - 1)
+    low, high = ordered[math.floor(position)], ordered[math.ceil(position)]
+    assert low / SKETCH_GROWTH <= sketched <= high * SKETCH_GROWTH, label
 
 
 def assert_streaming_matches_full(full, stream):
     """Streaming report equals the full one everywhere but the sketches."""
-    for field in EXACT_INT_FIELDS:
+    for field in EXACT_FIELDS:
         assert getattr(stream, field) == getattr(full, field), field
     for field in EXACT_FLOAT_FIELDS:
-        assert math.isclose(
-            getattr(stream, field), getattr(full, field), rel_tol=1e-9, abs_tol=1e-12
-        ), field
+        assert _close(getattr(stream, field), getattr(full, field)), field
     for field in SKETCHED_FIELDS:
         exact = getattr(full, field)
         sketched = getattr(stream, field)
         assert sketched == pytest.approx(exact, rel=0.05), field
+    assert len(stream.tenant_rows) == len(full.tenant_rows)
+    for full_row, stream_row in zip(full.tenant_rows, stream.tenant_rows):
+        tenant = full_row["tenant"]
+        for column in TENANT_EXACT_COLUMNS:
+            assert stream_row[column] == full_row[column], (tenant, column)
+        for column in TENANT_FLOAT_COLUMNS:
+            assert _close(stream_row[column], full_row[column]), (tenant, column)
+        sojourns = [
+            o.sojourn_seconds
+            for o in full.outcomes
+            if o.tenant_id == tenant and o.disposition != "shed"
+        ]
+        for column, q in TENANT_SKETCHED_COLUMNS.items():
+            assert_within_sketch(stream_row[column], sojourns, q, (tenant, column))
     assert stream.outcomes == []
     assert len(full.outcomes) == full.submitted
     assert full.conserved and stream.conserved
@@ -86,15 +135,25 @@ class TestMetricsModeKnob:
             spec.with_overrides({"metrics": "rows"})
 
 
-class TestEventPathEquivalenceSharded:
-    """Sharded tier (never fast-path eligible): both modes run the event loop."""
+#: Event-path scenarios for the mode comparison: hashed shards shedding
+#: under a burst, two tenants under WFQ with SLO push-out, and a tier whose
+#: shards join and retire mid-run.
+EVENT_PATH_SCENARIOS = {
+    "sharded-burst": {"workload.num_requests": 512},
+    "noisy-neighbor": {},
+    "autoscale-diurnal": {},
+}
 
-    @pytest.fixture(scope="class")
-    def reports(self):
-        spec = get_scenario("sharded-burst").with_overrides({"workload.num_requests": 512})
-        full = run(spec)
-        stream = run(spec.with_overrides({"metrics": "streaming"}))
-        return full, stream
+
+class TestEventPathEquivalenceSharded:
+    """Shed, tenant and resizing tiers: both modes run the event loop."""
+
+    @pytest.fixture(scope="class", params=sorted(EVENT_PATH_SCENARIOS))
+    def reports(self, request):
+        spec = get_scenario(request.param).with_overrides(EVENT_PATH_SCENARIOS[request.param])
+        streaming = spec.with_overrides({"metrics": "streaming"})
+        assert not fast_path_eligible(streaming)
+        return run(spec), run(streaming)
 
     def test_streaming_matches_full(self, reports):
         full, stream = reports
@@ -132,9 +191,12 @@ class TestFastPathEligibility:
         assert not fast_path_eligible(get_scenario("engine-baseline"))
 
     def test_dynamic_topologies_are_not(self):
-        for name in ("sharded-burst", "jsq-hotkey", "autoscale-diurnal", "fault-recovery"):
+        for name in ("sharded-burst", "jsq-hotkey", "autoscale-diurnal"):
             spec = get_scenario(name).with_overrides({"metrics": "streaming"})
             assert not fast_path_eligible(spec), name
+        # A faulted spec never streams: its recovery is scored from rows.
+        with pytest.raises(ScenarioValidationError, match="fault recovery"):
+            get_scenario("fault-recovery").with_overrides({"metrics": "streaming"})
 
     def test_priority_discipline_is_not(self):
         spec = get_scenario("engine-baseline").with_overrides(
@@ -148,7 +210,7 @@ class TestFastPathSanity:
 
     Counts and conservation are exact by construction.  The queueing columns
     carry the documented approximation (steady-state oracle memoization, no
-    keep-alive/reclamation daemons re-cooling idle functions), so they are
+    keep-alive daemon re-cooling idle functions), so they are
     bounded loosely here — at low utilization the gap stays well under the
     factor the bounds allow, and tightening them would pin the approximation
     rather than the contract.
