@@ -40,7 +40,6 @@ from repro.engine.autoscale import (
 )
 from repro.engine.faults import (
     FAULT_KINDS,
-    FaultClause,
     FaultPlan,
     FaultRecord,
     RecoveryMetrics,
@@ -83,7 +82,6 @@ __all__ = [
     "EngineFLStore",
     "EngineOutcome",
     "EventLoop",
-    "FaultClause",
     "FaultPlan",
     "FaultRecord",
     "LoadReport",

@@ -4,10 +4,11 @@ The seed's :class:`~repro.serverless.faults.ZipfianFaultInjector` samples
 function reclamations on the analytic serve path; everything built since —
 the discrete-event engine, the sharded front door, the router, the
 autoscaler — had never seen a fault.  This module closes that gap: a
-:class:`FaultPlan` turns a list of typed :class:`FaultClause` rows (kind,
-onset, duration, magnitude) into scheduled events on the tier's event loop,
-so faults strike *mid-run*, interleaved with arrivals, control ticks, and
-daemons on one virtual timeline.
+:class:`FaultPlan` turns a spec's validated fault clauses
+(:class:`~repro.scenario.spec.FaultSpec`: kind, onset, duration, magnitude)
+into scheduled events on the tier's event loop, so faults strike *mid-run*,
+interleaved with arrivals, control ticks, and daemons on one virtual
+timeline.
 
 Four fault kinds, chosen to hit different layers of the stack:
 
@@ -45,10 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
+
+if TYPE_CHECKING:  # the spec layer imports this module; annotations only
+    from repro.scenario.spec import FaultSpec
 
 #: The fault taxonomy (see the module docstring and EXPERIMENTS.md).
 FAULT_KINDS: tuple[str, ...] = (
@@ -57,56 +61,6 @@ FAULT_KINDS: tuple[str, ...] = (
     "slow-shard",
     "network-spike",
 )
-
-
-@dataclass(frozen=True)
-class FaultClause:
-    """One typed fault: what breaks, when, for how long, how hard.
-
-    ``magnitude`` is kind-specific: shards to crash (``shard-crash``),
-    a scale factor on the Zipf-drawn reclamation count
-    (``reclamation-storm``), or the service-time / network multiplier
-    (``slow-shard`` / ``network-spike``).  ``interval_seconds`` spaces the
-    bursts of a reclamation storm; ``zipf_exponent`` shapes each burst's
-    size draw.
-    """
-
-    kind: str
-    onset_seconds: float
-    duration_seconds: float = 0.0
-    magnitude: float = 1.0
-    interval_seconds: float = 5.0
-    zipf_exponent: float = 2.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
-            )
-        if self.onset_seconds < 0:
-            raise ConfigurationError(f"fault onset must be >= 0, got {self.onset_seconds}")
-        if self.duration_seconds < 0:
-            raise ConfigurationError(
-                f"fault duration must be >= 0, got {self.duration_seconds}"
-            )
-        if self.magnitude <= 0:
-            raise ConfigurationError(f"fault magnitude must be > 0, got {self.magnitude}")
-        if self.interval_seconds <= 0:
-            raise ConfigurationError(
-                f"fault interval must be > 0, got {self.interval_seconds}"
-            )
-        if self.zipf_exponent <= 1.0:
-            raise ConfigurationError(
-                f"fault zipf_exponent must be > 1, got {self.zipf_exponent}"
-            )
-        if (
-            self.kind in ("reclamation-storm", "slow-shard", "network-spike")
-            and self.duration_seconds == 0
-        ):
-            raise ConfigurationError(
-                f"a {self.kind} fault needs duration_seconds > 0 (a zero-length "
-                "multiplier window would be a no-op)"
-            )
 
 
 @dataclass(frozen=True)
@@ -128,7 +82,7 @@ class FaultPlan:
     arrivals are scheduled; onsets are relative to that instant.
     """
 
-    def __init__(self, tier, clauses: Sequence[FaultClause], seed: int = 7) -> None:
+    def __init__(self, tier, clauses: Sequence[FaultSpec], seed: int = 7) -> None:
         self.tier = tier
         self.clauses = list(clauses)
         self.seed = seed
@@ -177,7 +131,7 @@ class FaultPlan:
     def _record(self, index: int, kind: str, detail: str) -> None:
         self.records.append(FaultRecord(self.tier.loop.now, index, kind, detail))
 
-    def _make_crash(self, index: int, clause: FaultClause):
+    def _make_crash(self, index: int, clause: FaultSpec):
         def _crash() -> None:
             for _ in range(max(int(clause.magnitude), 1)):
                 shard_index = self.tier.crash_shard()
@@ -185,7 +139,7 @@ class FaultPlan:
 
         return _crash
 
-    def _make_storm(self, index: int, clause: FaultClause, onset: float):
+    def _make_storm(self, index: int, clause: FaultSpec, onset: float):
         rng = self._rngs[index]
         window_end = onset + clause.duration_seconds
 
@@ -209,7 +163,7 @@ class FaultPlan:
 
         return _burst
 
-    def _make_slowdown(self, index: int, clause: FaultClause):
+    def _make_slowdown(self, index: int, clause: FaultSpec):
         rng = self._rngs[index]
 
         def _degrade() -> None:
@@ -230,7 +184,7 @@ class FaultPlan:
 
         return _degrade
 
-    def _make_spike(self, index: int, clause: FaultClause):
+    def _make_spike(self, index: int, clause: FaultSpec):
         def _spike() -> None:
             # The spike hits every shard's network path at once (a regional
             # event, not a per-shard one); shards added mid-window join at
@@ -401,7 +355,6 @@ def compute_recovery_metrics(
 
 __all__ = [
     "FAULT_KINDS",
-    "FaultClause",
     "FaultPlan",
     "FaultRecord",
     "RecoveryMetrics",

@@ -60,7 +60,6 @@ from repro.engine.flstore import (
 from repro.engine.kernel import EventLoop, SimTask
 from repro.engine.streaming import DepthAccumulator, StreamingLoadCollector, check_metrics_mode
 from repro.routing import ShardRouter, make_router, request_routing_key, stable_hash_u64
-from repro.simulation.records import CostAccumulator, LatencyAccumulator
 from repro.workloads.base import WorkloadRequest
 from repro.workloads.registry import get_workload
 
@@ -198,10 +197,6 @@ class ShardedEngineFLStore:
         #: cycles reuse one chassis instead of accreting dead stores.
         self._retired: list[int] = []
         self._keepalive_active = False
-        #: Running latency/cost totals over every completed request (all
-        #: dispositions), aggregated across shards as outcomes resolve.
-        self.latency_totals = LatencyAccumulator()
-        self.cost_totals = CostAccumulator()
         self._completed: list[EngineOutcome] = []
         #: Where resolved outcomes go: the retained rows, or a streaming
         #: run's collector.
@@ -211,7 +206,6 @@ class ShardedEngineFLStore:
         #: counter) instead of re-scanning ``_completed`` every control tick,
         #: and the streaming metrics mode depends on them because it retains
         #: no rows at all.
-        self.completed_total = 0
         self.finished_total = 0
         self.slo_violations_total = 0
         self.watch_slo_seconds: float | None = None
@@ -354,7 +348,6 @@ class ShardedEngineFLStore:
 
     def _collect(self, outcome: EngineOutcome) -> None:
         """Aggregate one resolved outcome (fires in global completion order)."""
-        self.completed_total += 1
         if outcome.disposition != "shed":
             self.finished_total += 1
             watch = self.watch_slo_seconds
@@ -371,8 +364,6 @@ class ShardedEngineFLStore:
                         self.tenant_slo_violations.get(tenant, 0) + 1
                     )
         self._outcome_sink(outcome)
-        self.latency_totals.add(outcome.result.latency)
-        self.cost_totals.add(outcome.result.cost)
         self._inflight -= 1
 
     def _submit_block(
@@ -911,16 +902,6 @@ class ShardedEngineFLStore:
     def provisioned_gb(self) -> float:
         """Warm provisioned capacity in GB across the active shards."""
         return sum(self.shards[index].platform.provisioned_gb for index in self._active)
-
-    @property
-    def total_latency_seconds(self) -> float:
-        """Accumulated request latency across the tier (all dispositions)."""
-        return self.latency_totals.total_seconds
-
-    @property
-    def total_cost_dollars(self) -> float:
-        """Accumulated request cost across the tier (all dispositions)."""
-        return self.cost_totals.finalize().total_dollars
 
     def shard_stats(self) -> list[dict]:
         """Per-shard accounting rows (routing, shedding, cache liveness)."""

@@ -9,7 +9,10 @@ scenario knob selects:
 
 * :class:`StreamingQuantiles` — a log-bucketed histogram sketch.  Counts per
   geometric bucket, quantiles answered at the bucket's geometric midpoint:
-  ~1% relative error at ``growth=1.02``, a few KB of state, deterministic.
+  within half a bucket (under 1% at ``growth=1.02``) of the order statistic
+  at 0-based rank ``floor(q * (n - 1))``, a few KB of state, deterministic.
+  ``np.percentile`` interpolates from that order statistic toward the next,
+  so with few requests the sketched and exact columns differ by more.
 * :class:`DepthAccumulator` — the time-weighted queue-depth integral updated
   incrementally per queue change.  On the event path both pipelines use it
   (the full one directly, this one through
@@ -35,13 +38,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (flstore imports us)
 
 
 class StreamingQuantiles:
-    """Log-bucketed quantile sketch: O(buckets) memory, ~1% relative error.
+    """Log-bucketed quantile sketch: O(buckets) memory, bounded relative error.
 
     Values are counted in geometric buckets ``[min_value * growth**i,
-    min_value * growth**(i+1))``; a quantile is answered at its bucket's
-    geometric midpoint, clamped to the exactly-tracked min/max.  With the
-    default ``growth=1.02`` the half-bucket error is under 1% — plenty for
-    p50/p95/p99 latency columns — and the whole sketch is ~12 KB.
+    min_value * growth**(i+1))``; the ``q``-quantile is answered at the
+    geometric midpoint of the bucket holding the order statistic at 0-based
+    rank ``floor(q * (n - 1))``, clamped to the exactly-tracked min/max.  The
+    answer is within half a bucket of that order statistic — under 1%
+    relative error at the default ``growth=1.02`` — and the whole sketch is
+    ~12 KB.
+
+    The bound is against that order statistic, not against
+    ``np.percentile``, which interpolates from it toward the next one.  With
+    many requests the two nearly coincide; with few they need not:
+    ``noisy-neighbor``'s steady tenant finishes 48 requests, and its p50 is
+    12.82 s sketched against 15.05 s exact.
     """
 
     __slots__ = ("_min_value", "_log_min", "_log_growth", "_num_bins", "_counts", "_total", "_low", "_high")
@@ -172,7 +183,8 @@ class StreamingLoadCollector:
     :meth:`note_depth`; the vectorized fast path folds whole numpy chunks
     through :meth:`fold_served_arrays`.  Counts, means, rates, horizon, and
     the mean queue depth come out identical to the full pipeline; the
-    percentile columns carry the sketch's ~1% error.  ``tenant_slos`` arms
+    percentile columns carry the sketch's error (see
+    :class:`StreamingQuantiles` for its bound).  ``tenant_slos`` arms
     the per-tenant breakdown rows (one :class:`_TenantAccumulator` per
     observed tenant, each its own few-KB sketch).
     """
@@ -261,8 +273,9 @@ class StreamingLoadCollector:
         """Per-tenant rows mirroring :func:`~repro.engine.flstore.build_tenant_rows`.
 
         Same columns and conservation invariant (``served + requeued +
-        degraded + shed == offered``); the two percentile columns carry the
-        sketch's ~1% error instead of exact order statistics.
+        degraded + shed == offered``); the two percentile columns come from
+        the sketch (within half a bucket of the order statistic at rank
+        ``floor(q * (n - 1))``) instead of ``np.percentile`` interpolation.
         """
         if not self._tenants:
             return []

@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -125,29 +125,12 @@ class ManifestEntry:
     artifact: str
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "scenario": self.scenario,
-            "axes": self.axes,
-            "variant": self.variant,
-            "spec_hash": self.spec_hash,
-            "seed": self.seed,
-            "fingerprint": self.fingerprint,
-            "artifact": self.artifact,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ManifestEntry":
-        known = {
-            "experiment",
-            "scenario",
-            "axes",
-            "variant",
-            "spec_hash",
-            "seed",
-            "fingerprint",
-            "artifact",
-        }
+        """Rebuild an entry, ignoring keys that are not its fields."""
+        known = {f.name for f in fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in known})
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, replace
+from typing import Any, Mapping, get_args, get_origin
 
 import numpy as np
 
@@ -32,15 +33,9 @@ from repro.engine.autoscale import (
     AutoscaleConfig,
     Autoscaler,
     AutoscaleSummary,
-    ScaleEvent,
     make_autoscaler_policy,
 )
-from repro.engine.faults import (
-    FaultClause,
-    FaultPlan,
-    RecoveryMetrics,
-    compute_recovery_metrics,
-)
+from repro.engine.faults import FaultPlan, RecoveryMetrics, compute_recovery_metrics
 from repro.engine.flstore import LoadReport
 from repro.engine.remediate import (
     RemediationConfig,
@@ -50,7 +45,7 @@ from repro.engine.remediate import (
 from repro.engine.sharded import ShardedEngineFLStore
 from repro.engine.vectorized import fast_path_eligible, run_fast_path
 from repro.routing import make_router
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, field_types
 from repro.traces.arrivals import make_arrival_process
 
 
@@ -241,20 +236,7 @@ def build_tier(spec: ScenarioSpec) -> Tier:
         store.watch_slo_seconds = (
             spec.slo_multiplier * mean_service if spec.slo_multiplier else None
         )
-    fault_plan = None
-    if spec.faults:
-        clauses = [
-            FaultClause(
-                kind=clause.kind,
-                onset_seconds=clause.onset_seconds,
-                duration_seconds=clause.duration_seconds,
-                magnitude=clause.magnitude,
-                interval_seconds=clause.interval_seconds,
-                zipf_exponent=clause.zipf_exponent,
-            )
-            for clause in spec.faults
-        ]
-        fault_plan = FaultPlan(store, clauses, seed=spec.seed)
+    fault_plan = FaultPlan(store, spec.faults, seed=spec.seed) if spec.faults else None
     remediation = None
     if spec.remediation.enabled:
         remediation = RemediationController(
@@ -339,10 +321,15 @@ def make_shadow_runner(spec: ScenarioSpec, mean_service: float):
 
 
 #: Schema version stamped into every serialized :class:`RunReport`.  Readers
-#: tolerate unknown top-level keys and unknown ``load`` keys, so artifacts
-#: written by a newer schema still load; bump this when a change is *not*
-#: forward-compatible that way.
+#: ignore unknown keys in every section, so artifacts written by a newer
+#: schema still load; bump this when a change is *not* forward-compatible
+#: that way.
 RUN_REPORT_SCHEMA_VERSION = 1
+
+#: Per-request row lists a serialized report leaves out (``LoadReport.outcomes``,
+#: ``RemediationSummary.records``/``anomalies``): reports round-trip, raw
+#: rows do not.
+_ROW_LISTS = ("outcomes", "records", "anomalies")
 
 
 def attribute_warm_cost(tenant_rows: list[dict], total_cost: float) -> list[dict]:
@@ -382,12 +369,13 @@ class RunReport:
     spec: ScenarioSpec
     load: LoadReport
     mean_service_seconds: float
-    slo_seconds: float | None
     offered_rate_rps: float
     conserved: bool
     cached_bytes: int
     live_keys: int
     warm_functions: int
+    #: The run's sojourn SLO (``None`` when the spec sets no SLO).
+    slo_seconds: float | None = None
     #: Requests routed to the hottest shard (``None`` for plain topologies):
     #: the hot-key imbalance measure the router comparison reads.
     max_shard_routed: int | None = None
@@ -463,53 +451,25 @@ class RunReport:
     # -------------------------------------------------------- serialization
 
     def to_dict(self) -> dict:
-        """A stable, typed, JSON-ready view of this report.
+        """A stable, typed, JSON-ready view of this report, walked from its fields.
 
-        ``None``-valued optional sections are omitted (a plain-topology
-        report carries no sharded columns at all), ``outcomes`` are never
-        serialized (reports round-trip; raw rows do not), and nested
-        summaries flatten to plain dicts — so
-        ``RunReport.from_dict(report.to_dict())`` rebuilds an equivalent
-        report and ``to_dict`` of the rebuilt report is byte-identical.
+        ``None``-valued fields are omitted (a plain-topology report carries
+        no sharded columns at all), the spec serializes through
+        :meth:`ScenarioSpec.to_dict`, and the other sections flatten to
+        plain dicts without their per-request row lists (see
+        :data:`_ROW_LISTS`) — so ``RunReport.from_dict(report.to_dict())``
+        rebuilds an equivalent report and ``to_dict`` of the rebuilt report
+        is byte-identical.
         """
-        load = dataclasses.asdict(dataclasses.replace(self.load, outcomes=[]))
-        del load["outcomes"]
-        data: dict = {
-            "schema_version": RUN_REPORT_SCHEMA_VERSION,
-            "spec": self.spec.to_dict(),
-            "load": load,
-            "mean_service_seconds": self.mean_service_seconds,
-            "slo_seconds": self.slo_seconds,
-            "offered_rate_rps": self.offered_rate_rps,
-            "conserved": self.conserved,
-            "cached_bytes": self.cached_bytes,
-            "live_keys": self.live_keys,
-            "warm_functions": self.warm_functions,
-        }
-        if self.slo_seconds is None:
-            del data["slo_seconds"]
-        for key in (
-            "max_shard_routed",
-            "replicated_keys",
-            "replica_bytes",
-            "replica_hits",
-            "replica_warm_events",
-            "faults",
-            "tenants",
-            "warm_capacity_cost_dollars",
-        ):
-            value = getattr(self, key)
+        data: dict = {"schema_version": RUN_REPORT_SCHEMA_VERSION}
+        for name in field_types(RunReport):
+            value = getattr(self, name)
+            if isinstance(value, ScenarioSpec):
+                value = value.to_dict()
+            elif dataclasses.is_dataclass(value):
+                value = _flatten_section(value)
             if value is not None:
-                data[key] = value
-        if self.autoscale is not None:
-            data["autoscale"] = dataclasses.asdict(self.autoscale)
-        if self.remediation is not None:
-            summary = dataclasses.asdict(self.remediation)
-            del summary["records"]
-            del summary["anomalies"]
-            data["remediation"] = summary
-        if self.recovery is not None:
-            data["recovery"] = dataclasses.asdict(self.recovery)
+                data[name] = value
         return data
 
     def to_json(self, indent: int = 2) -> str:
@@ -523,50 +483,59 @@ class RunReport:
         The rebuilt report carries empty ``outcomes`` and (for remediated
         runs) empty remediation record/anomaly lists — everything
         :meth:`to_dict` serializes round-trips exactly.  Loading is
-        forward-compatible: unknown top-level keys and unknown ``load`` keys
-        (artifacts written by a newer ``schema_version``) are ignored rather
-        than rejected, so a recorded fleet survives schema growth.
+        forward-compatible: unknown keys in every section (artifacts written
+        by a newer ``schema_version``) are ignored rather than rejected, so
+        a recorded fleet survives schema growth.
         """
-        autoscale = None
-        if "autoscale" in data:
-            payload = dict(data["autoscale"])
-            payload["events"] = [ScaleEvent(**event) for event in payload.get("events", [])]
-            autoscale = AutoscaleSummary(**payload)
-        remediation = None
-        if "remediation" in data:
-            remediation = RemediationSummary(**data["remediation"])
-        recovery = None
-        if "recovery" in data:
-            recovery = RecoveryMetrics(**data["recovery"])
-        load_fields = {field.name for field in dataclasses.fields(LoadReport)} - {"outcomes"}
-        load = {key: value for key, value in data["load"].items() if key in load_fields}
-        return cls(
-            spec=ScenarioSpec.from_dict(data["spec"]),
-            load=LoadReport(**load, outcomes=[]),
-            mean_service_seconds=data["mean_service_seconds"],
-            slo_seconds=data.get("slo_seconds"),
-            offered_rate_rps=data["offered_rate_rps"],
-            conserved=data["conserved"],
-            cached_bytes=data["cached_bytes"],
-            live_keys=data["live_keys"],
-            warm_functions=data["warm_functions"],
-            max_shard_routed=data.get("max_shard_routed"),
-            replicated_keys=data.get("replicated_keys"),
-            replica_bytes=data.get("replica_bytes"),
-            replica_hits=data.get("replica_hits"),
-            replica_warm_events=data.get("replica_warm_events"),
-            autoscale=autoscale,
-            faults=data.get("faults"),
-            remediation=remediation,
-            recovery=recovery,
-            tenants=data.get("tenants"),
-            warm_capacity_cost_dollars=data.get("warm_capacity_cost_dollars"),
-        )
+        return _load_section(cls, data)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
         """Rebuild a typed report from a :meth:`to_json` string."""
         return cls.from_dict(json.loads(text))
+
+
+def _flatten_section(section: Any) -> dict:
+    """A report section as a plain dict (``asdict``) without its row lists.
+
+    The row lists are emptied *before* ``asdict`` runs, which would
+    otherwise deep-copy every outcome only for it to be dropped.
+    """
+    rows = {name: [] for name in field_types(type(section)) if name in _ROW_LISTS}
+    flat = dataclasses.asdict(dataclasses.replace(section, **rows))
+    for name in rows:
+        del flat[name]
+    return flat
+
+
+def _load_section(section_type: type, data: Mapping[str, Any]) -> Any:
+    """Rebuild a report section from its plain form, walking its field types.
+
+    A field holding a dataclass (``X``, ``X | None`` or ``list[X]``)
+    rebuilds recursively; unknown keys are ignored, absent optional fields
+    take their defaults, and the row lists come back empty.
+    """
+    if section_type is ScenarioSpec:
+        return ScenarioSpec.from_dict(data)
+    kwargs = {}
+    for name, kind in field_types(section_type).items():
+        if name in _ROW_LISTS:
+            kwargs[name] = []
+        elif name in data:
+            kwargs[name] = _load_field(kind, data[name])
+    return section_type(**kwargs)
+
+
+def _load_field(kind: Any, value: Any) -> Any:
+    """One field's plain value rebuilt by its declared type ``kind``."""
+    if value is None:
+        return None
+    for member in get_args(kind) or (kind,):
+        if dataclasses.is_dataclass(member):
+            if get_origin(kind) is list:
+                return [_load_section(member, item) for item in value]
+            return _load_section(member, value)
+    return value
 
 
 def _merge_tenant_traces(spec: ScenarioSpec, tier: Tier, mean_service: float):

@@ -18,7 +18,8 @@ Design rules:
 * **Specs are data.**  ``to_dict``/``from_dict`` round-trip losslessly, and
   so do the JSON and TOML file forms (:meth:`ScenarioSpec.save` /
   :meth:`ScenarioSpec.load`); ``from_dict`` rejects unknown keys so a typo
-  in a checked-in spec cannot silently no-op.
+  in a checked-in spec cannot silently no-op.  Both walk the dataclass
+  fields (:func:`field_types`), the dict form's only schema.
 * **Specs are immutable.**  Variations are expressed as dotted-path
   overrides (:func:`apply_overrides`, the ``--set tier.shards=4`` CLI
   surface), which re-validate the whole tree.
@@ -26,11 +27,12 @@ Design rules:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 from repro.common.errors import ConfigurationError
 from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES
@@ -102,6 +104,21 @@ def _check_choice(spec: object, name: str, choices: Sequence[str]) -> None:
         )
 
 
+def _check_workloads(spec: object, owner: str = "") -> None:
+    """Normalize ``spec.workloads`` (a sequence or a comma string) to a tuple
+    of registered workload names; ``owner`` names the tenant in messages."""
+    workloads = spec.workloads
+    if isinstance(workloads, str):
+        workloads = (w.strip() for w in workloads.split(",") if w.strip())
+    object.__setattr__(spec, "workloads", tuple(workloads))
+    if not spec.workloads:
+        _fail(f"{type(spec).__name__}.workloads must name at least one workload{owner}")
+    registered = set(list_workloads())
+    unknown = sorted(set(spec.workloads) - registered)
+    if unknown:
+        _fail(f"unknown workloads {unknown}{owner}; registered workloads: {sorted(registered)}")
+
+
 @dataclass(frozen=True)
 class WorkloadMixSpec:
     """What is served: the workload mix replayed by every run of the spec."""
@@ -113,20 +130,7 @@ class WorkloadMixSpec:
     num_requests: int = 120
 
     def __post_init__(self) -> None:
-        if isinstance(self.workloads, str):
-            object.__setattr__(
-                self, "workloads", tuple(w.strip() for w in self.workloads.split(",") if w.strip())
-            )
-        else:
-            object.__setattr__(self, "workloads", tuple(self.workloads))
-        if not self.workloads:
-            _fail("WorkloadMixSpec.workloads must name at least one workload")
-        registered = set(list_workloads())
-        unknown = sorted(set(self.workloads) - registered)
-        if unknown:
-            _fail(
-                f"unknown workloads {unknown}; registered workloads: {sorted(registered)}"
-            )
+        _check_workloads(self)
         _coerce_int(self, "num_requests", minimum=1)
 
 
@@ -217,12 +221,16 @@ class AutoscalerSpec:
 class FaultSpec:
     """One scheduled fault clause injected into the run's virtual timeline.
 
+    The one fault-clause type: the spec validates it here, and
+    :class:`~repro.engine.faults.FaultPlan` schedules it as engine events.
+
     The four kinds exercise different layers of the tier:
 
     * ``shard-crash`` — the front door loses ``magnitude`` shards at onset
       (their waiters drain as ``requeued``); instantaneous, no duration.
     * ``reclamation-storm`` — every ``interval_seconds`` within the window,
-      each shard force-reclaims a Zipf-sized set of warm functions.
+      each shard force-reclaims a Zipf-sized set of warm functions (exponent
+      ``zipf_exponent``, the drawn count scaled by ``magnitude``).
     * ``slow-shard`` — one shard's service times are multiplied by
       ``magnitude`` for the window (gray degradation: nothing errors).
     * ``network-spike`` — every shard's communication latency/cost is
@@ -287,21 +295,7 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             _fail(f"TenantSpec.name must be a non-empty string, got {self.name!r}")
-        if isinstance(self.workloads, str):
-            object.__setattr__(
-                self, "workloads", tuple(w.strip() for w in self.workloads.split(",") if w.strip())
-            )
-        else:
-            object.__setattr__(self, "workloads", tuple(self.workloads))
-        if not self.workloads:
-            _fail(f"TenantSpec.workloads must name at least one workload (tenant {self.name!r})")
-        registered = set(list_workloads())
-        unknown = sorted(set(self.workloads) - registered)
-        if unknown:
-            _fail(
-                f"unknown workloads {unknown} for tenant {self.name!r}; "
-                f"registered workloads: {sorted(registered)}"
-            )
+        _check_workloads(self, owner=f" for tenant {self.name!r}")
         _coerce_int(self, "num_requests", minimum=1)
         _check_choice(self, "arrival", ARRIVAL_KINDS)
         _coerce_float(self, "utilization", minimum=0.0, exclusive=True)
@@ -358,8 +352,8 @@ class TierSpec:
     function_concurrency: int = 1
     queue_discipline: str = "fifo"
     admission: AdmissionSpec = field(default_factory=AdmissionSpec)
-    autoscaler: AutoscalerSpec = field(default_factory=AutoscalerSpec)
     replication: ReplicationSpec = field(default_factory=ReplicationSpec)
+    autoscaler: AutoscalerSpec = field(default_factory=AutoscalerSpec)
 
     def __post_init__(self) -> None:
         _coerce_int(self, "shards", minimum=1)
@@ -410,6 +404,18 @@ class ScenarioSpec:
     seed: int = 7
     #: Training rounds ingested before serving.
     num_rounds: int = 12
+    #: Sojourn-time SLO as a multiple of the calibrated mean service time;
+    #: 0 disables the SLO (no violation accounting).
+    slo_multiplier: float = 3.0
+    #: Calibrated mean service time override.  ``None`` (the default) means
+    #: "calibrate from the spec's own workload mix"; sweeps pin it once per
+    #: grid so every cell shares one calibration (and one SLO).
+    mean_service_seconds: float | None = None
+    #: Metric pipeline: ``"full"`` retains per-request rows (exact
+    #: percentiles, byte-identical to pre-knob reports); ``"streaming"``
+    #: folds outcomes into O(1)-memory accumulators — required for
+    #: million-request scale, approximate only in the percentile columns.
+    metrics: str = "full"
     workload: WorkloadMixSpec = field(default_factory=WorkloadMixSpec)
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)
     tier: TierSpec = field(default_factory=TierSpec)
@@ -423,18 +429,6 @@ class ScenarioSpec:
     tenants: tuple[TenantSpec, ...] = ()
     #: The closed-loop remediation controller guarding the tier.
     remediation: RemediationSpec = field(default_factory=RemediationSpec)
-    #: Sojourn-time SLO as a multiple of the calibrated mean service time;
-    #: 0 disables the SLO (no violation accounting).
-    slo_multiplier: float = 3.0
-    #: Calibrated mean service time override.  ``None`` (the default) means
-    #: "calibrate from the spec's own workload mix"; sweeps pin it once per
-    #: grid so every cell shares one calibration (and one SLO).
-    mean_service_seconds: float | None = None
-    #: Metric pipeline: ``"full"`` retains per-request rows (exact
-    #: percentiles, byte-identical to pre-knob reports); ``"streaming"``
-    #: folds outcomes into O(1)-memory accumulators — required for
-    #: million-request scale, approximate only in the percentile columns.
-    metrics: str = "full"
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
@@ -509,78 +503,8 @@ class ScenarioSpec:
     # ------------------------------------------------------------- dict form
 
     def to_dict(self) -> dict:
-        """The spec as a plain nested dict (JSON/TOML-ready, order stable)."""
-        return {
-            "name": self.name,
-            "model": self.model,
-            "seed": self.seed,
-            "num_rounds": self.num_rounds,
-            "slo_multiplier": self.slo_multiplier,
-            "mean_service_seconds": self.mean_service_seconds,
-            "metrics": self.metrics,
-            "workload": {
-                "workloads": list(self.workload.workloads),
-                "num_requests": self.workload.num_requests,
-            },
-            "arrival": {
-                "kind": self.arrival.kind,
-                "utilization": self.arrival.utilization,
-                "rate_rps": self.arrival.rate_rps,
-            },
-            "tier": {
-                "shards": self.tier.shards,
-                "router_kind": self.tier.router_kind,
-                "function_concurrency": self.tier.function_concurrency,
-                "queue_discipline": self.tier.queue_discipline,
-                "admission": {
-                    "max_queue_depth": self.tier.admission.max_queue_depth,
-                    "shed_policy": self.tier.admission.shed_policy,
-                },
-                "replication": {
-                    "factor": self.tier.replication.factor,
-                    "policy": self.tier.replication.policy,
-                    "hot_threshold": self.tier.replication.hot_threshold,
-                },
-                "autoscaler": {
-                    "enabled": self.tier.autoscaler.enabled,
-                    "policy": self.tier.autoscaler.policy,
-                    "control_interval_seconds": self.tier.autoscaler.control_interval_seconds,
-                },
-            },
-            "faults": [
-                {
-                    "kind": clause.kind,
-                    "onset_seconds": clause.onset_seconds,
-                    "duration_seconds": clause.duration_seconds,
-                    "magnitude": clause.magnitude,
-                    "interval_seconds": clause.interval_seconds,
-                    "zipf_exponent": clause.zipf_exponent,
-                }
-                for clause in self.faults
-            ],
-            "tenants": [
-                {
-                    "name": tenant.name,
-                    "workloads": list(tenant.workloads),
-                    "num_requests": tenant.num_requests,
-                    "arrival": tenant.arrival,
-                    "utilization": tenant.utilization,
-                    "rate_rps": tenant.rate_rps,
-                    "slo_multiplier": tenant.slo_multiplier,
-                    "priority": tenant.priority,
-                    "weight": tenant.weight,
-                }
-                for tenant in self.tenants
-            ],
-            "remediation": {
-                "enabled": self.remediation.enabled,
-                "control_interval_seconds": self.remediation.control_interval_seconds,
-                "cooldown_seconds": self.remediation.cooldown_seconds,
-                "max_actions": self.remediation.max_actions,
-                "shadow_rounds": self.remediation.shadow_rounds,
-                "shadow_requests": self.remediation.shadow_requests,
-            },
-        }
+        """The spec as a plain nested dict (JSON/TOML-ready, in field order)."""
+        return _to_tree(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
@@ -591,56 +515,7 @@ class ScenarioSpec:
         :class:`ScenarioValidationError`, so a misspelt knob in a checked-in
         spec fails loudly instead of silently running the default.
         """
-        tree = dict(data)
-        workload = _build_section(tree.pop("workload", {}), WorkloadMixSpec, "workload")
-        arrival = _build_section(tree.pop("arrival", {}), ArrivalSpec, "arrival")
-        tier_tree = tree.pop("tier", {})
-        if not isinstance(tier_tree, Mapping):
-            _fail(f"tier must be a table/object, got {tier_tree!r}")
-        tier_tree = dict(tier_tree)
-        admission = _build_section(tier_tree.pop("admission", {}), AdmissionSpec, "tier.admission")
-        autoscaler = _build_section(
-            tier_tree.pop("autoscaler", {}), AutoscalerSpec, "tier.autoscaler"
-        )
-        replication = _build_section(
-            tier_tree.pop("replication", {}), ReplicationSpec, "tier.replication"
-        )
-        tier = _build_section(
-            tier_tree,
-            TierSpec,
-            "tier",
-            admission=admission,
-            autoscaler=autoscaler,
-            replication=replication,
-        )
-        faults_tree = tree.pop("faults", [])
-        if isinstance(faults_tree, Mapping) or not isinstance(faults_tree, Sequence):
-            _fail(f"faults must be an array of tables/objects, got {faults_tree!r}")
-        faults = tuple(
-            _build_section(clause, FaultSpec, f"faults[{index}]")
-            for index, clause in enumerate(faults_tree)
-        )
-        tenants_tree = tree.pop("tenants", [])
-        if isinstance(tenants_tree, Mapping) or not isinstance(tenants_tree, Sequence):
-            _fail(f"tenants must be an array of tables/objects, got {tenants_tree!r}")
-        tenants = tuple(
-            _build_section(entry, TenantSpec, f"tenants[{index}]")
-            for index, entry in enumerate(tenants_tree)
-        )
-        remediation = _build_section(
-            tree.pop("remediation", {}), RemediationSpec, "remediation"
-        )
-        return _build_section(
-            tree,
-            cls,
-            "scenario",
-            workload=workload,
-            arrival=arrival,
-            tier=tier,
-            faults=faults,
-            tenants=tenants,
-            remediation=remediation,
-        )
+        return _from_tree(cls, data)
 
     def with_overrides(self, overrides: Mapping[str, Any]) -> "ScenarioSpec":
         """A copy with dotted-path overrides applied (see :func:`apply_overrides`)."""
@@ -729,16 +604,60 @@ class ScenarioSpec:
         raise AssertionError("unreachable")
 
 
-def _build_section(data: Any, spec_type: type, label: str, **built: Any):
-    """Construct one spec dataclass from a mapping, rejecting unknown keys."""
+@functools.cache
+def field_types(record_type: type) -> dict[str, Any]:
+    """A dataclass's fields, in declaration order, with their resolved types.
+
+    The record dataclasses are their serialized forms' only schema: the
+    spec's dict form (:func:`_to_tree`, :func:`_from_tree`) and the run
+    report's (:class:`~repro.scenario.build.RunReport`) walk this table, so
+    a new field is serialized, content-hashed, and reachable by ``--set``
+    without further wiring.  Cached per class: resolving the hints is the
+    costly step.
+    """
+    hints = get_type_hints(record_type)
+    return {f.name: hints[f.name] for f in fields(record_type)}
+
+
+def _to_tree(spec: Any) -> dict:
+    """A spec dataclass as a nested dict: a spec-typed field becomes a nested
+    table, a tuple of specs a list of tables, any other tuple a list."""
+    tree = {}
+    for name in field_types(type(spec)):
+        value = getattr(spec, name)
+        if is_dataclass(value):
+            value = _to_tree(value)
+        elif isinstance(value, tuple):
+            value = [_to_tree(item) if is_dataclass(item) else item for item in value]
+        tree[name] = value
+    return tree
+
+
+def _from_tree(spec_type: type, data: Any, path: str = "") -> Any:
+    """Build spec dataclass ``spec_type`` from its dict form (the inverse of
+    :func:`_to_tree`), rejecting unknown keys at every level."""
+    label = path or "scenario"
     if not isinstance(data, Mapping):
         _fail(f"{label} must be a table/object, got {data!r}")
-    known = {f.name for f in fields(spec_type)}
-    unknown = sorted(set(data) - known)
+    types = field_types(spec_type)
+    unknown = sorted(set(data) - set(types))
     if unknown:
-        _fail(f"unknown {label} keys {unknown}; known keys: {sorted(known - set(built))}")
-    kwargs = {key: value for key, value in data.items() if key not in built}
-    kwargs.update(built)
+        _fail(f"unknown {label} keys {unknown}; known keys: {sorted(types)}")
+    kwargs = {}
+    for name, value in data.items():
+        kind = types[name]
+        child = f"{path}.{name}" if path else name
+        item_type = get_args(kind)[0] if get_origin(kind) is tuple else None
+        if is_dataclass(kind):
+            value = _from_tree(kind, value, child)
+        elif is_dataclass(item_type):
+            if isinstance(value, Mapping) or not isinstance(value, Sequence):
+                _fail(f"{child} must be an array of tables/objects, got {value!r}")
+            value = tuple(
+                _from_tree(item_type, item, f"{child}[{index}]")
+                for index, item in enumerate(value)
+            )
+        kwargs[name] = value
     return spec_type(**kwargs)
 
 

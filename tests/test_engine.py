@@ -10,13 +10,13 @@ from repro.core.flstore import build_default_flstore
 from repro.engine import (
     EngineFLStore,
     EventLoop,
-    FaultClause,
     FaultPlan,
     ShardedEngineFLStore,
     SimTask,
     Timeout,
 )
 from repro.fl.trainer import FLJobSimulator
+from repro.scenario import FaultSpec
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.function import RequestQueue, ServerlessFunction
 from repro.serverless.platform import ServerlessPlatform
@@ -333,7 +333,7 @@ class TestOpenLoop:
     def _storm_run(self, engine_config, engine_rounds):
         """Twenty requests 0.1 s apart under a reclamation storm (four bursts)."""
         engine = self._engine(engine_config, engine_rounds)
-        storm = FaultClause(
+        storm = FaultSpec(
             kind="reclamation-storm",
             onset_seconds=0.5,
             duration_seconds=1.5,

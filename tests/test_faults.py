@@ -10,12 +10,12 @@ from repro.common.errors import ConfigurationError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import (
-    FaultClause,
     FaultPlan,
     ShardedEngineFLStore,
     compute_recovery_metrics,
 )
 from repro.fl.trainer import FLJobSimulator
+from repro.scenario import FaultSpec, ScenarioSpec, get_scenario
 from repro.traces.generator import RequestTraceGenerator
 
 
@@ -51,13 +51,13 @@ def _trace(tier, count, spacing=0.5, seed=3):
 
 
 # ---------------------------------------------------------------------------
-# Clause validation
+# Plan validation
 # ---------------------------------------------------------------------------
 
 
-class TestFaultClause:
+class TestFaultPlan:
     @pytest.mark.parametrize(
-        "kwargs",
+        "clause",
         [
             {"kind": "quake", "onset_seconds": 0.0},
             {"kind": "shard-crash", "onset_seconds": -1.0},
@@ -80,18 +80,23 @@ class TestFaultClause:
             {"kind": "reclamation-storm", "onset_seconds": 0.0, "duration_seconds": 0.0},
         ],
     )
-    def test_invalid_clauses_rejected(self, kwargs):
+    def test_invalid_clauses_rejected(self, clause):
+        """A plan's clauses come from a scenario file: a bad clause fails when
+        the file loads, before any tier is built."""
+        tree = get_scenario("fault-recovery").to_dict()
+        assert ScenarioSpec.from_dict(tree).faults
+        tree["faults"] = [clause]
         with pytest.raises(ConfigurationError):
-            FaultClause(**kwargs)
+            ScenarioSpec.from_dict(tree)
 
     def test_crash_clause_needs_a_sharded_tier(self, fault_config, fault_rounds):
         engine = _engine(fault_config, fault_rounds)
         with pytest.raises(ConfigurationError, match="sharded tier"):
-            FaultPlan(engine, [FaultClause(kind="shard-crash", onset_seconds=1.0)])
+            FaultPlan(engine, [FaultSpec(kind="shard-crash", onset_seconds=1.0)])
 
     def test_plan_drives_exactly_one_run(self, fault_config, fault_rounds):
         tier = _tier(fault_config, fault_rounds)
-        plan = FaultPlan(tier, [FaultClause(kind="shard-crash", onset_seconds=1.0)])
+        plan = FaultPlan(tier, [FaultSpec(kind="shard-crash", onset_seconds=1.0)])
         plan.start()
         with pytest.raises(RuntimeError):
             plan.start()
@@ -106,7 +111,7 @@ class TestFaultInjection:
     def test_crash_mid_run_conserves_and_records_sim_time(self, fault_config, fault_rounds):
         tier = _tier(fault_config, fault_rounds, shards=2)
         trace, arrivals = _trace(tier, 30)
-        plan = FaultPlan(tier, [FaultClause(kind="shard-crash", onset_seconds=3.0)], seed=7)
+        plan = FaultPlan(tier, [FaultSpec(kind="shard-crash", onset_seconds=3.0)], seed=7)
         report = tier.run_open_loop(trace, arrivals, fault_plan=plan)
         assert tier.num_shards == 1
         assert report.served + report.degraded + report.shed == report.submitted
@@ -127,7 +132,7 @@ class TestFaultInjection:
     def test_storm_reclaims_warm_functions_on_every_shard(self, fault_config, fault_rounds):
         tier = _tier(fault_config, fault_rounds, shards=2)
         trace, arrivals = _trace(tier, 40)
-        clause = FaultClause(
+        clause = FaultSpec(
             kind="reclamation-storm",
             onset_seconds=2.0,
             duration_seconds=10.0,
@@ -145,11 +150,11 @@ class TestFaultInjection:
         """Clause RNG streams derive from (seed, kind, index): the same run
         twice is identical, and appending a later clause leaves the first
         clause's draws untouched."""
-        clause = FaultClause(
+        clause = FaultSpec(
             kind="reclamation-storm", onset_seconds=2.0, duration_seconds=8.0,
             interval_seconds=3.0,
         )
-        extra = FaultClause(kind="slow-shard", onset_seconds=50.0, duration_seconds=5.0)
+        extra = FaultSpec(kind="slow-shard", onset_seconds=50.0, duration_seconds=5.0)
 
         def storm_details(clauses):
             tier = _tier(fault_config, fault_rounds, shards=2)
@@ -166,7 +171,7 @@ class TestFaultInjection:
         trace, arrivals = _trace(tier, 30)
         # The window must cover execution *starts* (the multiplier is read
         # when a slot is acquired), so it spans the whole arrival ramp.
-        clause = FaultClause(
+        clause = FaultSpec(
             kind="slow-shard", onset_seconds=0.0, duration_seconds=30.0, magnitude=4.0
         )
         plan = FaultPlan(tier, [clause], seed=7)
@@ -185,7 +190,7 @@ class TestFaultInjection:
     def test_network_spike_raises_latency_then_clears(self, fault_config, fault_rounds):
         tier = _tier(fault_config, fault_rounds, shards=2)
         trace, arrivals = _trace(tier, 30)
-        clause = FaultClause(
+        clause = FaultSpec(
             kind="network-spike", onset_seconds=0.0, duration_seconds=30.0, magnitude=5.0
         )
         plan = FaultPlan(tier, [clause], seed=7)
@@ -205,11 +210,11 @@ class TestFaultInjection:
         trace = generator.mixed_trace(["inference", "clustering"], 20)
         arrivals = [0.5 * i for i in range(len(trace))]
         clauses = [
-            FaultClause(
+            FaultSpec(
                 kind="reclamation-storm", onset_seconds=1.0, duration_seconds=4.0,
                 interval_seconds=2.0,
             ),
-            FaultClause(
+            FaultSpec(
                 kind="network-spike", onset_seconds=1.0, duration_seconds=4.0, magnitude=3.0
             ),
         ]

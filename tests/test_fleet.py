@@ -58,7 +58,27 @@ def _reorder(value):
     return value
 
 
+#: Every registered scenario's content hash.  The fleet reuses recorded
+#: artifacts by these hashes across code versions, so a refactor of the
+#: spec's dict form must leave them where they are.
+REGISTERED_SPEC_HASHES = {
+    "autoscale-diurnal": "2a960f3daf8a9717fefa134c5961b2f1d52b565872c8ff45201cf459d4091961",
+    "engine-baseline": "db466f39c1bcd8508105ff1c7eda2b128edded9fb2fda14c524ab1b344507d22",
+    "fault-recovery": "21e1760ef062ea2a78a913815cae6d4aa81d1fd7db307c146dfa22985aa12f2a",
+    "hotkey-replicated": "d06c13b3255de95c9f950912e2d2e492429b474dd32db100eee3edd2357a4856",
+    "jsq-hotkey": "e9c2e2d9d9471a9d2b3f34c60efee03bd4c7fb93649fc98a1b25ec5803e69509",
+    "million-request": "54369661e25ef3f08b1ae2d90340cf6a809ed110ec4d0eafbc0653794b55631f",
+    "noisy-neighbor": "ca486f8580cc7515a1cd1b1298c85b408490efd3bd59a688c7dc6c95633cdaf2",
+    "priority-overload": "d8a85dfcc4e79d1d39fbd6824b75ac48f5131b137740e8a9dd4886a7bfed638c",
+    "sharded-burst": "093c781955e1bdac46ad1fbbf3ef069143e39acc87d152f049c4b7c873d0ba08",
+}
+
+
 class TestContentHash:
+    def test_registered_hashes_are_pinned(self):
+        hashes = {name: get_scenario(name).content_hash() for name in list_scenarios()}
+        assert hashes == REGISTERED_SPEC_HASHES
+
     def test_stable_across_dict_key_order(self):
         spec = get_scenario("sharded-burst")
         shuffled = ScenarioSpec.from_dict(_reorder(spec.to_dict()))
@@ -156,6 +176,32 @@ class TestManifest:
         store.manifest.artifact_path(entry).unlink()
         with pytest.raises(FleetError, match="missing"):
             store.load_cell_json("exp/s#full")
+
+    def test_entry_round_trips_and_ignores_unknown_keys(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        entry = store.record_cell(
+            "exp/s#full",
+            experiment="exp",
+            scenario="s",
+            axes={"tier.shards": 2},
+            variant="full",
+            spec_hash="abc",
+            seed=7,
+            artifact_relpath="exp/s.json",
+            report_json="{}",
+        )
+        data = entry.to_dict()
+        assert list(data) == [
+            "experiment",
+            "scenario",
+            "axes",
+            "variant",
+            "spec_hash",
+            "seed",
+            "fingerprint",
+            "artifact",
+        ]
+        assert type(entry).from_dict({**data, "a_future_field": 1}) == entry
 
     def test_manifest_with_a_legacy_sweeps_key_still_loads(self, tmp_path):
         store = ArtifactStore(tmp_path)

@@ -29,6 +29,7 @@ from repro.scenario import (
     list_scenarios,
     sweep,
 )
+from repro.simulation.records import CostAccumulator, LatencyAccumulator
 from repro.traces.generator import RequestTraceGenerator
 
 
@@ -246,8 +247,12 @@ class TestHotKeyReplication:
         assert tier.routed_counts == [0, 30]
         assert (report.served, report.degraded, report.shed, report.submitted) == (30, 0, 0, 30)
         assert repr(report.p99_sojourn_seconds) == "91.3758057492303"
-        assert repr(tier.total_latency_seconds) == "97.83202707253746"
-        assert repr(tier.total_cost_dollars) == "0.006346872416189445"
+        latency, cost = LatencyAccumulator(), CostAccumulator()
+        for outcome in report.outcomes:  # completion order
+            latency.add(outcome.result.latency)
+            cost.add(outcome.result.cost)
+        assert repr(latency.total_seconds) == "97.83202707253746"
+        assert repr(cost.finalize().total_dollars) == "0.006346872416189445"
         assert (tier.cached_bytes, tier.live_key_count) == (844093846, 118)
         assert tier.warm_function_count == 4
         assert tier.replica_warm_events == 0 and tier.replica_hits == 0

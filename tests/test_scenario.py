@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import importlib
+import json
+import re
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,7 @@ from repro.scenario import (
     RemediationSpec,
     ScenarioSpec,
     ScenarioValidationError,
+    TenantSpec,
     TierSpec,
     WorkloadMixSpec,
     apply_overrides,
@@ -38,6 +42,11 @@ from repro.scenario import (
 )
 from repro.traces.arrivals import ARRIVAL_KINDS
 from repro.workloads.registry import list_workloads
+
+
+#: Serialized smoke reports of every registered scenario (see
+#: tests/test_run_report_goldens.py).
+RUN_REPORT_FIXTURES = Path(__file__).parent / "data" / "run_reports"
 
 
 def _tiny_spec(**overrides) -> ScenarioSpec:
@@ -147,16 +156,48 @@ class TestValidation:
             TierSpec(autoscaler=AutoscalerSpec(enabled=True))
 
     def test_unknown_dict_keys_rejected_at_every_level(self):
-        good = ScenarioSpec().to_dict()
-        for path in ((), ("tier",), ("tier", "admission"), ("workload",), ("arrival",)):
-            tree = ScenarioSpec().to_dict()
+        """Each level names itself and lists all its keys, sections included."""
+        base = ScenarioSpec(
+            faults=(FaultSpec(kind="slow-shard", duration_seconds=1.0),),
+            tenants=(TenantSpec(name="steady"),),
+        )
+        for path, label in (
+            ((), "scenario"),
+            (("workload",), "workload"),
+            (("arrival",), "arrival"),
+            (("tier",), "tier"),
+            (("tier", "admission"), "tier.admission"),
+            (("tier", "replication"), "tier.replication"),
+            (("tier", "autoscaler"), "tier.autoscaler"),
+            (("remediation",), "remediation"),
+            (("faults", 0), "faults[0]"),
+            (("tenants", 0), "tenants[0]"),
+        ):
+            tree = base.to_dict()
             node = tree
             for part in path:
                 node = node[part]
+            known = sorted(node)
             node["no_such_knob"] = 1
-            with pytest.raises(ScenarioValidationError, match="no_such_knob"):
+            with pytest.raises(ScenarioValidationError) as excinfo:
                 ScenarioSpec.from_dict(tree)
-        assert ScenarioSpec.from_dict(good) == ScenarioSpec()
+            assert str(excinfo.value) == (
+                f"unknown {label} keys ['no_such_knob']; known keys: {known}"
+            )
+        assert ScenarioSpec.from_dict(base.to_dict()) == base
+
+    @pytest.mark.parametrize(
+        "tree, message",
+        [
+            ({"tier": 3}, "tier must be a table/object"),
+            ({"tier": {"admission": "drop"}}, "tier.admission must be a table/object"),
+            ({"faults": [3]}, "faults[0] must be a table/object"),
+            ({"tenants": {"name": "a"}}, "tenants must be an array of tables/objects"),
+        ],
+    )
+    def test_section_shapes_are_checked(self, tree, message):
+        with pytest.raises(ScenarioValidationError, match=re.escape(message)):
+            ScenarioSpec.from_dict(tree)
 
     def test_missing_keys_take_defaults(self):
         assert ScenarioSpec.from_dict({}) == ScenarioSpec()
@@ -459,18 +500,31 @@ class TestRun:
         assert RunReport.from_dict(data).to_dict() == data
 
     def test_loading_tolerates_unknown_keys_from_a_future_schema(self):
+        """A newer schema's keys, at the top level and inside every nested
+        section, are ignored on load, so its recorded fleet still renders."""
         from repro.scenario.build import RunReport
 
-        report = run(_tiny_spec())
-        data = report.to_dict()
-        data["schema_version"] = 99
-        data["a_future_section"] = {"metric": 1.0}
-        data["load"]["a_future_load_metric"] = 2.5
-        restored = RunReport.from_dict(data)
-        assert restored.conserved == report.conserved
-        assert restored.load.served == report.load.served
-        # Re-serializing drops the unknown keys and restamps the version.
-        assert restored.to_dict() == report.to_dict()
+        for name in ("autoscale-diurnal", "fault-recovery"):
+            text = (RUN_REPORT_FIXTURES / f"{name}.json").read_text()
+            data = json.loads(text)
+            data["schema_version"] = 99
+            data["a_future_section"] = {"metric": 1.0}
+            for section in ("load", "autoscale", "remediation", "recovery"):
+                if section in data:
+                    data[section]["a_future_metric"] = 2.5
+            if "autoscale" in data:
+                data["autoscale"]["events"][0]["a_future_field"] = "x"
+            restored = RunReport.from_dict(data)
+            # Re-serializing drops the unknown keys and restamps the version.
+            assert restored.to_json() == text
+
+    def test_report_without_an_slo_round_trips(self):
+        from repro.scenario.build import RunReport
+
+        data = run(_tiny_spec(slo_multiplier=0)).to_dict()
+        assert "slo_seconds" not in data
+        assert RunReport.from_dict(data).slo_seconds is None
+        assert RunReport.from_dict(data).to_dict() == data
 
 
 # ---------------------------------------------------------------------------

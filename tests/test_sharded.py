@@ -383,8 +383,8 @@ class TestMultiShard:
         assert [row["routed"] for row in stats] == sharded.routed_counts
         assert sharded.cached_bytes == sum(row["cached_bytes"] for row in stats)
         assert sharded.live_key_count == sum(row["live_keys"] for row in stats)
-        assert sharded.total_latency_seconds > 0
-        assert sharded.total_cost_dollars > 0
+        assert sum(o.result.latency.total_seconds for o in report.outcomes) > 0
+        assert sum(o.result.cost.total_dollars for o in report.outcomes) > 0
 
     def test_same_routing_key_lands_on_same_shard(self, shard_config, shard_rounds):
         sharded = self._sharded(shard_config, shard_rounds, 4)
