@@ -33,7 +33,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest
+from repro.workloads.base import WorkloadRequest, memoized_compute
 from repro.workloads.registry import get_workload
 
 
@@ -64,6 +64,8 @@ class AggregatorBaseline(abc.ABC):
         #: Memoized provisioned-cost results (queried once per served
         #: request with the same duration; see subclass ``provisioned_cost``).
         self._provisioned_effects: dict[Any, CostBreakdown] = {}
+        #: Workload results by compute inputs (see ``memoized_compute``).
+        self._result_memo: dict = {}
 
     # ----------------------------------------------------------- data plane
 
@@ -143,7 +145,7 @@ class AggregatorBaseline(abc.ABC):
         execution = self.instance.execute(compute_seconds)
         latency.add(execution.latency)
         cost.add(execution.cost)
-        result = workload.compute(request, data)
+        result = memoized_compute(self._result_memo, workload, request, data)
 
         # PUT the result back to the data plane (Step 3) and return it (Step 4).
         put_latency, put_cost = self._store_result(("result", request.request_id), result, workload.result_size_bytes)

@@ -50,7 +50,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest
+from repro.workloads.base import WorkloadRequest, memoized_compute
 from repro.workloads.registry import get_workload
 
 
@@ -60,6 +60,9 @@ class ServeResult:
 
     request_id: str
     workload: str
+    #: The workload's output.  Requests with equal compute inputs may share
+    #: one dict (the store reuses results, see ``memoized_compute``), so it
+    #: is read-only.
     result: dict[str, Any]
     latency: LatencyBreakdown
     cost: CostBreakdown
@@ -135,6 +138,9 @@ class FLStore:
         self.model_spec: ModelSpec = get_model_spec(self.config.job.model_name)
         self.ingest_cost = CostBreakdown.zero()
         self._request_ids = IdGenerator(prefix="req", width=6)
+        #: Workload results by compute inputs (see ``memoized_compute``); it
+        #: holds no simulated state and starts empty on every store.
+        self._result_memo: dict = {}
 
     # --------------------------------------------------------------- ingest
 
@@ -267,7 +273,7 @@ class FLStore:
             )
             cost.add(self.cost_model.lambda_execution_cost(memory_gb, miss_fetch_seconds))
 
-        result = workload.compute(request, data)
+        result = memoized_compute(self._result_memo, workload, request, data)
 
         # --- return results and persist them --------------------------------
         latency.add_communication(

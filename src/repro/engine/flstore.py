@@ -45,7 +45,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest
+from repro.workloads.base import WorkloadRequest, memoized_compute
 from repro.workloads.registry import get_workload
 
 #: How a request left the engine:
@@ -128,10 +128,11 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     function fetches every required object from the persistent store,
     computes the workload, and writes the result back — never touching the
     serving tier's cache, queues, policies, or analytic clock, so admitted
-    traffic is byte-unaffected by concurrent degraded serves.  The latency
-    is dominated by the cold start plus the object-store fetches, which is
-    exactly the regime FLStore exists to avoid; shedding onto it trades
-    tail latency for availability.
+    traffic is byte-unaffected by concurrent degraded serves.  (It does
+    share the shard's workload-result memo, which holds no simulated
+    state.)  The latency is dominated by the cold start plus the
+    object-store fetches, which is exactly the regime FLStore exists to
+    avoid; shedding onto it trades tail latency for availability.
     """
     workload = get_workload(request.workload)
     required = workload.required_keys(request, flstore.catalog)
@@ -164,7 +165,7 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     billed_seconds = max(fetch_seconds + compute_seconds, 0.001)
     cost.add(flstore.cost_model.lambda_execution_cost(memory_gb, billed_seconds))
 
-    result = workload.compute(request, data)
+    result = memoized_compute(flstore._result_memo, workload, request, data)
     latency.add_communication(flstore.topology.client.transfer_seconds(workload.result_size_bytes))
     store_result = flstore.persistent_store.put(
         ("result", request.request_id), result, size_bytes=workload.result_size_bytes

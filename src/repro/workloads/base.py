@@ -69,7 +69,17 @@ _REFERENCE_SIZE_MB = 82.7
 
 
 class Workload(abc.ABC):
-    """Base class of every non-training workload."""
+    """Base class of every non-training workload.
+
+    Purity contract: ``compute`` must be a function of the request's
+    ``round_id``, ``client_id``, ``history_rounds`` and ``params`` and of
+    the ``data`` it is handed, and must neither mutate ``data`` nor keep
+    state between calls.  Serving systems rely on that to reuse one result
+    for every request with the same inputs (:func:`memoized_compute`).  A
+    workload whose result depends on anything else — the request id, the
+    tenant, a clock — sets :attr:`memoizable` to ``False`` and is computed
+    afresh for every request.
+    """
 
     #: Machine-friendly name used in requests, registries, and traces.
     name: str = "workload"
@@ -83,6 +93,10 @@ class Workload(abc.ABC):
     per_item_compute_seconds: float = 0.05
     #: Serialized size of the result written back after execution.
     result_size_bytes: int = 16 * KB
+    #: Whether ``compute`` reads only the inputs :func:`memoized_compute`
+    #: keys on, so a serving system may hand one result to every request
+    #: with equal inputs (see the purity contract above).
+    memoizable: bool = True
 
     # ------------------------------------------------------------ interface
 
@@ -123,3 +137,39 @@ class Workload(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Workload {self.name} ({self.policy_class.value})>"
+
+
+def memoized_compute(
+    memo: dict, workload: Workload, request: WorkloadRequest, data: Mapping[DataKey, Any]
+) -> dict[str, Any]:
+    """``workload.compute(request, data)``, reusing ``memo``'s result for repeated inputs.
+
+    ``memo`` belongs to one serving system and lives as long as it does.  It
+    is keyed on the workload, the request's compute inputs and the ordered
+    data keys, and an entry is reused only when every data value is the
+    *same object* it was computed from — so a store whose key now maps to
+    a different object recomputes.  Requests whose params cannot be hashed
+    and workloads that are not :attr:`~Workload.memoizable` are computed
+    directly.  A reused result is shared by every request it is returned
+    to, and callers must treat it as read-only.
+    """
+    if not workload.memoizable:
+        return workload.compute(request, data)
+    try:
+        key = (
+            workload,
+            request.round_id,
+            request.client_id,
+            request.history_rounds,
+            tuple(sorted(request.params.items())),
+            tuple(data),
+        )
+        entry = memo.get(key)
+    except TypeError:  # unhashable (or unorderable) params
+        return workload.compute(request, data)
+    values = tuple(data.values())
+    if entry is not None and all(old is new for old, new in zip(entry[0], values)):
+        return entry[1]
+    result = workload.compute(request, data)
+    memo[key] = (values, result)
+    return result

@@ -26,6 +26,8 @@ class InferenceWorkload(Workload):
     policy_class = PolicyClass.P1_INDIVIDUAL
     base_compute_seconds = 0.4
     per_item_compute_seconds = 0.6
+    #: Each request draws its own input batch from its request id.
+    memoizable = False
 
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
         """Only the aggregated model of the requested round is needed."""
@@ -37,7 +39,7 @@ class InferenceWorkload(Workload):
         self.validate_data(request, data, keys)
         aggregate: ModelUpdate = data[keys[0]]
         batch_size = int(request.params.get("batch_size", 64))
-        rng = derive_rng(hash(request.request_id) % (2**31), "inference-batch")
+        rng = derive_rng(0, "inference-batch", request.request_id)
         inputs = rng.normal(0.0, 1.0, size=(batch_size, aggregate.dim))
         logits = inputs @ aggregate.weights
         probabilities = 1.0 / (1.0 + np.exp(-logits))

@@ -27,6 +27,12 @@ _REGISTRY: dict[str, Workload] = {}
 def register_workload(workload: Workload, replace: bool = False) -> Workload:
     """Register ``workload`` under its ``name``.
 
+    The workload must keep :class:`~repro.workloads.base.Workload`'s purity
+    contract: serving systems reuse one ``compute`` result for every request
+    with the same round, client, history, params and data.  A workload whose
+    result depends on anything else (such as the request id) must set
+    ``memoizable = False``.
+
     Parameters
     ----------
     workload:

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.common.errors import WorkloadError
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
@@ -176,6 +183,35 @@ class TestComputations:
         assert result["batch_size"] == 32
         assert len(result["predictions"]) == 32
         assert 0.0 <= result["positive_fraction"] <= 1.0
+
+    def test_inference_batch_does_not_depend_on_the_hash_seed(self):
+        """The batch is drawn from the request id, never from salted ``hash()``."""
+        script = (
+            "import json, numpy as np\n"
+            "from repro.fl.keys import DataKey\n"
+            "from repro.fl.models import ModelUpdate\n"
+            "from repro.workloads.base import WorkloadRequest\n"
+            "from repro.workloads.registry import get_workload\n"
+            "model = ModelUpdate(-1, 0, 'resnet18', np.linspace(-1.0, 1.0, 16), 1)\n"
+            "request = WorkloadRequest('req-000001', 'inference', 0)\n"
+            "result = get_workload('inference').compute(request, {DataKey.aggregate(0): model})\n"
+            "print(json.dumps(result['predictions']))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        predictions = []
+        for hash_seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            )
+            predictions.append(json.loads(out.stdout))
+        assert predictions[0] == predictions[1]
+        assert len(predictions[0]) == 64
 
     def test_cosine_similarity_matrix_properties(self, catalog, rounds_by_id):
         workload = get_workload("cosine_similarity")
