@@ -44,6 +44,7 @@ the remediation controller (:mod:`repro.engine.remediate`).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -328,7 +329,8 @@ def compute_recovery_metrics(
         width = hi - lo
         if width <= 0:
             break
-        count = sum(1 for t in served_times if lo <= t < hi)
+        # Completions in [lo, hi): served_times is sorted.
+        count = bisect.bisect_left(served_times, hi) - bisect.bisect_left(served_times, lo)
         dip_area += max(0.0, baseline - count / width) * width
     # Cumulative catch-up clock: the rate-since-onset ratio decays between
     # completions and jumps at each one, so its local minima sit just before

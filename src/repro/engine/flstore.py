@@ -543,40 +543,36 @@ class EngineFLStore:
         token.resolve("shed")
         return True
 
-    # ------------------------------------------------------------ submission
+    # -------------------------------------------------------------- admission
 
-    def submit(self, request: WorkloadRequest, at: float, priority: float = 0.0) -> SimTask:
-        """Schedule ``request`` to arrive at virtual time ``at``.
+    def admit(self, request: WorkloadRequest, task: SimTask, priority: float = 0.0) -> None:
+        """Admit an arrival now, inside the front door's routing event.
 
-        Returns the request's task; it resolves with an
-        :class:`EngineOutcome` when the request completes.  Admission
-        control runs at arrival time: when ``max_queue_depth`` requests are
+        The front door routes and admits in one event: this runs admission
+        control and starts the request's process on ``task``, the front
+        door's own task, which resolves with an :class:`EngineOutcome` when
+        the request completes.  When ``max_queue_depth`` requests are
         already waiting, the arrival is shed per ``shed_policy`` *before*
         the serving oracle runs, so a dropped request leaves no trace in
-        the cache, the policies, or the analytic clock.
+        the cache, the policies, or the analytic clock, and a drop resolves
+        ``task`` before this call returns.
         """
-        task = SimTask(self.loop, name=request.request_id)
         self._outstanding += 1
-
-        def _arrive() -> None:
-            if (
-                self.max_queue_depth > 0
-                and self._waiting >= self.max_queue_depth
-                and not self._try_pushout(request)
-            ):
-                process = self._shed_process(request, self.loop.now)
-            else:
-                process = self._request_process(request, priority)
-            self.loop.process(process, task=task)
-
-        self.loop.schedule_at(at, _arrive)
-        return task
+        if (
+            self.max_queue_depth > 0
+            and self._waiting >= self.max_queue_depth
+            and not self._try_pushout(request)
+        ):
+            process = self._shed_process(request, self.loop.now)
+        else:
+            process = self._request_process(request, priority)
+        self.loop.process(process, task=task)
 
     def _shed_process(self, request: WorkloadRequest, arrived_at: float):
         """Shed ``request`` per ``shed_policy`` from now on; returns its outcome.
 
         ``"drop"`` rejects it on the spot (the process never waits, so a
-        drop at admission resolves inside the arrival event);
+        drop at admission resolves inside the front door's arrival event);
         ``"degrade-to-objstore"`` serves it on the object-store bypass — no
         queue, no cache.  Runs for an arrival refused admission and for a
         waiter pushed out of its queue, whose serving-oracle side effects
@@ -718,7 +714,7 @@ class EngineFLStore:
 
     @property
     def outstanding(self) -> int:
-        """Requests submitted but not yet completed (queued, executing, or scheduled)."""
+        """Requests admitted but not yet completed (queued or executing)."""
         return self._outstanding
 
     def set_function_concurrency(self, limit: int) -> int:

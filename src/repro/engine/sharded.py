@@ -22,7 +22,8 @@ The tier resizes online (:meth:`add_shard` / :meth:`remove_shard`), which is
 what the autoscaler (:mod:`repro.engine.autoscale`) actuates:
 
 * requests are routed when they *arrive* (not when they are submitted), so
-  arrivals always see the current shard set;
+  arrivals always see the current shard set, and admitted to their shard in
+  that same event, so no resize lands between the two;
 * shards are added and retired last-in-first-out, so the consistent-hash
   ring over K active shards is always exactly the one a fresh K-shard tier
   would build, and a resize remaps only ~1/(K+1) of the key space;
@@ -325,12 +326,16 @@ class ShardedEngineFLStore:
     # ------------------------------------------------------------ submission
 
     def submit(self, request: WorkloadRequest, at: float, priority: float = 0.0) -> SimTask:
-        """Schedule ``request`` to arrive at ``at``; it is routed on arrival.
+        """Schedule ``request`` to arrive at ``at``; it is routed and admitted on arrival.
 
         Routing at arrival time (not submission time) is what makes online
         resize meaningful: an arrival always lands on the shard set that is
         active at its arrival instant, so requests submitted before a scale
-        event still benefit from (or are shielded from) the resize.
+        event still benefit from (or are shielded from) the resize.  The
+        arrival is one event: it routes the request and admits it to its
+        shard (:meth:`EngineFLStore.admit`), so nothing can run between the
+        two.  The returned task resolves with the request's
+        :class:`~repro.engine.flstore.EngineOutcome`.
         """
         task = SimTask(self.loop, name=request.request_id)
         task.add_done_callback(self._collect)
@@ -339,12 +344,11 @@ class ShardedEngineFLStore:
         return task
 
     def _arrive(self, request: WorkloadRequest, task: SimTask, priority: float) -> None:
-        """Route one arrival (fires at its arrival instant) and hand it to its shard."""
+        """The arrival event: route the request and admit it to its shard on ``task``."""
         self.arrived_requests += 1
         shard_index = self._route(request)
         self.routed_counts[shard_index] += 1
-        shard_task = self.shards[shard_index].submit(request, at=self.loop.now, priority=priority)
-        shard_task.add_done_callback(task.resolve)
+        self.shards[shard_index].admit(request, task, priority)
 
     def _collect(self, outcome: EngineOutcome) -> None:
         """Aggregate one resolved outcome (fires in global completion order)."""

@@ -6,7 +6,7 @@ is by *data affinity*: every request carries a routing key derived from the
 FL metadata it touches (``(round_id, client_id)``), so requests that need
 the same round's updates land on the shard whose cache already holds them.
 
-Two placements are provided, both deterministic across processes and runs
+Three placements are provided, all deterministic across processes and runs
 (they use an explicit FNV-1a hash, never Python's randomized ``hash``):
 
 * :class:`ModuloRouter` — ``hash(key) % num_shards``.  Perfectly balanced
@@ -28,12 +28,25 @@ from the trace).  A router that defines ``bind_load_probe`` is handed a
 ``slot -> load`` callable by the front door (rebound after every resize), so
 load-aware placements see live queue state without owning a reference to the
 tier.
+
+Three FNV-1a results are computed once per process, in bounded LRU memos:
+the ring geometry per ``(num_shards, vnodes)`` (so a resize looks its ring
+up instead of rehashing every vnode), the routing key per
+``(round_id, client_id)``, and the ring point per routing key (so an arrival
+routes with one bisect).  Each memo is exact: FNV-1a is a pure function of
+the string it hashes, and for the integer arguments these memos take that
+string is fixed by each argument's type and value, which ``lru_cache`` keys
+on (``typed=True`` keeps ``1`` and ``True``, equal but formatted
+differently, apart).  The memos hold no simulated state, only immutable ints
+and tuples, and a full memo evicts and recomputes: a miss costs time, never
+a different answer.
 """
 
 from __future__ import annotations
 
 import abc
 import bisect
+import functools
 
 #: FNV-1a 64-bit offset basis / prime.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -65,8 +78,31 @@ def request_routing_key(request) -> int:
     not from the request id, so retries and repeated requests for the same
     data always land on the same shard.
     """
-    client = request.client_id if request.client_id is not None else -1
-    return stable_hash_u64(f"r{request.round_id}:c{client}")
+    return _routing_key(request.round_id, request.client_id)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _routing_key(round_id: int, client_id: int | None) -> int:
+    """FNV-1a of a ``(round_id, client_id)`` coordinate; ``None`` reads as ``-1``."""
+    client = client_id if client_id is not None else -1
+    return stable_hash_u64(f"r{round_id}:c{client}")
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _ring_point(key: int) -> int:
+    """Where routing key ``key`` lands on every consistent-hash ring."""
+    return stable_hash_u64(f"key-{key}")
+
+
+@functools.lru_cache(maxsize=32)
+def _ring(num_shards: int, vnodes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sorted vnode points of a ``num_shards``-shard ring, and each point's shard."""
+    points = sorted(
+        (stable_hash_u64(f"shard-{shard}:vnode-{replica}"), shard)
+        for shard in range(num_shards)
+        for replica in range(vnodes)
+    )
+    return tuple(point for point, _ in points), tuple(shard for _, shard in points)
 
 
 class ShardRouter(abc.ABC):
@@ -141,29 +177,21 @@ class ConsistentHashRouter(ShardRouter):
         if vnodes <= 0:
             raise ValueError(f"vnodes must be positive, got {vnodes}")
         self.vnodes = int(vnodes)
-        points: list[tuple[int, int]] = []
-        for shard in range(self.num_shards):
-            for replica in range(self.vnodes):
-                points.append((stable_hash_u64(f"shard-{shard}:vnode-{replica}"), shard))
-        points.sort()
-        self._ring_points = [point for point, _ in points]
-        self._ring_shards = [shard for _, shard in points]
+        self._ring_points, self._ring_shards = _ring(self.num_shards, self.vnodes)
 
     def resized(self, num_shards: int) -> "ConsistentHashRouter":
         """A ring over ``num_shards`` shards with this router's ``vnodes``."""
         return ConsistentHashRouter(num_shards, vnodes=self.vnodes)
 
     def route(self, key: int) -> int:
-        point = stable_hash_u64(f"key-{key}")
-        index = bisect.bisect_right(self._ring_points, point)
+        index = bisect.bisect_right(self._ring_points, _ring_point(key))
         if index == len(self._ring_points):  # wrap around the ring
             index = 0
         return self._ring_shards[index]
 
     def _ring_successors(self, key: int, wanted: int) -> list[int]:
         """First ``wanted`` distinct shards clockwise from the key's ring point."""
-        point = stable_hash_u64(f"key-{key}")
-        index = bisect.bisect_right(self._ring_points, point)
+        index = bisect.bisect_right(self._ring_points, _ring_point(key))
         ring_size = len(self._ring_shards)
         found: list[int] = []
         for step in range(ring_size):

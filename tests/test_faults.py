@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import (
     FaultPlan,
+    RecoveryMetrics,
     ShardedEngineFLStore,
     compute_recovery_metrics,
 )
@@ -238,6 +242,92 @@ def _outcomes(completed_times, arrived_offset=0.5):
     ]
 
 
+def _reference_recovery_metrics(
+    outcomes, onset_seconds, end_seconds, window_seconds=5.0, baseline_goodput_rps=None
+):
+    """Brute-force recovery scoring: every window rescans every completion."""
+    served_times = sorted(o.completed_at for o in outcomes if o.disposition == "served")
+    if baseline_goodput_rps is not None:
+        baseline = baseline_goodput_rps
+    else:
+        start = min((o.arrived_at for o in outcomes), default=0.0)
+        pre_span = onset_seconds - start
+        pre_count = sum(1 for t in served_times if t < onset_seconds)
+        baseline = pre_count / pre_span if pre_span > 0 else 0.0
+    horizon = end_seconds - onset_seconds
+    if horizon <= 0 or baseline == 0.0:
+        return RecoveryMetrics(
+            onset_seconds=onset_seconds,
+            window_seconds=window_seconds,
+            baseline_goodput_rps=baseline,
+            time_to_recovery_seconds=0.0,
+            goodput_dip_area=0.0,
+            recovered=baseline > 0.0,
+        )
+    threshold = 0.9 * baseline
+    dip_area = 0.0
+    for k in range(int(math.ceil(horizon / window_seconds))):
+        lo = onset_seconds + k * window_seconds
+        hi = min(lo + window_seconds, end_seconds)
+        width = hi - lo
+        if width <= 0:
+            break
+        count = sum(1 for t in served_times if lo <= t < hi)
+        dip_area += max(0.0, baseline - count / width) * width
+    post = [t for t in served_times if onset_seconds < t <= end_seconds]
+    last_below = 0.0
+    for index, t in enumerate(post):
+        elapsed = t - onset_seconds
+        if index / elapsed < threshold:
+            last_below = elapsed
+    if len(post) / horizon < threshold:
+        last_below = horizon
+    return RecoveryMetrics(
+        onset_seconds=onset_seconds,
+        window_seconds=window_seconds,
+        baseline_goodput_rps=baseline,
+        time_to_recovery_seconds=last_below,
+        goodput_dip_area=dip_area,
+        recovered=last_below < horizon,
+    )
+
+
+@st.composite
+def _recovery_cases(draw):
+    """Completions around a fault: window edges, duplicates, late and unserved rows."""
+    window = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0, 0.3]))
+    onset = draw(st.floats(min_value=0.0, max_value=40.0))
+    whole = draw(st.integers(min_value=0, max_value=6))
+    partial = draw(st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=0.95)))
+    end = onset + (whole + partial) * window
+    # The exact window boundaries the scorer computes, and the horizon itself.
+    edges = [onset + k * window for k in range(whole + 2)] + [end]
+    times = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(edges),
+                st.floats(min_value=0.0, max_value=end + 2 * window),
+            ),
+            max_size=40,
+        )
+    )
+    if times:
+        times += draw(st.lists(st.sampled_from(times), max_size=8))  # duplicates
+    dispositions = draw(
+        st.lists(
+            st.sampled_from(["served", "served", "served", "requeued", "degraded"]),
+            min_size=len(times),
+            max_size=len(times),
+        )
+    )
+    outcomes = [
+        SimpleNamespace(arrived_at=max(0.0, t - 0.5), completed_at=t, disposition=disposition)
+        for t, disposition in zip(times, dispositions)
+    ]
+    baseline = draw(st.one_of(st.none(), st.floats(min_value=0.1, max_value=6.0)))
+    return outcomes, onset, end, window, baseline
+
+
 class TestRecoveryMetrics:
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
@@ -299,3 +389,11 @@ class TestRecoveryMetrics:
             _outcomes(times), onset_seconds=10.0, end_seconds=30.0, baseline_goodput_rps=1.0
         )
         assert first == second
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_recovery_cases())
+    def test_matches_the_brute_force_window_scan(self, case):
+        outcomes, onset, end, window, baseline = case
+        kwargs = {"window_seconds": window, "baseline_goodput_rps": baseline}
+        actual = compute_recovery_metrics(outcomes, onset, end, **kwargs)
+        assert actual == _reference_recovery_metrics(outcomes, onset, end, **kwargs)

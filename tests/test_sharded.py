@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import json
 from dataclasses import replace
@@ -33,6 +34,30 @@ from repro.workloads.registry import list_workloads
 # ---------------------------------------------------------------------------
 # Routing
 # ---------------------------------------------------------------------------
+
+
+def _reference_ring(num_shards, vnodes):
+    """A ring's sorted vnode points and their shards, from fresh hashes."""
+    points = sorted(
+        (stable_hash_u64(f"shard-{shard}:vnode-{replica}"), shard)
+        for shard in range(num_shards)
+        for replica in range(vnodes)
+    )
+    return [point for point, _ in points], [shard for _, shard in points]
+
+
+def _reference_successors(ring, key, wanted):
+    """The first ``wanted`` distinct shards clockwise from ``key``'s fresh ring point."""
+    points, shards = ring
+    index = bisect.bisect_right(points, stable_hash_u64(f"key-{key}"))
+    found = []
+    for step in range(len(shards)):
+        shard = shards[(index + step) % len(shards)]
+        if shard not in found:
+            found.append(shard)
+            if len(found) == wanted:
+                break
+    return found
 
 
 class TestRouting:
@@ -70,6 +95,42 @@ class TestRouting:
         # Modulo would remap ~80% of keys; the ring should move a small
         # fraction (~1/5 in expectation).
         assert moved / len(keys) < 0.5
+
+    def test_memoized_rings_match_fresh_hashes(self):
+        """Ring lookups equal a ring rebuilt from fresh hashes, shape after shape.
+
+        The shapes interleave ``vnodes`` at each shard count, so a ring memo
+        that ignored ``vnodes`` would hand back the previous shape's ring.
+        """
+        keys = [stable_hash_u64(f"diff-{i}") for i in range(500)]
+        for num_shards in range(1, 7):
+            for vnodes in (1, 16, 64):
+                ring = _reference_ring(num_shards, vnodes)
+                consistent = ConsistentHashRouter(num_shards, vnodes=vnodes)
+                jsq = JoinShortestQueueRouter(num_shards, vnodes=vnodes, fanout=3)
+                for key in keys:
+                    expected = _reference_successors(ring, key, num_shards)
+                    assert consistent.route(key) == expected[0]
+                    assert consistent.replica_slots(key, 2) == expected[:2]
+                    assert consistent.replica_slots(key, num_shards + 1) == expected
+                    assert jsq.candidates(key) == expected[:3]
+                    assert jsq.route(key) == expected[0]
+
+    def test_memoized_routing_keys_match_fresh_hashes(self):
+        """Each ``(round_id, client_id)`` gets its own key; ``None`` reads as ``-1``."""
+        ring = ConsistentHashRouter(4)
+        for round_id in (0, 3, 11):
+            for client_id in (None, -1, 0, 7):
+                request = WorkloadRequest(
+                    request_id=f"r{round_id}-{client_id}",
+                    workload="inference",
+                    round_id=round_id,
+                    client_id=client_id,
+                )
+                client = -1 if client_id is None else client_id
+                expected = stable_hash_u64(f"r{round_id}:c{client}")
+                assert request_routing_key(request) == expected
+                assert ring.route_request(request) == ring.route(expected)
 
     def test_invalid_router_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -509,6 +570,61 @@ class TestAdmissionControl:
             ]
 
         assert run_once() == run_once()
+
+
+class TestArrivalEvent:
+    """An arrival is one kernel event: it routes the request and admits it."""
+
+    def test_serving_oracle_runs_inside_the_arrival_event(self, shard_config, shard_rounds):
+        sharded = ShardedEngineFLStore(
+            [_ingested_flstore(shard_config, shard_rounds) for _ in range(2)]
+        )
+        loop = sharded.loop
+        served_at = []
+        for shard in sharded.shards:
+            serve = shard.flstore.serve
+
+            def spy(request, serve=serve):
+                served_at.append(loop.events_fired)
+                return serve(request)
+
+            shard.flstore.serve = spy
+        trace = RequestTraceGenerator(sharded.catalog, seed=3).mixed_trace(
+            ["inference", "clustering"], 6
+        )
+        for request in trace:
+            fired_before = loop.events_fired
+            sharded.run_closed_loop([request])
+            assert served_at[-1] == fired_before + 1
+        assert len(served_at) == len(trace)
+
+    def test_drop_at_admission_resolves_inside_the_arrival_event(
+        self, shard_config, shard_rounds
+    ):
+        """A burst overflows a one-deep queue; each drop resolves in the event that routed it."""
+        config = _admitting(shard_config, max_queue_depth=1, shed_policy="drop")
+        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
+        loop = sharded.loop
+        routed_at, resolved_at, outcomes = {}, {}, []
+        route = sharded._route
+
+        def spy(request):
+            routed_at[request.request_id] = loop.events_fired
+            return route(request)
+
+        def resolved(outcome):
+            resolved_at[outcome.request.request_id] = loop.events_fired
+            outcomes.append(outcome)
+
+        sharded._route = spy
+        trace = RequestTraceGenerator(sharded.catalog, seed=3).workload_trace("inference", 8)
+        for request in trace:
+            sharded.submit(request, at=0.0).add_done_callback(resolved)
+        loop.run()
+        shed = [o.request.request_id for o in outcomes if o.disposition == "shed"]
+        assert shed
+        for request_id in shed:
+            assert resolved_at[request_id] == routed_at[request_id]
 
 
 class TestShardSweep:
