@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.cloud.object_store import ObjectStore
 from repro.cloud.payload import payload_size_bytes
 from repro.core.policies.base import CachingPolicy, PolicyPlan
-from repro.core.serverless_cache import ServerlessCacheCluster
+from repro.core.serverless_cache import PLACEMENT_ERRORS, ServerlessCacheCluster
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
 from repro.fl.rounds import RoundRecord
@@ -117,7 +117,7 @@ class CacheEngine:
             size = payload_size_bytes(value)
             try:
                 placement = self.cluster.place(key, value, size, now=now)
-            except Exception:  # CapacityError or platform limits: keep the object cold
+            except PLACEMENT_ERRORS:  # no capacity: keep the object cold
                 self.placement_failures += 1
                 continue
             latency.add(placement.latency)
@@ -172,7 +172,7 @@ class CacheEngine:
         size = payload_size_bytes(value)
         try:
             placement = self.cluster.place(key, value, size, now=now)
-        except Exception:
+        except PLACEMENT_ERRORS:
             self.placement_failures += 1
             return LatencyBreakdown.zero()
         self._locations[key] = placement.primary_function_id

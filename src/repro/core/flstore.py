@@ -191,7 +191,6 @@ class FLStore:
         latency = LatencyAccumulator()
         latency.add_communication(self.topology.client.rtt_seconds)
         cost = CostAccumulator()
-        failovers = 0
 
         # --- optional fault injection (function reclamations) --------------
         if self.fault_injector is not None:
@@ -204,57 +203,41 @@ class FLStore:
                 self.engine.drop_lost_keys()
 
         # --- resolve and gather required data ------------------------------
-        # One batched resolution pass covers the whole gather loop; admitting
-        # a missed object mutates the cache (and may evict other keys), so
-        # the batch map is only trusted until the first admission, after
-        # which the remaining keys fall back to per-key resolution.
-        resolution = self.cluster.resolve_many(required_keys)
-        resolution_stale = False
-        data: dict[DataKey, Any] = {}
-        hits = 0
-        misses = 0
-        miss_fetch_seconds = 0.0
-        failed_functions: set[str] = set()
+        # One pass over the cache index: hits load from their holders, misses
+        # are fetched from the persistent store (and admitted, if the policy
+        # says so) by ``fetch_missed``, and bytes are tallied per holder for
+        # the execution pick.  The policy sees every access in key order.
         now = self.clock.now()
+        policy = self.policy
+        record_access = policy.record_access
+        miss_fetch_seconds = 0.0
+
+        def record_hit(key: DataKey) -> None:
+            record_access(key, True, now)
+
+        def fetch_missed(key: DataKey) -> tuple[Any, bool]:
+            nonlocal miss_fetch_seconds
+            fetch_latency, fetch_cost, value = self._fetch_from_persistent(key)
+            latency.add(fetch_latency)
+            cost.add(fetch_cost)
+            miss_fetch_seconds += fetch_latency.total_seconds
+            record_access(key, hit=False, now=now)
+            if value is None or not policy.admit_on_miss:
+                return value, False
+            latency.add(self.engine.admit(key, value, now=now))
+            return value, True
+
+        gathered = self.cluster.gather(required_keys, record_hit, fetch_missed)
+        # The failover timeout is paid once per failed primary function, not
+        # once per key it held.
         failover_timeout = self.config.serverless.failover_timeout_seconds
-        get_function = self.platform.get_function
-        record_access = self.policy.record_access
-        for key in required_keys:
-            resolved = self.cluster.resolve(key) if resolution_stale else resolution[key]
-            function_id = resolved.function_id
-            if resolved.failed_over:
-                failovers += 1
-                # The failover timeout is paid once per failed primary
-                # function, not once per key it held.
-                primary = self.cluster.primary_function_of(key) or f"lost:{key}"
-                if primary not in failed_functions:
-                    failed_functions.add(primary)
-                    latency.add_queueing(failover_timeout)
-            if function_id is not None:
-                hits += 1
-                data[key] = get_function(function_id).load(key)
-                record_access(key, hit=True, now=now)
-                if function_id not in routed:
-                    routed.append(function_id)
-            else:
-                misses += 1
-                fetch_latency, fetch_cost, value = self._fetch_from_persistent(key)
-                latency.add(fetch_latency)
-                cost.add(fetch_cost)
-                miss_fetch_seconds += fetch_latency.total_seconds
-                record_access(key, hit=False, now=now)
-                if value is None:
-                    continue
-                data[key] = value
-                if self.policy.admit_on_miss:
-                    latency.add(self.engine.admit(key, value, now=now))
-                    resolution_stale = True
+        for _ in range(gathered.failed_functions):
+            latency.add_queueing(failover_timeout)
+        routed += gathered.holders
 
         # --- locality-aware execution on the serverless cache --------------
         compute_seconds = workload.compute_seconds(self.model_spec, max(len(required_keys), 1))
-        execution_function = self.cluster.pick_execution_function(
-            required_keys, resolved=None if resolution_stale else resolution
-        )
+        execution_function = gathered.execution_function
         if execution_function is None:
             execution_function, spawn_latency = self._any_warm_function()
             latency.add(spawn_latency)
@@ -273,7 +256,7 @@ class FLStore:
             )
             cost.add(self.cost_model.lambda_execution_cost(memory_gb, miss_fetch_seconds))
 
-        result = memoized_compute(self._result_memo, workload, request, data)
+        result = memoized_compute(self._result_memo, workload, request, gathered.data)
 
         # --- return results and persist them --------------------------------
         latency.add_communication(
@@ -286,8 +269,9 @@ class FLStore:
         # --- tailored prefetching and eviction ------------------------------
         plan = self.engine.plan_request(request, required_keys)
         prefetched = 0
+        is_live = self.cluster.is_live
         for key in plan.prefetch_keys:
-            if self.engine.is_cached(key):
+            if is_live(key):
                 continue
             _, fetch_cost, value = self._fetch_from_persistent(key)
             if value is None:
@@ -308,9 +292,9 @@ class FLStore:
             result=result,
             latency=latency.finalize(),
             cost=cost.finalize(),
-            cache_hits=hits,
-            cache_misses=misses,
-            failovers=failovers,
+            cache_hits=gathered.hits,
+            cache_misses=gathered.misses,
+            failovers=gathered.failovers,
             prefetched_keys=prefetched,
             evicted_keys=evicted,
             served_by=list(routed),

@@ -224,11 +224,13 @@ class TailoredPolicyBundle(CachingPolicy):
         return get_workload(request.workload).policy_class
 
     def _scope_plan(self, plan: PolicyPlan, owner: PolicyClass) -> PolicyPlan:
+        value = owner.value
+        owners = self._owner
         for key in plan.admit_keys + plan.prefetch_keys:
-            self._owner[key] = owner.value
-        evict = [key for key in plan.evict_keys if self._owner.get(key) == owner.value]
+            owners[key] = value
+        evict = [key for key in plan.evict_keys if owners.get(key) == value]
         for key in evict:
-            self._owner.pop(key, None)
+            owners.pop(key, None)
         return PolicyPlan(admit_keys=plan.admit_keys, prefetch_keys=plan.prefetch_keys, evict_keys=evict)
 
     # ------------------------------------------------------------ planning
@@ -248,8 +250,10 @@ class TailoredPolicyBundle(CachingPolicy):
         scoped = self._scope_plan(plan, policy_class)
         # Objects fetched on a miss for this request also become owned by the
         # dispatching class so later evictions can reclaim them.
+        value = policy_class.value
+        claim = self._owner.setdefault
         for key in required_keys:
-            self._owner.setdefault(key, policy_class.value)
+            claim(key, value)
         return scoped
 
     # ----------------------------------------------------- capacity control

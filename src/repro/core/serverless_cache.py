@@ -13,13 +13,26 @@ the cluster when a function is reclaimed (see
 so :meth:`ServerlessCacheCluster.resolve`, :meth:`is_live`, and
 :attr:`total_cached_bytes` are O(1) and reclamation/failover work is
 O(affected keys) instead of O(tracked keys).
+
+A request reads its keys through two batch methods that read the index once
+per key.  :meth:`ServerlessCacheCluster.gather` is the request path's read:
+per key it reads the primary and the holder — exactly what :meth:`resolve`
+reads — then loads hits through one bound loader per holder function,
+counts failovers, and tallies bytes per holder for the execution pick.  The
+pass's only mutation is the caller's ``on_miss`` admitting a fetched
+object, so every key is read from the index as it stands when the pass
+reaches it (what a fresh :meth:`resolve` would answer), and the execution
+pick is re-tallied over the final index only after such an admission.
+:meth:`all_live` is :meth:`is_live` (tier replicas included) over a batch:
+a key is live exactly when its holder is not ``None``, so the conjunction
+is one C-level membership test over the holders.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import CapacityError, DataNotFoundError
 from repro.config import ServerlessConfig
@@ -44,6 +57,25 @@ class PlacementResult:
 
 
 @dataclass(slots=True)
+class GatherResult:
+    """What one :meth:`ServerlessCacheCluster.gather` pass read for a request."""
+
+    #: ``key -> value`` for every hit and every miss ``on_miss`` found a value for.
+    data: dict[DataKey, Any]
+    hits: int
+    misses: int
+    #: Keys whose primary copy was lost (a replica answered, or none did).
+    failovers: int
+    #: Distinct lost primary functions; a request pays one failover timeout each.
+    failed_functions: int
+    #: Functions that answered hits, in first-hit order.
+    holders: list[str]
+    #: The function holding the largest share of the keys' bytes after the
+    #: pass (``None`` when none of them is cached).
+    execution_function: str | None
+
+
+@dataclass(slots=True)
 class ResolveResult:
     """Outcome of resolving a key to a live function."""
 
@@ -57,6 +89,12 @@ class ResolveResult:
         """Whether any live copy of the object exists in the cache."""
         return self.function_id is not None
 
+
+#: What a placement raises when there is no room: an object larger than any
+#: function may be (``CapacityError``) or a full warm-function limit
+#: (``RuntimeError`` from the platform).  Callers that keep an object cold on
+#: a failed placement catch exactly these, so a bug in placement propagates.
+PLACEMENT_ERRORS = (CapacityError, RuntimeError)
 
 #: Shared additive identity: placements that reuse a warm function incur no
 #: latency, so the zero breakdown is handed out as a singleton (it is frozen).
@@ -190,7 +228,7 @@ class ServerlessCacheCluster:
             else:
                 try:
                     replica, spawn_latency = self._spawn(size_bytes)
-                except (CapacityError, RuntimeError):
+                except PLACEMENT_ERRORS:
                     break
                 latency = latency + spawn_latency
             replica.store(key, value, now=now, size_bytes=size_bytes)
@@ -253,12 +291,7 @@ class ServerlessCacheCluster:
         return ResolveResult(key=key, function_id=holder, failed_over=holder != primary_id)
 
     def resolve_many(self, keys: Iterable[DataKey]) -> dict[DataKey, ResolveResult]:
-        """Resolve a batch of keys in one pass over the liveness index.
-
-        The request path resolves every required key once and reuses the
-        returned map for gathering, failover accounting, and execution-function
-        picking (:meth:`pick_execution_function` accepts it as a hint).
-        """
+        """Resolve a batch of keys in one pass over the liveness index."""
         resolved: dict[DataKey, ResolveResult] = {}
         primary_get = self._primary.get
         holder_get = self._holder.get
@@ -286,6 +319,75 @@ class ServerlessCacheCluster:
         if self._holder.get(key) is None:
             return False
         return include_replicas or key not in self._tier_replicas
+
+    def all_live(self, keys: Iterable[DataKey]) -> bool:
+        """Whether every key in ``keys`` has a live copy (tier replicas count).
+
+        Equal to ``all(self.is_live(key) for key in keys)``, so an empty batch
+        is live.
+        """
+        return None not in map(self._holder.get, keys)
+
+    def gather(
+        self,
+        keys: Sequence[DataKey],
+        on_hit: Callable[[DataKey], object],
+        on_miss: Callable[[DataKey], tuple[Any, bool]],
+    ) -> GatherResult:
+        """Read a request's ``keys`` in one pass over the liveness index.
+
+        A hit loads the value from its holder and calls ``on_hit(key)``.  A
+        miss calls ``on_miss(key)``, which returns the value (``None`` if it
+        has none; the key is then left out of ``data``) and whether it tried
+        to admit the value into this cache.  An admission may place and
+        evict keys, so each key is read as the index stands when the pass
+        reaches it, and the execution function is re-tallied over the final
+        index (:meth:`pick_execution_function`) after one.
+        """
+        data: dict[DataKey, Any] = {}
+        tally: dict[str, int] = {}
+        loaders: dict[str, Callable[[DataKey], Any]] = {}
+        failed: set[str] = set()
+        failovers = misses = 0
+        admitted = False
+        primary_get = self._primary.get
+        holder_get = self._holder.get
+        sizes = self._sizes
+        get_function = self.platform.get_function
+        for key in keys:
+            primary_id = primary_get(key)
+            holder = None
+            if primary_id is not None:
+                holder = holder_get(key)
+                if holder != primary_id:
+                    failovers += 1
+                    failed.add(primary_id)
+            if holder is not None:
+                load = loaders.get(holder)
+                if load is None:
+                    load = loaders[holder] = get_function(holder).load
+                data[key] = load(key)
+                on_hit(key)
+                tally[holder] = tally.get(holder, 0) + sizes[key]
+            else:
+                misses += 1
+                value, admitting = on_miss(key)
+                if value is not None:
+                    data[key] = value
+                admitted = admitted or admitting
+        if admitted:
+            execution_function = self.pick_execution_function(keys)
+        else:
+            execution_function = max(tally, key=tally.get) if tally else None
+        return GatherResult(
+            data=data,
+            hits=len(keys) - misses,
+            misses=misses,
+            failovers=failovers,
+            failed_functions=len(failed),
+            holders=list(tally),
+            execution_function=execution_function,
+        )
 
     def is_tier_replica(self, key: DataKey) -> bool:
         """Whether ``key`` is held as a tier replica (replicated-in copy)."""
@@ -414,25 +516,13 @@ class ServerlessCacheCluster:
         """Identifiers of every warm function managed by the platform."""
         return [f.function_id for f in self.platform.warm_functions()]
 
-    def pick_execution_function(
-        self,
-        keys: list[DataKey],
-        resolved: Mapping[DataKey, ResolveResult] | None = None,
-    ) -> str | None:
-        """The warm function holding the largest share of ``keys``' bytes.
-
-        ``resolved`` lets the request path reuse a :meth:`resolve_many` map
-        taken after the gather phase instead of re-resolving every key.
-        """
+    def pick_execution_function(self, keys: Iterable[DataKey]) -> str | None:
+        """The warm function holding the largest share of ``keys``' bytes."""
         tally: dict[str, int] = {}
         sizes = self._sizes
         holders = self._holder
         for key in keys:
-            if resolved is not None:
-                entry = resolved.get(key)
-                holder = entry.function_id if entry is not None else None
-            else:
-                holder = holders.get(key)
+            holder = holders.get(key)
             if holder is not None:
                 tally[holder] = tally.get(holder, 0) + sizes.get(key, 0)
         if not tally:

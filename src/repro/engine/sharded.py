@@ -52,6 +52,7 @@ from repro.cloud.payload import payload_size_bytes
 from repro.common.errors import ConfigurationError
 from repro.config import SHED_POLICIES
 from repro.core.flstore import FLStore, ServeResult, build_default_flstore
+from repro.core.serverless_cache import PLACEMENT_ERRORS
 from repro.engine.flstore import (
     EngineFLStore,
     EngineOutcome,
@@ -484,7 +485,7 @@ class ShardedEngineFLStore:
                     return
                 try:
                     cluster.place(key, value, size, now=self.loop.now, tier_replica=True)
-                except Exception:
+                except PLACEMENT_ERRORS:
                     return  # no capacity: the copy stays cold, routing skips it
                 self.replica_warm_events += 1
 
@@ -495,8 +496,7 @@ class ShardedEngineFLStore:
         data_keys = self._replica_keys.get(key, ())
         if not data_keys:
             return False
-        cluster = self.shards[shard_index].flstore.cluster
-        return all(cluster.is_live(data_key) for data_key in data_keys)
+        return self.shards[shard_index].flstore.cluster.all_live(data_keys)
 
     def _pick_holder(self, key: int, request: WorkloadRequest, holders: list[int]) -> int:
         """Pick the serving shard for a replicated hot key.

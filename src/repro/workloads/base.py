@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -168,7 +169,7 @@ def memoized_compute(
     except TypeError:  # unhashable (or unorderable) params
         return workload.compute(request, data)
     values = tuple(data.values())
-    if entry is not None and all(old is new for old, new in zip(entry[0], values)):
+    if entry is not None and all(map(operator.is_, entry[0], values)):
         return entry[1]
     result = workload.compute(request, data)
     memo[key] = (values, result)

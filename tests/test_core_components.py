@@ -165,6 +165,43 @@ class TestCacheEngine:
         plan = engine.plan_request(request, rounds[2].update_keys())
         assert {k.round_id for k in plan.prefetch_keys} == {3}
 
+    def test_placement_bug_propagates_instead_of_counting_as_a_failure(
+        self, engine, rounds, monkeypatch
+    ):
+        """Only "no room" keeps an object cold; any other error from ``place``
+        is a bug and must surface, not lower the hit ratio silently."""
+
+        def broken_place(*args, **kwargs):
+            raise KeyError("bug in placement")
+
+        monkeypatch.setattr(engine.cluster, "place", broken_place)
+        key = rounds[0].update_keys()[0]
+        with pytest.raises(KeyError):
+            engine.admit(key, rounds[0].get(key))
+        with pytest.raises(KeyError):
+            engine.ingest_round(rounds[0])
+        assert engine.placement_failures == 0
+
+    def test_oversized_object_counts_as_placement_failure(self, engine):
+        key = DataKey.update(1, 0)
+        latency = engine.admit(key, {"size_bytes": 30 * GB})  # over max_function_memory_bytes
+        assert engine.placement_failures == 1
+        assert latency.total_seconds == 0
+        assert not engine.is_cached(key)
+
+    def test_full_warm_function_limit_counts_as_placement_failure(self, topology, cost_model):
+        platform = ServerlessPlatform(ServerlessConfig(max_warm_functions=1), PricingConfig())
+        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        store = ObjectStore(topology.objstore, cost_model)
+        engine = CacheEngine(make_policy_bundle("tailored"), cluster, store)
+        first, second = DataKey.update(1, 0), DataKey.update(2, 0)
+        engine.admit(first, {"size_bytes": 3 * GB})
+        # The second object needs a second function, over the platform's limit.
+        engine.admit(second, {"size_bytes": 3 * GB})
+        assert engine.placement_failures == 1
+        assert engine.is_cached(first)
+        assert not engine.is_cached(second)
+
     def test_capacity_enforced_for_bounded_policy(self, topology, cost_model, platform, small_config):
         store = ObjectStore(topology.objstore, cost_model)
         cluster = ServerlessCacheCluster(platform, replication_factor=0)

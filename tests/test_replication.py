@@ -313,8 +313,32 @@ class TestReplicaWarmedJoin:
         assert all(joiner.is_live(k) for k in data_keys)
         assert all(not joiner.is_live(k, include_replicas=False) for k in data_keys)
         assert tier._replica_live(index, key)
+        # A routing key with no replicated keys never reads live.
+        assert not tier._replica_live(index, max(tier._replica_keys) + 1)
         # Warm placements are tier replicas: fleet-wide bytes are unchanged.
         assert tier.cached_bytes == fleet_bytes
+        # Losing one replicated key takes the holder out of the live set.
+        joiner.evict(data_keys[-1])
+        assert not tier._replica_live(index, key)
+
+    def test_replica_warm_placement_bug_propagates(self, repl_config, repl_rounds, monkeypatch):
+        """A warm event keeps a copy cold only when there is no room; any
+        other error from ``place`` is a bug and must surface."""
+        tier = ShardedEngineFLStore.build(
+            2, config=repl_config, replication_factor=2, replication_policy="hot-static"
+        )
+        for record in repl_rounds:
+            tier.ingest_round(record)
+        trace = RequestTraceGenerator(tier.catalog, seed=7).workload_trace("inference", 4)
+        tier.run_open_loop(trace, [0.1 * i for i in range(4)], label="pre")
+        index = tier.add_shard()
+
+        def broken_place(*args, **kwargs):
+            raise KeyError("bug in placement")
+
+        monkeypatch.setattr(tier.shards[index].flstore.cluster, "place", broken_place)
+        with pytest.raises(KeyError):
+            tier.loop.run()
 
     def test_sweeping_the_factor_axis_reports_the_improvement(self):
         spec = ScenarioSpec(

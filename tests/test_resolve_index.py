@@ -75,6 +75,32 @@ def assert_index_consistent(cluster: ServerlessCacheCluster):
         assert cluster.is_live(key, include_replicas=False) == (
             cluster.is_live(key) and not cluster.is_tier_replica(key)
         )
+    # Batch liveness is the per-key conjunction, tier replicas counting as
+    # live (``is_live``'s default): each key alone, every tracked key, a
+    # random batch with duplicates, a batch with a never-placed key, and the
+    # empty batch.
+    for key in keys:
+        assert cluster.all_live([key]) == cluster.is_live(key)
+    rng = np.random.default_rng(len(keys))
+    subset = [keys[i] for i in rng.integers(0, len(keys), size=2 * len(keys))] if keys else []
+    for sample in (keys, subset, subset[: len(subset) // 2]):
+        assert cluster.all_live(sample) == all(cluster.is_live(key) for key in sample)
+    assert not cluster.all_live([*subset, DataKey.update(10_000, 0)])
+    assert cluster.all_live([])
+    # The request path's gather reads what per-key ``resolve`` answers.
+    batch_keys = [*subset, DataKey.update(10_000, 0)]
+    resolved = [cluster.resolve(key) for key in batch_keys]
+    hit_keys: list[DataKey] = []
+    gathered = cluster.gather(batch_keys, hit_keys.append, lambda key: (None, False))
+    assert hit_keys == [r.key for r in resolved if r.is_hit]
+    assert gathered.data == {key: cluster.get_object(key) for key in hit_keys}
+    assert (gathered.hits, gathered.misses) == (len(hit_keys), len(batch_keys) - len(hit_keys))
+    assert gathered.failovers == sum(r.failed_over for r in resolved)
+    assert gathered.failed_functions == len(
+        {cluster.primary_function_of(r.key) for r in resolved if r.failed_over}
+    )
+    assert gathered.holders == list(dict.fromkeys(r.function_id for r in resolved if r.is_hit))
+    assert gathered.execution_function == cluster.pick_execution_function(batch_keys)
 
 
 @pytest.fixture()
