@@ -129,8 +129,10 @@ class ServerlessCacheCluster:
         #: Currently serving function per tracked key (primary while it lives,
         #: else the first live replica in placement order, else ``None``).
         self._holder: dict[DataKey, str | None] = {}
-        #: Reverse map: function id -> keys with a live copy on it.
-        self._function_keys: dict[str, set[DataKey]] = {}
+        #: Reverse map: function id -> keys with a live copy on it, in
+        #: placement order (a dict, not a set: reclamation walks it, and key
+        #: hashes are address-derived, so a set's order would vary by process).
+        self._function_keys: dict[str, dict[DataKey, None]] = {}
         #: Keys whose every copy was lost (in loss order), pending drop.
         self._lost: dict[DataKey, None] = {}
         #: Running sum of ``self._sizes`` values.
@@ -168,9 +170,9 @@ class ServerlessCacheCluster:
         for function_id in copies:
             keys = function_keys.get(function_id)
             if keys is None:
-                function_keys[function_id] = {key}
+                function_keys[function_id] = {key: None}
             else:
-                keys.add(key)
+                keys[key] = None
 
     def place(
         self,
@@ -425,7 +427,7 @@ class ServerlessCacheCluster:
         removed = function.state is _FUNCTION_WARM and function.evict(key)
         keys = self._function_keys.get(function_id)
         if keys is not None:
-            keys.discard(key)
+            keys.pop(key, None)
         return removed
 
     def _forget(self, key: DataKey) -> None:

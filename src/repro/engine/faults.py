@@ -134,7 +134,7 @@ class FaultPlan:
 
     def _make_crash(self, index: int, clause: FaultSpec):
         def _crash() -> None:
-            for _ in range(max(int(clause.magnitude), 1)):
+            for _ in range(clause.shards_crashed):
                 shard_index = self.tier.crash_shard()
                 self._record(index, clause.kind, f"shard {shard_index} crashed")
 

@@ -226,8 +226,10 @@ class FaultSpec:
 
     The four kinds exercise different layers of the tier:
 
-    * ``shard-crash`` — the front door loses ``magnitude`` shards at onset
-      (their waiters drain as ``requeued``); instantaneous, no duration.
+    * ``shard-crash`` — the front door loses :attr:`shards_crashed` shards
+      (``magnitude``, at least one) at onset, for good (their waiters drain
+      as ``requeued``); instantaneous, no duration.  A spec's crash clauses
+      may crash at most ``tier.shards - 1`` shards in total.
     * ``reclamation-storm`` — every ``interval_seconds`` within the window,
       each shard force-reclaims a Zipf-sized set of warm functions (exponent
       ``zipf_exponent``, the drawn count scaled by ``magnitude``).
@@ -254,6 +256,11 @@ class FaultSpec:
         if self.kind in ("reclamation-storm", "slow-shard", "network-spike"):
             if self.duration_seconds <= 0:
                 _fail(f"FaultSpec.duration_seconds must be > 0 for a {self.kind} fault")
+
+    @property
+    def shards_crashed(self) -> int:
+        """Shards a ``shard-crash`` clause takes down at onset (at least one)."""
+        return max(int(self.magnitude), 1)
 
 
 @dataclass(frozen=True)
@@ -452,6 +459,7 @@ class ScenarioSpec:
             _coerce_float(self, "mean_service_seconds", minimum=0.0, exclusive=True)
         _check_choice(self, "metrics", METRICS_MODES)
         object.__setattr__(self, "faults", tuple(self.faults))
+        shards_crashed = 0
         for index, clause in enumerate(self.faults):
             if not isinstance(clause, FaultSpec):
                 _fail(f"ScenarioSpec.faults[{index}] must be a FaultSpec, got {clause!r}")
@@ -462,12 +470,14 @@ class ScenarioSpec:
                         "shards (the last shard can never be crashed); set "
                         "tier.router_kind and tier.shards >= 2"
                     )
-                if int(clause.magnitude) > self.tier.shards - 1:
-                    _fail(
-                        f"a shard-crash of magnitude {clause.magnitude:g} on a "
-                        f"{self.tier.shards}-shard tier would crash the last "
-                        "shard; at least one shard must survive"
-                    )
+                shards_crashed += clause.shards_crashed
+        # Crashes are permanent, so the clauses' counts add up over the run.
+        if shards_crashed > self.tier.shards - 1:
+            _fail(
+                f"the shard-crash clauses crash {shards_crashed} shards in total on "
+                f"a {self.tier.shards}-shard tier, which would crash the last shard; "
+                "at least one shard must survive"
+            )
         if self.faults and self.metrics == "streaming":
             _fail(
                 'metrics="streaming" cannot score fault recovery: time to recovery '

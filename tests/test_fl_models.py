@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.analysis import setup_cache
 from repro.common.errors import ConfigurationError
 from repro.fl.keys import DataKey, DataKind
 from repro.fl.metadata import ClientRoundMetadata, HyperParameters, ResourceProfile
@@ -155,3 +159,76 @@ class TestDataKey:
     def test_string_representation(self):
         assert "aggregate" in str(DataKey.aggregate(4))
         assert "c3" in str(DataKey.update(3, 4))
+
+    # Identity is equality: one instance per (kind, round_id, client_id),
+    # however the key is made, so lookups hash and compare keys in C.
+    FACTORY_KEYS = {
+        DataKind.CLIENT_UPDATE: lambda: DataKey.update(3, 7),
+        DataKind.AGGREGATE: lambda: DataKey.aggregate(7),
+        DataKind.METADATA: lambda: DataKey.metadata(3, 7),
+    }
+
+    @pytest.mark.parametrize("kind", list(DataKind))
+    def test_constructor_returns_the_factory_instance(self, kind):
+        key = self.FACTORY_KEYS[kind]()
+        assert DataKey(kind, key.round_id, key.client_id) is key
+        assert DataKey(kind=kind, round_id=key.round_id, client_id=key.client_id) is key
+        assert self.FACTORY_KEYS[kind]() is key
+
+    @pytest.mark.parametrize("kind", list(DataKind))
+    def test_pickle_and_copies_return_the_same_instance(self, kind):
+        key = self.FACTORY_KEYS[kind]()
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(key, protocol=protocol)) is key
+        assert copy.copy(key) is key
+        assert copy.deepcopy(key) is key
+        mapping = {key: "value"}
+        for copied in (
+            copy.copy(mapping),
+            copy.deepcopy(mapping),
+            pickle.loads(pickle.dumps(mapping)),
+            setup_cache.snapshot_copy(mapping),
+        ):
+            assert copied is not mapping
+            assert next(iter(copied)) is key
+
+    def test_equality_and_hash_are_objects_identity(self):
+        # Re-adding a Python-level hash or equality (or ``@dataclass``, which
+        # generates both) would put a Python frame back into every lookup.
+        assert DataKey.__hash__ is object.__hash__
+        assert DataKey.__eq__ is object.__eq__
+
+    @pytest.mark.parametrize("kind", list(DataKind))
+    def test_fields_are_read_only(self, kind):
+        key = self.FACTORY_KEYS[kind]()
+        for name, value in (("kind", DataKind.METADATA), ("round_id", 99), ("client_id", 99)):
+            with pytest.raises(AttributeError):
+                setattr(key, name, value)
+            with pytest.raises(AttributeError):
+                delattr(key, name)
+        assert (key.round_id, key.client_id) == (7, -1 if kind is DataKind.AGGREGATE else 3)
+
+    @pytest.mark.parametrize(
+        "kind, text, representation",
+        [
+            (
+                DataKind.CLIENT_UPDATE,
+                "client_update/c3/r7",
+                "DataKey(kind=<DataKind.CLIENT_UPDATE: 'client_update'>, round_id=7, client_id=3)",
+            ),
+            (
+                DataKind.AGGREGATE,
+                "aggregate/r7",
+                "DataKey(kind=<DataKind.AGGREGATE: 'aggregate'>, round_id=7, client_id=-1)",
+            ),
+            (
+                DataKind.METADATA,
+                "metadata/c3/r7",
+                "DataKey(kind=<DataKind.METADATA: 'metadata'>, round_id=7, client_id=3)",
+            ),
+        ],
+    )
+    def test_str_and_repr(self, kind, text, representation):
+        key = self.FACTORY_KEYS[kind]()
+        assert str(key) == text
+        assert repr(key) == representation

@@ -222,6 +222,22 @@ class TestLivenessIndexProperty:
         assert cluster.drop_lost_keys() == [key]
         assert cluster.drop_lost_keys() == []
 
+    def test_lost_keys_come_back_in_placement_order(self, platform):
+        """Reclamation walks a function's keys in the order they were placed
+        (a re-placed key counts from its new placement), never in hash
+        order: key hashes are address-derived, so they vary by process."""
+        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        clients = np.random.default_rng(5).permutation(21).tolist()
+        keys = [DataKey.update(client, client % 3) for client in clients]
+        for key in keys:
+            cluster.place(key, b"x", size_bytes=MB)
+        cluster.place(keys[3], b"y", size_bytes=MB)
+        placed = [*keys[:3], *keys[4:], keys[3]]
+        (function_id,) = {cluster.primary_function_of(key) for key in keys}
+        platform.reclaim_function(function_id)
+        assert cluster.drop_lost_keys() == placed
+        assert_index_consistent(cluster)
+
     def test_replace_after_loss_clears_lost_state(self, platform):
         cluster = ServerlessCacheCluster(platform, replication_factor=0)
         key = DataKey.update(3, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import json
 import re
@@ -125,6 +126,34 @@ class TestValidation:
                 faults=(FaultSpec(kind="shard-crash", magnitude=2.0),),
             )
 
+    @pytest.mark.parametrize("remediation", [True, False])
+    def test_shard_crash_clauses_are_counted_in_total(self, remediation):
+        """Crashes are permanent, so two clauses that each leave a shard
+        standing can still crash every shard together: the spec is rejected
+        when built, not mid-run."""
+        base = get_scenario("fault-recovery").with_overrides(
+            {"remediation.enabled": remediation}
+        )
+        assert base.tier.shards == 3
+
+        def crashes(*magnitudes):
+            return tuple(
+                FaultSpec(kind="shard-crash", onset_seconds=30.0 + index, magnitude=magnitude)
+                for index, magnitude in enumerate(magnitudes)
+            )
+
+        with pytest.raises(ScenarioValidationError, match="crash 4 shards in total"):
+            dataclasses.replace(base, faults=crashes(2.0, 2.0))
+        # A magnitude below one still crashes one shard, and counts as one.
+        with pytest.raises(ScenarioValidationError, match="crash 3 shards in total"):
+            dataclasses.replace(base, faults=crashes(0.5, 2.0))
+        # Two single-shard crashes leave one of the three shards standing.
+        spec = dataclasses.replace(base, faults=crashes(1.0, 1.0))
+        assert [clause.shards_crashed for clause in spec.faults] == [1, 1]
+        report = run(smoke_spec(spec))
+        assert report.conserved is True
+        assert report.row()["fault_events"] == 2
+
     def test_faults_need_full_metrics(self):
         """Recovery is scored from per-request rows, which a streaming run
         does not keep: a faulted streaming spec would report every run as
@@ -223,11 +252,14 @@ _small_floats = st.floats(min_value=0.01, max_value=1e4, allow_nan=False, allow_
 
 
 @st.composite
-def fault_specs(draw, shards: int) -> FaultSpec:
-    kinds = FAULT_KINDS if shards >= 2 else tuple(k for k in FAULT_KINDS if k != "shard-crash")
+def fault_specs(draw, crash_budget: int) -> FaultSpec:
+    """One clause; a shard-crash takes at most ``crash_budget`` shards."""
+    kinds = FAULT_KINDS
+    if crash_budget < 1:
+        kinds = tuple(k for k in FAULT_KINDS if k != "shard-crash")
     kind = draw(st.sampled_from(kinds))
     if kind == "shard-crash":
-        magnitude = float(draw(st.integers(1, shards - 1)))
+        magnitude = float(draw(st.integers(1, crash_budget)))
     else:
         magnitude = draw(_small_floats)
     return FaultSpec(
@@ -243,6 +275,19 @@ def fault_specs(draw, shards: int) -> FaultSpec:
 
 
 @st.composite
+def fault_lists(draw, shards: int) -> tuple[FaultSpec, ...]:
+    """Up to three clauses whose shard crashes leave at least one shard."""
+    faults: list[FaultSpec] = []
+    crash_budget = shards - 1
+    for _ in range(draw(st.integers(0, 3))):
+        clause = draw(fault_specs(crash_budget=crash_budget))
+        if clause.kind == "shard-crash":
+            crash_budget -= clause.shards_crashed
+        faults.append(clause)
+    return tuple(faults)
+
+
+@st.composite
 def scenario_specs(draw) -> ScenarioSpec:
     router_kind = draw(st.sampled_from((None,) + ROUTER_KINDS))
     shards = 1 if router_kind is None else draw(st.integers(1, 8))
@@ -251,7 +296,7 @@ def scenario_specs(draw) -> ScenarioSpec:
         policy=draw(st.sampled_from(AUTOSCALER_KINDS)),
         control_interval_seconds=draw(_small_floats),
     )
-    faults = tuple(draw(st.lists(fault_specs(shards=shards), max_size=3)))
+    faults = draw(fault_lists(shards=shards))
     remediation = RemediationSpec(
         enabled=router_kind is not None and not autoscaler.enabled and draw(st.booleans()),
         control_interval_seconds=draw(_small_floats),
