@@ -1,13 +1,14 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-shape checks in ``benchmarks/``.
 
 Each benchmark regenerates one table or figure of the paper's evaluation at a
 reduced (but shape-preserving) scale, times the end-to-end experiment with
 ``pytest-benchmark``, and prints the regenerated rows so the run output can be
 compared side by side with the paper (see EXPERIMENTS.md).
 
-Run with::
+The files are named ``bench_*.py``, which pytest does not collect by
+default, so name them explicitly::
 
-    pytest benchmarks/ --benchmark-only
+    PYTHONPATH=src python -m pytest benchmarks/bench_*.py -q
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ order of magnitude cheaper than a ``deepcopy`` while remaining
 behaviourally indistinguishable from a fresh build-and-ingest.
 
 Both caches are process-local, bounded, and can be disabled (or cleared) for
-A/B measurements; :class:`SetupCacheStats` feeds the ``BENCH_serve.json``
-perf report so cache effectiveness is tracked alongside request throughput.
+A/B measurements; :class:`SetupCacheStats` feeds the benchmark's
+``analysis.setup_cache.hits`` and ``analysis.setup_cache.misses`` metrics
+(``bench/``), so cache effectiveness is tracked alongside request throughput.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def snapshot_copy(obj: Any) -> Any:
 
 @dataclass
 class SetupCacheStats:
-    """Hit/miss counters of the setup cache (reported in BENCH_serve.json)."""
+    """Hit/miss counters of the setup cache (the bench's ``analysis.setup_cache.{hits,misses}``)."""
 
     rounds_hits: int = 0
     rounds_misses: int = 0

@@ -153,8 +153,8 @@ for _spec in (
     ),
     # Raw speed: one plain tier under a million Poisson arrivals with
     # streaming metrics, served on the vectorized fast path — the
-    # engine-core benchmark scenario (benchmarks/bench_million.py gates its
-    # wall time at single-digit seconds).
+    # engine-core benchmark scenario (the bench's ``million-request``
+    # workload gates its throughput against the parent commit).
     ScenarioSpec(
         name="million-request",
         num_rounds=12,

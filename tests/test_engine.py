@@ -374,6 +374,27 @@ class TestOpenLoop:
         records = report.to_records(system="engine-flstore", model_name="m")
         assert len(records) == report.submitted
 
+    def test_load_sweep_queues_more_as_load_crosses_the_service_rate(self):
+        """``engine-baseline`` at 10 rounds x 80 requests, arrival process x
+        offered utilization: every cell completes, and for each process the
+        p95 sojourn at rho 2 is at least the one at rho 0.5."""
+        from repro.scenario import get_scenario, sweep
+
+        base = get_scenario("engine-baseline").with_overrides(
+            {"num_rounds": 10, "workload.num_requests": 80}
+        )
+        axes = {
+            "arrival.kind": ("poisson", "bursty", "diurnal"),
+            "arrival.utilization": (0.5, 1.0, 2.0),
+        }
+        rows = sweep(base, axes)
+        assert len(rows) == 9
+        assert all(row["completed"] == 80 for row in rows)
+        by_point = {(row["process"], row["utilization"]): row for row in rows}
+        for process in ("poisson", "bursty", "diurnal"):
+            light, heavy = by_point[(process, 0.5)], by_point[(process, 2.0)]
+            assert heavy["p95_sojourn_seconds"] >= light["p95_sojourn_seconds"]
+
 
 class TestPriorityServing:
     """Satellite: the ``priority`` discipline under overload must separate

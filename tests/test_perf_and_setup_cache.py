@@ -1,13 +1,10 @@
-"""Setup cache, snapshot copies, accumulators, perf reporting, parallel runner."""
+"""Setup cache, snapshot copies, accumulators, parallel runner."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.analysis import setup_cache
-from repro.analysis.perf import measure_serve_hotpath, tune_gc, write_bench_json
 from repro.analysis.runner import map_tasks, prepare_setup, run_trace
 from repro.config import SimulationConfig
 from repro.simulation.records import (
@@ -132,23 +129,6 @@ class TestAccumulators:
     def test_accumulator_initial_value(self):
         seeded = LatencyAccumulator(LatencyBreakdown(communication_seconds=2.0))
         assert seeded.finalize() == LatencyBreakdown(communication_seconds=2.0)
-
-
-class TestPerfReport:
-    def test_measure_and_write_bench_json(self, tmp_path):
-        tune_gc()
-        report = measure_serve_hotpath(num_rounds=3, requests_per_workload=2,
-                                       workloads=("clustering", "inference"))
-        assert report.requests == 4
-        assert report.requests_per_second > 0
-        assert report.p99_request_seconds >= report.p50_request_seconds >= 0
-        path = write_bench_json(report, str(tmp_path / "BENCH_serve.json"),
-                                extra={"suite_wall_seconds": 1.0})
-        assert path == str(tmp_path / "BENCH_serve.json")
-        payload = json.loads((tmp_path / "BENCH_serve.json").read_text())
-        assert payload["requests"] == 4
-        assert payload["suite_wall_seconds"] == 1.0
-        assert "setup_cache_stats" in payload
 
 
 def _square(value: int) -> int:

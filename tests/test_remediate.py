@@ -290,11 +290,13 @@ class TestFaultRecoverySweep:
     def test_comparison_rows_report_the_deltas(self, reports):
         from repro.fleet import compare_fault_recovery
 
-        comparisons = {c["fault"]: c for c in compare_fault_recovery(reports)}
-        assert set(comparisons) == {"shard-crash", "reclamation-storm"}
-        for row in comparisons.values():
+        comparisons = compare_fault_recovery(reports)
+        assert [row["fault"] for row in comparisons] == ["reclamation-storm", "shard-crash"]
+        for row in comparisons:
             assert row["ttr_reduction_pct"] > 0
             assert row["dip_reduction_pct"] > 0
+            # Every actuation was shadow-verified before it was taken.
+            assert row["shadow_accepts"] >= row["actions_taken"] >= 1
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,20 @@ class TestReplicaWarmedJoin:
         assert replicated["replica_hits"] > 0
         assert replicated["replicated_keys"] > 0
 
+    def test_registered_scenario_lifts_the_ceiling_at_factor_two(self):
+        """The registered ``hotkey-replicated`` scenario, factor 1 vs 2: the
+        hot shard's routing share, the tail and the overflow onto the
+        degraded object-store path all drop."""
+        rows = sweep(get_scenario("hotkey-replicated"), axes={"tier.replication.factor": (1, 2)})
+        base, replicated = rows
+        for row in rows:
+            assert row["conserved"] is True
+            assert row["served"] + row["shed"] + row["degraded"] == 64
+        assert replicated["max_shard_routed"] < base["max_shard_routed"]
+        assert replicated["p99_sojourn_seconds"] < base["p99_sojourn_seconds"]
+        assert replicated["degraded"] < base["degraded"]
+        assert replicated["replica_hits"] > 0
+
 
 class TestExplainFastPath:
     def test_explanation_agrees_with_eligibility_everywhere(self):

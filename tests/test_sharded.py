@@ -651,6 +651,49 @@ class TestShardSweep:
         assert base.tier.admission.shed_policy == "drop"
         assert calibrate(base) > 0
 
+    def test_shard_count_by_load_grid_conserves_and_sheds_one_shard_overload(self):
+        """``sharded-burst`` at 48 requests behind a 4-deep queue, shards
+        1/2/4 x utilization 1/2: every cell conserves, and overload (rho 2
+        against one shard's capacity) sheds on a single shard."""
+        from repro.scenario import get_scenario, sweep
+
+        base = get_scenario("sharded-burst").with_overrides(
+            {"workload.num_requests": 48, "tier.admission.max_queue_depth": 4}
+        )
+        rows = sweep(base, {"tier.shards": (1, 2, 4), "arrival.utilization": (1.0, 2.0)})
+        assert len(rows) == 6
+        for row in rows:
+            assert row["conserved"] is True
+            assert row["served"] + row["shed"] + row["degraded"] == 48
+            assert row["p99_sojourn_seconds"] >= row["p50_sojourn_seconds"]
+        by_point = {(row["shards"], row["utilization"]): row for row in rows}
+        assert by_point[(1, 2.0)]["shed"] > 0
+
+    def test_router_sweep_jsq_spreads_a_hot_keyed_mix(self):
+        """Consistent hashing vs JSQ on a bursty inference + scheduling_perf
+        mix over four shards: at rho 2, the load-aware placement spreads the
+        hot key that hashing concentrates."""
+        from repro.scenario import ArrivalSpec, ScenarioSpec, TierSpec, WorkloadMixSpec, sweep
+
+        base = ScenarioSpec(
+            name="router-compare",
+            num_rounds=6,
+            workload=WorkloadMixSpec(workloads=("inference", "scheduling_perf"), num_requests=32),
+            arrival=ArrivalSpec(kind="bursty", utilization=2.0),
+            tier=TierSpec(shards=4, router_kind="consistent-hash"),
+        )
+        rows = sweep(
+            base,
+            {"tier.router_kind": ("consistent-hash", "jsq"), "arrival.utilization": (1.0, 2.0)},
+        )
+        assert len(rows) == 4
+        assert all(row["conserved"] is True for row in rows)
+        by_point = {(row["router"], row["utilization"]): row for row in rows}
+        assert (
+            by_point[("jsq", 2.0)]["max_shard_routed"]
+            < by_point[("consistent-hash", 2.0)]["max_shard_routed"]
+        )
+
     def test_shard_sweep_jsq_reduces_hot_key_imbalance(self):
         """``tier.router_kind=jsq`` on a P1-only (single hot key) mix: the
         JSQ placement's ``max_shard_routed`` must sit well below hashing's

@@ -269,3 +269,11 @@ class TestStreamingMemoryGuard:
         assert report.load.completed == 100_000
         assert report.conserved
         assert peak < 24 * 2**20
+
+    def test_registered_million_request_run_serves_every_request(self):
+        """The registered headline run, at its full 10^6 requests."""
+        spec = get_scenario("million-request")
+        assert spec.workload.num_requests == 10**6
+        row = run(spec).row()
+        assert row["conserved"] is True
+        assert row["completed"] == row["served"] == 10**6
