@@ -286,6 +286,11 @@ class NullAutoscaler(AutoscalerPolicy):
         return HOLD
 
 
+def _cooling_down(last_at: float | None, cooldown: float, now: float) -> bool:
+    """Whether an action taken at ``last_at`` still blocks another at ``now``."""
+    return last_at is not None and now - last_at < cooldown
+
+
 class ReactiveThresholdAutoscaler(AutoscalerPolicy):
     """Threshold scaling on queue backlog, with hysteresis and cooldowns.
 
@@ -306,14 +311,11 @@ class ReactiveThresholdAutoscaler(AutoscalerPolicy):
         self._last_scale_up_at: float | None = None
         self._last_scale_down_at: float | None = None
 
-    def _cooling_down(self, last_at: float | None, cooldown: float, now: float) -> bool:
-        return last_at is not None and now - last_at < cooldown
-
     def decide(self, signals: ControlSignals) -> ScaleDecision:
         config = self.config
         backlog_per_unit = signals.queue_depth / max(signals.capacity_units, 1)
         if backlog_per_unit > config.high_backlog_per_unit or signals.shed_delta > 0:
-            if signals.capacity_units >= config.max_capacity_units or self._cooling_down(
+            if signals.capacity_units >= config.max_capacity_units or _cooling_down(
                 self._last_scale_up_at, config.scale_up_cooldown_seconds, signals.now
             ):
                 return HOLD
@@ -324,7 +326,7 @@ class ReactiveThresholdAutoscaler(AutoscalerPolicy):
                 reason=f"backlog {backlog_per_unit:.2f}/unit, shed {signals.shed_delta}",
             )
         if backlog_per_unit < config.low_backlog_per_unit:
-            if signals.capacity_units <= config.min_capacity_units or self._cooling_down(
+            if signals.capacity_units <= config.min_capacity_units or _cooling_down(
                 self._last_scale_down_at, config.scale_down_cooldown_seconds, signals.now
             ):
                 return HOLD
@@ -407,14 +409,11 @@ class SLOViolationAutoscaler(AutoscalerPolicy):
         self._last_scale_up_at: float | None = None
         self._last_scale_down_at: float | None = None
 
-    def _cooling_down(self, last_at: float | None, cooldown: float, now: float) -> bool:
-        return last_at is not None and now - last_at < cooldown
-
     def decide(self, signals: ControlSignals) -> ScaleDecision:
         config = self.config
         pressure = max(signals.violation_rate, signals.max_tenant_violation_rate)
         if pressure > config.slo_violation_target or signals.shed_delta > 0:
-            if signals.capacity_units >= config.max_capacity_units or self._cooling_down(
+            if signals.capacity_units >= config.max_capacity_units or _cooling_down(
                 self._last_scale_up_at, config.scale_up_cooldown_seconds, signals.now
             ):
                 return HOLD
@@ -434,7 +433,7 @@ class SLOViolationAutoscaler(AutoscalerPolicy):
             )
         backlog_per_unit = signals.queue_depth / max(signals.capacity_units, 1)
         if pressure == 0.0 and backlog_per_unit < config.low_backlog_per_unit:
-            if signals.capacity_units <= config.min_capacity_units or self._cooling_down(
+            if signals.capacity_units <= config.min_capacity_units or _cooling_down(
                 self._last_scale_down_at, config.scale_down_cooldown_seconds, signals.now
             ):
                 return HOLD

@@ -782,10 +782,8 @@ class EngineFLStore:
 
     # --------------------------------------------------- lifecycle as events
 
-    def schedule_keepalive(
-        self, alive: Callable[[], bool], interval_seconds: float | None = None
-    ) -> None:
-        """Ping warm functions every ``interval_seconds`` of virtual time.
+    def schedule_keepalive(self, alive: Callable[[], bool]) -> None:
+        """Ping warm functions every ``keepalive_interval_seconds`` of virtual time.
 
         The recurring event first advances the shared analytic clock to the
         engine's virtual time (monotonically), then pings every warm
@@ -797,11 +795,7 @@ class EngineFLStore:
         so its own count going momentarily to zero must not stop the daemon
         while the tier still has traffic coming.
         """
-        interval = (
-            interval_seconds
-            if interval_seconds is not None
-            else self.flstore.config.serverless.keepalive_interval_seconds
-        )
+        interval = self.flstore.config.serverless.keepalive_interval_seconds
         if interval <= 0:
             raise ValueError(f"keepalive interval must be positive, got {interval}")
         if self._keepalive_daemon:

@@ -1,22 +1,21 @@
-"""A discrete-event simulation kernel: calendar queue, futures, timed processes.
+"""A discrete-event simulation kernel: one event heap, futures, timed processes.
 
 The analytic simulator of :mod:`repro.core` serves one request at a time and
 returns closed-form latencies.  This kernel supplies the missing substrate
 for *load-dependent* behaviour — concurrent in-flight requests, queueing,
 cold-start overlap — as a classic discrete-event engine:
 
-* :class:`EventLoop` — a schedule of ``(virtual_time, sequence, action)``
-  events.  Events at the same timestamp fire in scheduling order (the
-  monotonically increasing sequence number breaks ties), which makes every
-  run deterministic regardless of scheduler internals.  Internally the loop
-  keeps a calendar queue (bucketed by time window, with an overflow heap for
-  far-future events) instead of a single binary heap; the observable order
-  is identical, which ``tests/test_kernel_equivalence.py`` drives with
-  hypothesis against a reference ``(time, seq)`` heap.
-* :meth:`EventLoop.schedule_many` — a bulk fast path for pre-known sorted
-  instants (arrival times from :mod:`repro.traces.arrivals`): the array is
-  consumed through a cursor and merged with the calendar during
-  :meth:`EventLoop.run`, instead of paying N individual pushes.
+* :class:`EventLoop` — one binary heap (:mod:`heapq`) of
+  ``(virtual_time, sequence, action)`` events.  Events at the same timestamp
+  fire in scheduling order (the monotonically increasing sequence number
+  breaks ties), which makes every run deterministic.  The hypothesis property
+  in ``tests/test_kernel.py`` drives random schedules through it and through
+  a reference ``(time, seq)`` heap and asserts the same firing order.  An
+  open-loop run schedules every arrival up front, so the heap peaks at about
+  one entry per offered request: 1,001 to 1,751 entries on the five
+  event-path bench workloads, which offer 1,000 to 1,750 requests.  The
+  million-request scale runs on the vectorized fast path
+  (:mod:`repro.engine.vectorized`) and never reaches this loop.
 * :class:`SimTask` — a future resolved at some virtual time.  Processes wait
   on tasks; external components (queue slots, completion signals) resolve
   them.
@@ -38,6 +37,7 @@ Examples
 >>> out = []
 >>> task = loop.process(worker(2.5, out))
 >>> loop.run()
+2.5
 >>> (out, task.result, loop.now)
 ([2.5], 2.5, 2.5)
 """
@@ -45,11 +45,8 @@ Examples
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Callable, Generator, Optional, Sequence
-
-import numpy as np
+from typing import Any, Callable, Generator, Optional
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,168 +118,20 @@ Process = Generator[Any, Any, Any]
 _Entry = tuple[float, int, Callable[[], None]]
 
 
-class _CalendarQueue:
-    """A bucketed schedule of ``(time, seq, action)`` entries.
-
-    The window ``[base, base + buckets * width)`` is split into equal-width
-    buckets; entries land in their bucket unsorted and a bucket is sorted
-    lazily when the consuming cursor reaches it.  Entries at or beyond the
-    window end sit in an overflow heap until a rollover advances the window
-    (re-tuning the bucket width to the observed backlog density).  Pops are
-    globally ordered by ``(time, seq)``: the active bucket always holds the
-    earliest in-window entries and the overflow only holds later ones.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_num_buckets",
-        "_width",
-        "_base",
-        "_year_end",
-        "_cursor",
-        "_active",
-        "_head",
-        "_overflow",
-        "_size",
-    )
-
-    def __init__(self, start: float, num_buckets: int = 64, width: float = 1.0) -> None:
-        self._num_buckets = num_buckets
-        self._width = width
-        self._base = start
-        self._year_end = start + num_buckets * width
-        self._buckets: list[list[_Entry]] = [[] for _ in range(num_buckets)]
-        self._cursor = 0  # first bucket that may still hold entries
-        self._active = -1  # bucket currently sorted and being consumed
-        self._head = 0  # next entry index within the active bucket
-        self._overflow: list[_Entry] = []  # entries at/past the window end
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: _Entry) -> None:
-        self._size += 1
-        when = entry[0]
-        if when >= self._year_end:
-            heapq.heappush(self._overflow, entry)
-            return
-        index = int((when - self._base) / self._width)
-        if index >= self._num_buckets:
-            index = self._num_buckets - 1
-        if self._active >= 0:
-            if index <= self._active:
-                # The active bucket is already sorted and partially consumed;
-                # keep it sorted.  The new entry's (time, seq) exceeds every
-                # consumed entry, so it always lands at or after the head.
-                insort(self._buckets[self._active], entry)
-                return
-        elif index < self._cursor:
-            # The scan cursor already passed this (drained) bucket; pull it
-            # back so peek() revisits the bucket.  Everything in between is
-            # empty, so the rescan is cheap and order is unaffected.
-            self._cursor = index
-        self._buckets[index].append(entry)
-
-    def peek(self) -> _Entry | None:
-        """The earliest entry by ``(time, seq)``, or ``None`` when empty."""
-        while True:
-            if self._active >= 0:
-                bucket = self._buckets[self._active]
-                if self._head < len(bucket):
-                    return bucket[self._head]
-                self._buckets[self._active] = []
-                self._cursor = self._active + 1
-                self._active = -1
-                self._head = 0
-            buckets = self._buckets
-            cursor = self._cursor
-            num_buckets = self._num_buckets
-            while cursor < num_buckets and not buckets[cursor]:
-                cursor += 1
-            self._cursor = cursor
-            if cursor < num_buckets:
-                bucket = buckets[cursor]
-                bucket.sort()
-                self._active = cursor
-                self._head = 0
-                return bucket[0]
-            if not self._overflow:
-                return None
-            self._rollover()
-
-    def advance(self) -> None:
-        """Consume the entry that :meth:`peek` just returned."""
-        self._head += 1
-        self._size -= 1
-
-    def _rollover(self) -> None:
-        """Advance the window to the earliest overflow entry and refill."""
-        overflow = self._overflow
-        base = overflow[0][0]
-        num_buckets = self._num_buckets
-        if len(overflow) > 1:
-            # Re-tune the width so the new window captures a healthy slice
-            # of the backlog: aim for a handful of entries per bucket.
-            span = max(entry[0] for entry in overflow) - base
-            if span > 0.0:
-                per_entry = span / len(overflow)
-                self._width = min(max(per_entry * 4.0, span / (num_buckets * 8.0)), span)
-        year_end = base + num_buckets * self._width
-        keep: list[_Entry] = []
-        width = self._width
-        buckets = self._buckets
-        for entry in overflow:
-            if entry[0] >= year_end:
-                keep.append(entry)
-                continue
-            index = int((entry[0] - base) / width)
-            if index >= num_buckets:
-                index = num_buckets - 1
-            buckets[index].append(entry)
-        heapq.heapify(keep)
-        self._overflow = keep
-        self._base = base
-        self._year_end = year_end
-        self._cursor = 0
-        self._active = -1
-        self._head = 0
-
-
-class _EventStream:
-    """A sorted block of instants consumed through a cursor (`schedule_many`)."""
-
-    __slots__ = ("times", "action", "cursor", "seq_base", "size")
-
-    def __init__(self, times: np.ndarray, action: Callable[[int], None], seq_base: int) -> None:
-        self.times = times
-        self.action = action
-        self.cursor = 0
-        self.seq_base = seq_base
-        self.size = int(times.size)
-
-    def remaining(self) -> int:
-        return self.size - self.cursor
-
-
 class EventLoop:
     """A deterministic discrete-event loop over virtual time.
 
     Events are ordered by ``(time, sequence)``: two events scheduled for the
     same virtual instant fire in the order they were scheduled, so runs are
-    reproducible by construction.  The backing store is a calendar queue
-    (plus sorted-array streams from :meth:`schedule_many`); the ordering
-    contract is identical to a single ``(time, seq)`` heap.
+    reproducible by construction.
     """
 
-    __slots__ = ("now", "_queue", "_seq", "_stream_heads", "events_fired")
+    __slots__ = ("now", "_heap", "_seq", "events_fired")
 
     def __init__(self, start: float = 0.0) -> None:
         self.now = float(start)
-        self._queue = _CalendarQueue(self.now)
+        self._heap: list[_Entry] = []
         self._seq = 0
-        # Min-heap of (head_time, head_seq, stream) across live streams.
-        self._stream_heads: list[tuple[float, int, _EventStream]] = []
         self.events_fired = 0
 
     # ----------------------------------------------------------- scheduling
@@ -293,7 +142,7 @@ class EventLoop:
             raise ValueError(f"cannot schedule into the past ({when} < {self.now})")
         seq = self._seq
         self._seq = seq + 1
-        self._queue.push((float(when), seq, action))
+        heapq.heappush(self._heap, (float(when), seq, action))
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action()`` to fire ``delay`` seconds from now."""
@@ -301,39 +150,15 @@ class EventLoop:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.schedule_at(self.now + delay, action)
 
-    def schedule_many(self, times: Sequence[float] | np.ndarray, action: Callable[[int], None]) -> None:
-        """Schedule ``action(i)`` at each ``times[i]`` from a sorted array.
-
-        The bulk fast path for pre-known instants (e.g. arrival times):
-        instead of N individual pushes, the block reserves a contiguous
-        sequence range up front and :meth:`run` consumes it through a
-        cursor, merging with individually scheduled events.  The total
-        order is exactly as if each instant had been ``schedule_at``-ed in
-        array order.  ``times`` must be non-decreasing and start at or
-        after :attr:`now`.
-        """
-        arr = np.asarray(times, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError(f"times must be one-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            return
-        first = float(arr[0])
-        if first < self.now:
-            raise ValueError(f"cannot schedule into the past ({first} < {self.now})")
-        if arr.size > 1 and bool(np.any(np.diff(arr) < 0.0)):
-            raise ValueError("times must be non-decreasing")
-        seq_base = self._seq
-        self._seq = seq_base + int(arr.size)
-        stream = _EventStream(arr, action, seq_base)
-        heapq.heappush(self._stream_heads, (first, seq_base, stream))
-
     def pending(self) -> int:
-        """Number of events still scheduled (calendar plus stream tails)."""
-        return len(self._queue) + sum(entry[2].remaining() for entry in self._stream_heads)
+        """Number of events still scheduled."""
+        return len(self._heap)
 
     # ------------------------------------------------------------ processes
 
-    def process(self, generator: Process, task: SimTask | None = None, name: str | None = None) -> SimTask:
+    def process(
+        self, generator: Process, task: SimTask | None = None, name: str | None = None
+    ) -> SimTask:
         """Start driving ``generator`` as a timed process; returns its task.
 
         The generator may yield :class:`Timeout` (sleep) or :class:`SimTask`
@@ -373,43 +198,15 @@ class EventLoop:
 
         Returns the final virtual time.  With ``until`` set, the boundary is
         inclusive: events at exactly ``until`` fire, events strictly later
-        stay queued (calendar entries and stream tails alike), and the clock
-        lands exactly on ``until``.
+        stay queued, and the clock lands exactly on ``until``.
         """
-        queue = self._queue
-        stream_heads = self._stream_heads
-        while True:
-            entry = queue.peek()
-            if stream_heads:
-                head_time, head_seq, stream = stream_heads[0]
-                if entry is None or head_time < entry[0] or (
-                    head_time == entry[0] and head_seq < entry[1]
-                ):
-                    if until is not None and head_time > until:
-                        break
-                    index = stream.cursor
-                    cursor = index + 1
-                    stream.cursor = cursor
-                    if cursor < stream.size:
-                        heapq.heapreplace(
-                            stream_heads,
-                            (float(stream.times[cursor]), stream.seq_base + cursor, stream),
-                        )
-                    else:
-                        heapq.heappop(stream_heads)
-                    self.now = head_time
-                    self.events_fired += 1
-                    stream.action(index)
-                    continue
-            if entry is None:
-                break
-            when = entry[0]
-            if until is not None and when > until:
-                break
-            queue.advance()
+        heap = self._heap
+        limit = float("inf") if until is None else until
+        while heap and heap[0][0] <= limit:
+            when, _, action = heapq.heappop(heap)
             self.now = when
             self.events_fired += 1
-            entry[2]()
+            action()
         if until is not None and until > self.now:
             self.now = until
         return self.now

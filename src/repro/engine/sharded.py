@@ -46,8 +46,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.cloud.payload import payload_size_bytes
 from repro.common.errors import ConfigurationError
 from repro.config import SHED_POLICIES
@@ -340,8 +338,8 @@ class ShardedEngineFLStore:
         """
         task = SimTask(self.loop, name=request.request_id)
         task.add_done_callback(self._collect)
-        self._inflight += 1
         self.loop.schedule_at(at, lambda: self._arrive(request, task, priority))
+        self._inflight += 1
         return task
 
     def _arrive(self, request: WorkloadRequest, task: SimTask, priority: float) -> None:
@@ -370,43 +368,6 @@ class ShardedEngineFLStore:
                     )
         self._outcome_sink(outcome)
         self._inflight -= 1
-
-    def _submit_block(
-        self,
-        requests: Sequence[WorkloadRequest],
-        absolute_times: Sequence[float],
-        priorities: Sequence[float] | None,
-    ) -> None:
-        """Submit one open-loop block, bulk-scheduling sorted arrivals.
-
-        Non-decreasing arrival instants go through one
-        :meth:`~repro.engine.kernel.EventLoop.schedule_many` stream (routing
-        still happens per arrival, at arrival time), with a contiguous
-        sequence block reserved up front so event order — and every report —
-        is byte-identical to per-request :meth:`submit` calls.  Unsorted
-        inputs fall back to those calls.
-        """
-        count = len(requests)
-        if count == 0:
-            return
-        times = np.asarray(absolute_times, dtype=np.float64)
-        if count > 1 and not bool(np.all(times[1:] >= times[:-1])):
-            for index, (request, at) in enumerate(zip(requests, absolute_times)):
-                priority = priorities[index] if priorities is not None else 0.0
-                self.submit(request, at=at, priority=priority)
-            return
-        tasks = []
-        for request in requests:
-            task = SimTask(self.loop, name=request.request_id)
-            task.add_done_callback(self._collect)
-            tasks.append(task)
-        self._inflight += count
-        self.loop.schedule_many(
-            times,
-            lambda index: self._arrive(
-                requests[index], tasks[index], priorities[index] if priorities is not None else 0.0
-            ),
-        )
 
     @property
     def inflight(self) -> int:
@@ -795,7 +756,10 @@ class ShardedEngineFLStore:
             depth = DepthAccumulator()
             self._outcome_sink = self._completed.append
             self._note_depth = depth.observe
-        self._submit_block(requests, absolute_times, priorities)
+        if priorities is None:
+            priorities = [0.0] * len(requests)
+        for request, at, priority in zip(requests, absolute_times, priorities):
+            self.submit(request, at, priority)
         if keepalive:
             for index in self._active:
                 self.shards[index].schedule_keepalive(self._daemons_alive(index))

@@ -1,11 +1,13 @@
 """The vectorized fast path: million-request single-tier runs in seconds.
 
-The discrete-event path costs a few microseconds per request — generator
-processes, heap traffic, per-request ``FLStore.serve`` calls — which is the
-right price for faulted, autoscaled, or admission-controlled topologies, and
-the wrong one for the raw-speed question ("what does this tier do under a
-million requests?").  This module answers that question in single-digit
-seconds by replacing the event loop with closed-form queueing:
+The discrete-event path costs about 170 µs per request — generator
+processes, heap traffic, per-request ``FLStore.serve`` calls: the bench's
+``engine-baseline-1k`` workload runs about 6,000 requests per second on the
+event path, scaled to the bench's reference machine (``bench/README.md``).
+That is the right price for faulted, autoscaled, or admission-controlled
+topologies, and the wrong one for the raw-speed question ("what does this
+tier do under a million requests?").  This module answers that question in
+single-digit seconds by replacing the event loop with closed-form queueing:
 
 * **compact trace** — the request stream is represented as one int64 array
   of *signature classes* (workload x target round), drawn from the same RNG
@@ -29,12 +31,18 @@ seconds by replacing the event loop with closed-form queueing:
 
 What the fast path approximates, relative to the event path: per-request
 cache-state evolution (every request of a class gets the class's
-steady-state oracle result; only the first few serves of a run differ),
+steady-state oracle result, served straight after the class's warm pass),
 same-instant tie ordering in the max-depth column, the sketched percentile
 columns, and the keep-alive daemon (not scheduled — eligibility requires a
 fault-free tier, where it only adds a report counter).  Counts,
 conservation, means, rates, and the mean queue depth are exact given the
-memoized oracle.
+memoized oracle.  The memoized oracle itself runs warmer than a real run,
+where other requests keep evicting a class's data: at 4,000 requests of the
+``million-request`` mix (seed 7), ``clustering`` requests average 2.26
+cache misses and 24.97 s of service on the event path against 0.79 and
+12.71 s here, while ``inference`` and ``scheduling_perf`` agree to within
+0.01 misses and 0.01 s.  So the latency columns understate a mix whose
+working set does not fit in the cache.
 
 Eligibility (:func:`fast_path_eligible`) is deliberately narrow: a plain
 (unrouted, one-shard) tier, FIFO discipline, unbounded admission, no faults, no

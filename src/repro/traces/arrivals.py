@@ -16,14 +16,13 @@ Every process is a pure function of ``(seed, parameters)`` via
 end: same seed, same arrival instants, same queueing behaviour.
 
 Every process exposes two equivalent APIs: :meth:`ArrivalProcess.times`
-(a list of Python floats, the original interface) and
-:meth:`ArrivalProcess.times_array` (one float64 ndarray, the bulk interface
-consumed by :meth:`repro.engine.kernel.EventLoop.schedule_many` and the
-vectorized fast path).  Both produce byte-identical instants: the
-vectorized generators consume the underlying ``standard_exponential``
-stream in exactly the order the original scalar loops did, which
-``tests/test_arrivals_vectorized.py`` pins against reference copies of the
-pre-vectorization loops at seed 7.
+(a list of Python floats, which the event path submits one arrival at a
+time) and :meth:`ArrivalProcess.times_array` (one float64 ndarray, the bulk
+interface the vectorized fast path consumes).  Both produce byte-identical
+instants: the vectorized generators consume the underlying
+``standard_exponential`` stream in exactly the order the original scalar
+loops did, which ``tests/test_arrivals_vectorized.py`` pins against
+reference copies of the pre-vectorization loops at seed 7.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import CapacityError
@@ -122,6 +124,12 @@ class TestEventLoop:
     def test_negative_timeout_rejected(self):
         with pytest.raises(ValueError):
             Timeout(-1.0)
+
+    def test_negative_delay_rejected(self):
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="non-negative"):
+            loop.schedule(-0.1, lambda: None)
+        assert loop.pending() == 0
 
     def test_task_double_resolve_rejected(self):
         loop = EventLoop()
@@ -330,6 +338,16 @@ class TestOpenLoop:
         assert report.completed == 10
         assert report.keepalive_pings > 0
 
+    def test_keepalive_rejects_a_non_positive_interval(self, engine_config, engine_rounds):
+        # The serverless config does not validate the interval; the daemon does.
+        config = replace(
+            engine_config,
+            serverless=replace(engine_config.serverless, keepalive_interval_seconds=0.0),
+        )
+        engine = self._engine(config, engine_rounds)
+        with pytest.raises(ValueError, match="keepalive interval must be positive"):
+            engine.shards[0].schedule_keepalive(lambda: True)
+
     def _storm_run(self, engine_config, engine_rounds):
         """Twenty requests 0.1 s apart under a reclamation storm (four bursts)."""
         engine = self._engine(engine_config, engine_rounds)
@@ -401,8 +419,6 @@ class TestPriorityServing:
     latency-critical P1 traffic from batch P4 traffic."""
 
     def _run(self, engine_config, engine_rounds, discipline):
-        from dataclasses import replace
-
         import numpy as np
 
         from repro.traces.arrivals import BurstyArrivals

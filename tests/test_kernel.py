@@ -1,16 +1,14 @@
 """Kernel scheduler contract: boundary semantics and heap equivalence.
 
-Two guarantees pin the calendar-queue scheduler so it can never silently
-drift from the original single-heap implementation:
+Two guarantees pin the event loop's ordering contract:
 
 * ``run(until=...)`` boundary semantics — events at exactly ``until`` fire,
-  strictly later ones stay queued, and the clock lands exactly on ``until``
-  (for calendar entries and ``schedule_many`` stream tails alike).
+  strictly later ones stay queued, and the clock lands exactly on ``until``.
 * Total-order equivalence — a hypothesis property drives random
-  ``schedule`` / ``schedule_at`` / ``schedule_many`` / nested-action
-  interleavings through the production :class:`EventLoop` and a reference
-  ``(time, seq)`` heap, asserting identical firing order, ``events_fired``
-  and ``pending()`` at every checkpoint.
+  ``schedule`` / ``schedule_at`` / nested-action interleavings through the
+  production :class:`EventLoop` and a reference ``(time, seq)`` heap,
+  asserting identical firing order, ``events_fired`` and ``pending()`` at
+  every checkpoint.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,11 +23,9 @@ from repro.engine.kernel import EventLoop
 
 
 class ReferenceLoop:
-    """The pre-calendar-queue event loop: one binary ``(time, seq)`` heap.
+    """The original event loop: one binary ``(time, seq)`` heap.
 
     Kept verbatim as the executable specification of event ordering.
-    ``schedule_many`` is emulated as N individual pushes in array order,
-    which is exactly the contract the stream fast path must honour.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -48,10 +43,6 @@ class ReferenceLoop:
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
         self.schedule_at(self.now + delay, action)
-
-    def schedule_many(self, times, action):
-        for index, when in enumerate(times):
-            self.schedule_at(float(when), lambda index=index: action(index))
 
     def pending(self):
         return len(self._heap)
@@ -92,19 +83,6 @@ class TestRunUntilTieSemantics:
         assert fired[-1] == "later"
         assert loop.pending() == 0
 
-    def test_stream_events_honor_the_same_boundary(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_many([1.0, 2.0, 2.5], lambda i: fired.append(i))
-
-        assert loop.run(until=2.0) == 2.0
-        assert fired == [0, 1]
-        assert loop.pending() == 1
-
-        loop.run()
-        assert fired == [0, 1, 2]
-        assert loop.pending() == 0
-
     def test_boundary_event_chaining_a_zero_delay_child_fires_it_too(self):
         # An event at exactly `until` that schedules a zero-delay follow-up
         # keeps the follow-up inside the window: it lands at the same
@@ -121,53 +99,12 @@ class TestRunUntilTieSemantics:
         assert loop.now == 5.0
 
 
-class TestScheduleMany:
-    def test_rejects_times_in_the_past(self):
-        loop = EventLoop()
-        loop.schedule_at(1.0, lambda: None)
-        loop.run()
-        with pytest.raises(ValueError, match="past"):
-            loop.schedule_many([0.5, 2.0], lambda i: None)
-
-    def test_rejects_decreasing_times(self):
-        loop = EventLoop()
-        with pytest.raises(ValueError, match="non-decreasing"):
-            loop.schedule_many([1.0, 0.5], lambda i: None)
-
-    def test_rejects_multidimensional_input(self):
-        loop = EventLoop()
-        with pytest.raises(ValueError, match="one-dimensional"):
-            loop.schedule_many([[1.0, 2.0]], lambda i: None)
-
-    def test_empty_block_is_a_no_op(self):
-        loop = EventLoop()
-        loop.schedule_many([], lambda i: None)
-        assert loop.pending() == 0
-        assert loop.run() == 0.0
-
-    def test_streams_merge_with_individual_events_by_time_then_seq(self):
-        loop = EventLoop()
-        fired = []
-        loop.schedule_many([1.0, 2.0, 2.0], lambda i: fired.append(("stream", i)))
-        # Scheduled after the block, so at equal timestamps it fires later.
-        loop.schedule_at(2.0, lambda: fired.append(("single", 0)))
-        loop.schedule_at(0.5, lambda: fired.append(("single", 1)))
-        loop.run()
-        assert fired == [
-            ("single", 1),
-            ("stream", 0),
-            ("stream", 1),
-            ("stream", 2),
-            ("single", 0),
-        ]
-
-
 # ---------------------------------------------------------------------------
-# Hypothesis: the calendar queue is indistinguishable from the reference heap.
+# Hypothesis: the event loop is indistinguishable from the reference heap.
 # ---------------------------------------------------------------------------
 
 # A coarse time grid forces plenty of exact ties, which is where ordering
-# bugs hide; spans larger than the initial calendar window force rollovers.
+# bugs hide.
 _grid_time = st.integers(min_value=0, max_value=600).map(lambda i: i * 0.25)
 _child_delay = st.integers(min_value=0, max_value=12).map(lambda i: i * 0.25)
 
@@ -179,9 +116,10 @@ _children = st.lists(
 )
 _one = st.tuples(st.just("one"), _grid_time, _children)
 
-# ("many", sorted times, spawn_flag) — a schedule_many block; with
-# spawn_flag set, every third firing schedules an extra nested event, so
-# streams interleave with calendar entries mid-run.
+# ("many", sorted times, spawn_flag) — a block of arrivals scheduled one
+# ``schedule_at`` each in array order, as the front door submits an
+# open-loop run; with spawn_flag set, every third firing schedules an extra
+# nested event, so the block interleaves with other events mid-run.
 _many = st.tuples(
     st.just("many"),
     st.lists(_grid_time, min_size=1, max_size=12).map(sorted),
@@ -216,13 +154,14 @@ def _drive(loop, program):
                 if spawn and index % 3 == 0:
                     loop.schedule(0.5, make_action(("many", position, index, "child"), []))
 
-            loop.schedule_many(times, fire)
+            for index, when in enumerate(times):
+                loop.schedule_at(when, lambda index=index, fire=fire: fire(index))
     return log
 
 
 @settings(max_examples=200, deadline=None)
 @given(program=_program, checkpoints=_checkpoints)
-def test_calendar_queue_matches_reference_heap(program, checkpoints):
+def test_event_loop_matches_reference_heap(program, checkpoints):
     loops = (EventLoop(), ReferenceLoop())
     logs = []
     snapshots = []

@@ -626,6 +626,99 @@ class TestArrivalEvent:
         for request_id in shed:
             assert resolved_at[request_id] == routed_at[request_id]
 
+    @staticmethod
+    def _jsq_pair(config, rounds):
+        """Two JSQ shards in front of one-deep queues that drop on overflow."""
+        config = _admitting(config, max_queue_depth=1, shed_policy="drop")
+        return ShardedEngineFLStore(
+            [_ingested_flstore(config, rounds) for _ in range(2)], router=make_router("jsq", 2)
+        )
+
+    @staticmethod
+    def _outcome_rows(outcomes):
+        return [(o.request.request_id, o.disposition, o.completed_at) for o in outcomes]
+
+    def _open_loop_and_submitted(self, config, rounds, instants):
+        """One run through ``run_open_loop`` and one through a ``submit`` per request."""
+        open_loop = self._jsq_pair(config, rounds)
+        trace = RequestTraceGenerator(open_loop.catalog, seed=3).workload_trace("inference", 12)
+        report = open_loop.run_open_loop(trace, instants, label="burst")
+        submitted = self._jsq_pair(config, rounds)
+        outcomes = []
+        for request, at in zip(trace, instants):
+            submitted.submit(request, at=at).add_done_callback(outcomes.append)
+        submitted.loop.run()
+        assert submitted.routed_counts == open_loop.routed_counts
+        assert self._outcome_rows(outcomes) == self._outcome_rows(report.outcomes)
+        return open_loop, trace, report
+
+    def test_same_instant_arrivals_each_see_the_previous_admission(
+        self, shard_config, shard_rounds
+    ):
+        """Twelve arrivals at t=0: each JSQ route sees every earlier admission.
+
+        JSQ breaks ties toward the primary shard.  The first arrival executes
+        on the primary, the second on the idle shard, the next two queue one
+        per shard, and the last eight tie at two outstanding requests each,
+        go to the primary and find its one-deep queue full.  Were admission a
+        later event at the same instant, all twelve routes would read idle
+        shards and land on the primary.
+        """
+        tier, _, report = self._open_loop_and_submitted(shard_config, shard_rounds, [0.0] * 12)
+        assert tier.routed_counts == [2, 10]
+        assert (report.served, report.shed, report.degraded) == (4, 8, 0)
+
+    def test_unsorted_arrival_instants_keep_each_request_at_its_own(
+        self, shard_config, shard_rounds
+    ):
+        instants = [3.0, 1.0, 1.0, 0.0, 2.0, 1.0, 0.0, 3.0, 2.0, 2.0, 0.0, 1.0]
+        tier, trace, report = self._open_loop_and_submitted(shard_config, shard_rounds, instants)
+        assert tier.routed_counts == [5, 7]
+        assert (report.served, report.shed, report.degraded) == (10, 2, 0)
+        instant_of = {request.request_id: at for request, at in zip(trace, instants)}
+        assert len(report.outcomes) == 12
+        for outcome in report.outcomes:
+            assert outcome.arrived_at == instant_of[outcome.request.request_id]
+
+    def test_arrivals_exactly_at_until_are_routed_and_later_ones_wait(
+        self, shard_config, shard_rounds
+    ):
+        tier = ShardedEngineFLStore(
+            [_ingested_flstore(shard_config, shard_rounds) for _ in range(2)]
+        )
+        trace = RequestTraceGenerator(tier.catalog, seed=3).workload_trace("inference", 3)
+        for request, at in zip(trace, [1.0, 2.0, 2.5]):
+            tier.submit(request, at=at)
+
+        assert tier.loop.run(until=2.0) == 2.0
+        assert sum(tier.routed_counts) == 2
+
+        tier.loop.run()
+        assert sum(tier.routed_counts) == 3
+        assert tier.inflight == 0
+
+    def test_arrival_before_the_clock_is_rejected_and_not_counted(
+        self, shard_config, shard_rounds
+    ):
+        tier = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
+        first, late = RequestTraceGenerator(tier.catalog, seed=3).workload_trace("inference", 2)
+        tier.run_open_loop([first], [1.0])
+        assert tier.loop.now > 0.5
+
+        with pytest.raises(ValueError, match="past"):
+            tier.submit(late, at=0.5)
+        assert tier.inflight == 0
+        assert tier.loop.pending() == 0
+
+    def test_empty_open_loop_run_fires_nothing(self, shard_config, shard_rounds):
+        tier = ShardedEngineFLStore([_ingested_flstore(shard_config, shard_rounds)])
+        report = tier.run_open_loop([], [], label="empty")
+        assert (report.submitted, report.completed) == (0, 0)
+        assert report.outcomes == []
+        assert tier.loop.now == 0.0
+        assert tier.loop.events_fired == 0
+        assert tier.routed_counts == [0]
+
 
 class TestShardSweep:
     def test_shard_sweep_reports_tail_latency_and_shedding(self):
