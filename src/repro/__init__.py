@@ -27,7 +27,9 @@ Quickstart
 >>> rounds = job.run_rounds(5)
 >>> flstore = build_default_flstore(config)
 >>> for record in rounds:
-...     flstore.ingest_round(record)
+...     _ = flstore.ingest_round(record)
+>>> flstore.catalog.rounds()
+[0, 1, 2, 3, 4]
 """
 
 from repro.config import (

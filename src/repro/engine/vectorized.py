@@ -21,13 +21,20 @@ single-digit seconds by replacing the event loop with closed-form queueing:
   is memoized), so per-class service times, costs, and execution-function
   routing come from the true oracle, not a model of it.
 * **slot recurrence** — FIFO per-function c-slot queueing collapses to
-  ``start = max(arrival, earliest-free-slot)``; a tight per-function
-  busy-until recurrence (plain array for c=1, heap otherwise) computes every
-  start time in arrival order.
+  ``start = max(arrival, earliest-free-slot)``.  With one slot (c=1) numpy
+  computes the starts exactly as the per-request loop would: a closed-form
+  Lindley maximum guesses where each busy period begins, each period is
+  filled with the loop's own left-to-right float additions, and every
+  start is certified against the loop's step.  If all pass, the starts
+  equal the loop's by induction; at the first that fails, the loop's step
+  finishes the chunk, so the worst case costs about one loop
+  (:func:`_fifo_starts`).  With c > 1 a per-function heap of slot free
+  times runs the loop over Python floats.
 * **array folding** — waits/sojourns/completions are pure ndarray math,
   folded chunk-wise into a :class:`~repro.engine.streaming.
   StreamingLoadCollector`; the mean queue depth is exact (total wait over
-  the horizon), the max depth comes from a sorted +1/-1 event sweep.
+  the horizon), the max depth counts the waiters each queued arrival finds
+  (a binary search over the queued starts).
 
 What the fast path approximates, relative to the event path: per-request
 cache-state evolution (every request of a class gets the class's
@@ -67,6 +74,11 @@ from repro.workloads.registry import get_workload
 #: numpy dispatch, small enough that transient Python floats stay ~6 MB even
 #: on a million-request run.
 _CHUNK = 65536
+
+#: Busy periods of up to this many requests are filled together, one position
+#: at a time; each longer one gets its own ``np.cumsum`` (see
+#: :func:`_fifo_starts`).
+_SHORT_PERIOD = 48
 
 
 def fast_path_eligible(spec) -> bool:
@@ -192,14 +204,107 @@ def _class_stream(seed, num_classes_lookup, num_workloads, num_rounds, num_reque
     return class_index
 
 
+def _scalar_starts(arrived, services, busy):
+    """The FIFO single-slot step, one request at a time from ``busy`` on.
+
+    ``busy`` is when the function frees up before ``arrived[0]``.  Returns
+    the starts as a list and the function's busy-until time after the last
+    request.  This is the reference the vectorized recurrence certifies
+    against, and its fallback.
+    """
+    out = arrived.tolist()
+    for i, (at, duration) in enumerate(zip(out, services.tolist())):
+        begin = at if at > busy else busy
+        out[i] = begin
+        busy = begin + duration
+    return out, busy
+
+
+def _fifo_starts(arrived, services, busy):
+    """One function's single-slot FIFO starts over one chunk, exactly as the loop.
+
+    ``busy`` is when the function frees up before ``arrived[0]``; returns the
+    starts and the busy-until time after the last request.
+
+    1. **Guess** the busy-period heads from the closed-form Lindley maximum:
+       in exact arithmetic, start ``k`` is the prior cumulative service plus
+       the running maximum of ``arrival - prior cumulative service`` (seeded
+       with ``busy``), so a period opens wherever that term sets a new
+       maximum.  Rounding can move a near-tie either way, so this is a guess.
+    2. **Fill** every period with the loop's own left-to-right additions,
+       ``start[k] = start[k-1] + service[k-1]`` from the head's arrival.
+       Periods of up to ``_SHORT_PERIOD`` requests are filled together, one
+       position at a time; each longer one finishes with one ``np.cumsum``
+       seeded with its last filled start (``np.cumsum`` adds left to right).
+    3. **Certify** every start with the loop's step,
+       ``start[k] == (a[k] if a[k] > free[k] else free[k])`` where
+       ``free[k] = start[k-1] + service[k-1]``.  If all hold, the starts equal
+       the loop's by induction on ``k``; at the first that fails, the prefix
+       before it is already the loop's, and :func:`_scalar_starts` finishes
+       the chunk, so the worst case costs about one loop plus the vector
+       passes.
+    """
+    n = arrived.size
+    # 1. Guess: ``ceiling`` holds the prior cumulative service, then arrival
+    # minus it, then its running maximum from ``busy``.
+    ceiling = np.empty(n + 1)
+    ceiling[0] = busy
+    ceiling[1] = 0.0
+    np.cumsum(services[:-1], out=ceiling[2:])
+    np.subtract(arrived, ceiling[1:], out=ceiling[1:])
+    np.maximum.accumulate(ceiling, out=ceiling)
+    opens = ceiling[1:] > ceiling[:-1]
+    opens[0] = True
+    heads = np.flatnonzero(opens)
+    lengths = np.diff(heads, append=n)
+
+    # 2. Fill.  Position 0 opens a period at its arrival, or at ``busy`` if it waits.
+    starts = arrived.copy()
+    if not arrived[0] > busy:
+        starts[0] = busy
+    longer = lengths > 1
+    heads = heads[longer]
+    lengths = lengths[longer]
+    for offset in range(1, _SHORT_PERIOD):
+        if not heads.size:
+            break
+        at = heads + offset
+        starts[at] = starts[at - 1] + services[at - 1]
+        longer = lengths > offset + 1
+        heads = heads[longer]
+        lengths = lengths[longer]
+    for head, length in zip(heads.tolist(), lengths.tolist()):
+        filled = head + _SHORT_PERIOD - 1
+        stop = head + length
+        tail = services[filled : stop - 1].copy()
+        tail[0] += starts[filled]
+        np.cumsum(tail, out=starts[filled + 1 : stop])
+
+    # 3. Certify.
+    free = np.empty(n)
+    free[0] = busy
+    np.add(starts[:-1], services[:-1], out=free[1:])
+    failed = np.where(arrived > free, arrived, free) != starts
+    if failed.any():
+        first = int(failed.argmax())
+        resume = float(free[first])
+        starts[first:], busy = _scalar_starts(arrived[first:], services[first:], resume)
+        return starts, busy
+    return starts, float(starts[-1] + services[-1])
+
+
 def _start_times(arrivals, function_index, service, num_functions, slots):
     """FIFO c-slot start times, in arrival order.
 
     Each function owns ``slots`` execution slots; a request starts at
     ``max(arrival, earliest slot free)`` and occupies the slot for its
     service time.  Requests with no function (index -1) start immediately.
-    The loop runs chunk-wise over plain Python floats (ndarray scalar access
-    is several times slower) but never holds more than one chunk of them.
+    Both branches run chunk-wise and carry each function's state across
+    chunks.  With one slot, each function's requests in a chunk go through
+    :func:`_fifo_starts`, the certified vectorized recurrence, which returns
+    the loop's exact floats.  With several, a per-function heap of slot
+    free times runs over plain Python floats (ndarray scalar access is
+    several times slower), never holding more than one chunk of them.
     """
     n = arrivals.size
     starts = np.empty(n, dtype=np.float64)
@@ -207,19 +312,19 @@ def _start_times(arrivals, function_index, service, num_functions, slots):
         busy = [-inf] * num_functions
         for chunk_start in range(0, n, _CHUNK):
             stop = min(chunk_start + _CHUNK, n)
-            arrived = arrivals[chunk_start:stop].tolist()
-            functions = function_index[chunk_start:stop].tolist()
-            services = service[chunk_start:stop].tolist()
-            out = arrived
-            for i, at in enumerate(arrived):
-                f = functions[i]
-                if f < 0:
-                    continue
-                free_at = busy[f]
-                begin = at if at > free_at else free_at
-                out[i] = begin
-                busy[f] = begin + services[i]
-            starts[chunk_start:stop] = out
+            arrived = arrivals[chunk_start:stop]
+            functions = function_index[chunk_start:stop]
+            services = service[chunk_start:stop]
+            out = starts[chunk_start:stop]
+            out[:] = arrived
+            for f in range(num_functions):
+                is_mine = functions == f
+                count = np.count_nonzero(is_mine)
+                if count == functions.size:
+                    out[:], busy[f] = _fifo_starts(arrived, services, busy[f])
+                elif count:
+                    mine = np.flatnonzero(is_mine)
+                    out[mine], busy[f] = _fifo_starts(arrived[mine], services[mine], busy[f])
         return starts
     heaps = [[-inf] * slots for _ in range(num_functions)]
     heapreplace = heapq.heapreplace
@@ -243,22 +348,29 @@ def _start_times(arrivals, function_index, service, num_functions, slots):
 
 
 def _max_queue_depth(arrivals, starts, waits):
-    """Peak concurrent waiters, from a sorted +1 (enqueue) / -1 (start) sweep.
+    """Peak concurrent waiters, counted at each queued arrival.
 
-    At exactly-equal instants the -1 sorts first, so a slot handoff at time
-    ``t`` is counted after the departing waiter leaves — deterministic, and
-    within one of the event path's sample-order-dependent value.
+    Only requests with a positive wait ever queue.  Taken in arrival order,
+    the ``k``-th queued arrival (from 1) finds ``k`` minus the number of
+    queued starts at or before its instant waiting, itself included, and
+    the peak is the largest of these.  A start at exactly an arrival's
+    instant counts first (``side="right"``), so a slot handoff at time ``t``
+    is counted after the departing waiter leaves — deterministic, and within
+    one of the event path's sample-order-dependent value.  The arrivals and
+    starts are sorted only when they are not already nondecreasing; on one
+    FIFO function both always are.
     """
     queued = waits > 0.0
-    count = int(np.count_nonzero(queued))
-    if count == 0:
+    if not queued.any():
         return 0
-    times = np.concatenate([arrivals[queued], starts[queued]])
-    deltas = np.concatenate(
-        [np.ones(count, dtype=np.int64), np.full(count, -1, dtype=np.int64)]
-    )
-    order = np.lexsort((deltas, times))
-    return int(np.cumsum(deltas[order]).max())
+    enqueued = arrivals[queued]
+    if (enqueued[1:] < enqueued[:-1]).any():
+        enqueued = np.sort(enqueued, kind="stable")
+    begun = starts[queued]
+    if (begun[1:] < begun[:-1]).any():
+        begun = np.sort(begun)
+    waiting = np.arange(1, enqueued.size + 1) - np.searchsorted(begun, enqueued, side="right")
+    return int(waiting.max())
 
 
 def run_fast_path(store, spec, arrival_process, slo_seconds, label):

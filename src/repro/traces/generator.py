@@ -203,6 +203,8 @@ class RequestTraceGenerator:
             raise ValueError("workload_names must not be empty")
         if weights is not None and len(weights) != len(workload_names):
             raise ValueError("weights must match workload_names in length")
+        if num_requests < 0:
+            raise ValueError("num_requests must be non-negative")
         rounds = self.catalog.rounds()
         if not rounds:
             raise ValueError("the catalog has no registered rounds; ingest rounds first")
@@ -212,10 +214,13 @@ class RequestTraceGenerator:
             probabilities = weights_array / weights_array.sum()
         per_round = requests_per_round or len(workload_names)
 
+        # One batched draw consumes the same bit stream as one scalar draw
+        # per request would (the vectorized fast path relies on it too).
+        drawn = rng.choice(len(workload_names), size=num_requests, p=probabilities)
         trace: list[WorkloadRequest] = []
-        for index in range(num_requests):
+        for index, name_index in enumerate(drawn.tolist()):
             round_id = rounds[(index // per_round) % len(rounds)]
-            name = workload_names[int(rng.choice(len(workload_names), p=probabilities))]
+            name = workload_names[name_index]
             workload = get_workload(name)
             client_id = None
             request_round = round_id

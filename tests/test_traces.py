@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.common.rng import derive_rng
 from repro.fl.catalog import RoundCatalog
 from repro.traces.generator import RequestTraceGenerator
-from repro.workloads.registry import EVALUATION_WORKLOADS
+from repro.workloads.registry import EVALUATION_WORKLOADS, list_workloads
 
 
 class TestWorkloadTraces:
@@ -90,6 +92,50 @@ class TestMixedTraces:
     def test_empty_workloads_rejected(self, trace_generator):
         with pytest.raises(ValueError):
             trace_generator.mixed_trace([], 5)
+
+    def test_negative_count_rejected(self, trace_generator):
+        with pytest.raises(ValueError, match="non-negative"):
+            trace_generator.mixed_trace(["inference"], -1)
+
+
+def scalar_draws(rng, workload_names, num_requests, weights):
+    """The mixture's workload names, one scalar ``rng.choice`` per request."""
+    probabilities = None
+    if weights is not None:
+        weights_array = np.asarray(weights, dtype=float)
+        probabilities = weights_array / weights_array.sum()
+    return [
+        workload_names[int(rng.choice(len(workload_names), p=probabilities))]
+        for _ in range(num_requests)
+    ]
+
+
+class TestBatchedMixtureDraw:
+    """One batched ``rng.choice`` draws the same names as one scalar draw per request."""
+
+    MIXES = [list_workloads()[:count] for count in (1, 2, 3, 5, 11)]
+
+    @staticmethod
+    def weights_for(names, weighted):
+        return [float(index + 1) ** 2 for index in range(len(names))] if weighted else None
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("names", MIXES, ids=len)
+    def test_mixed_trace(self, flstore, names, weighted):
+        weights = self.weights_for(names, weighted)
+        trace = RequestTraceGenerator(flstore.catalog, seed=97).mixed_trace(names, 300, weights)
+        expected = scalar_draws(derive_rng(97, "mixed-trace"), names, 300, weights)
+        assert [request.workload for request in trace] == expected
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("names", MIXES, ids=len)
+    def test_tenant_trace(self, flstore, names, weighted):
+        weights = self.weights_for(names, weighted)
+        generator = RequestTraceGenerator(flstore.catalog, seed=97)
+        trace = generator.tenant_trace("bursty", names, 300, weights)
+        expected = scalar_draws(derive_rng(97, "tenant-trace", "bursty"), names, 300, weights)
+        assert [request.workload for request in trace] == expected
+        assert {request.tenant_id for request in trace} == {"bursty"}
 
 
 class TestTraceStats:
