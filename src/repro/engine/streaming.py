@@ -24,6 +24,13 @@ scenario knob selects:
   :class:`~repro.engine.flstore.LoadReport` whose scalar fields match the
   full pipeline exactly *except* the three percentile columns (sketch
   approximation) — and whose ``outcomes`` list is empty by construction.
+
+The collector is O(1) in the request count; a run on the vectorized fast
+path (:mod:`repro.engine.vectorized`) is not quite.  Besides the collector
+it holds one float64 per request, the waits, because ``mean_queue_depth``
+there is numpy's pairwise sum over every wait divided by the horizon (a
+running sum would round differently in the last digits and move the
+pinned ``million-request`` report), plus O(``_CHUNK``) scratch per block.
 """
 
 from __future__ import annotations

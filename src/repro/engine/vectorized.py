@@ -9,9 +9,9 @@ topologies, and the wrong one for the raw-speed question ("what does this
 tier do under a million requests?").  This module answers that question in
 single-digit seconds by replacing the event loop with closed-form queueing:
 
-* **compact trace** — the request stream is represented as one int64 array
-  of *signature classes* (workload x target round), drawn from the same RNG
-  stream as :meth:`repro.traces.generator.RequestTraceGenerator.mixed_trace`
+* **compact trace** — the request stream is represented as int64 *signature
+  classes* (workload x target round), drawn a block at a time from the same
+  RNG stream as :meth:`repro.traces.generator.RequestTraceGenerator.mixed_trace`
   (``Generator.choice`` is stream-identical drawn scalar or batched), so the
   fast path serves the same request sequence without materializing a million
   ``WorkloadRequest`` objects.
@@ -27,14 +27,24 @@ single-digit seconds by replacing the event loop with closed-form queueing:
   filled with the loop's own left-to-right float additions, and every
   start is certified against the loop's step.  If all pass, the starts
   equal the loop's by induction; at the first that fails, the loop's step
-  finishes the chunk, so the worst case costs about one loop
+  finishes the block, so the worst case costs about one loop
   (:func:`_fifo_starts`).  With c > 1 a per-function heap of slot free
   times runs the loop over Python floats.
-* **array folding** — waits/sojourns/completions are pure ndarray math,
-  folded chunk-wise into a :class:`~repro.engine.streaming.
-  StreamingLoadCollector`; the mean queue depth is exact (total wait over
-  the horizon), the max depth counts the waiters each queued arrival finds
-  (a binary search over the queued starts).
+* **block streaming** — the run is one loop over ``_CHUNK``-request
+  blocks (:func:`_serve_stream`).  Each block draws its classes, runs the
+  slot recurrence from every function's carried slot state, folds its
+  waits and sojourns into a :class:`~repro.engine.streaming.
+  StreamingLoadCollector`, and counts its peak queue depth.  The mean
+  queue depth is exact (total wait over the horizon); the max depth counts
+  the waiters each queued arrival finds, a binary search over the block's
+  queued starts and a carried *frontier* of earlier queued starts not yet
+  at or before the previous block's last arrival (:func:`_max_queue_depth`).
+  The run holds one float64 per request: the arrival instants, which each
+  finished block overwrites with its waits, so the total wait is numpy's
+  pairwise sum over the whole run (a sum of per-block sums rounds
+  differently in the last digits).  Everything else is O(``_CHUNK``)
+  scratch, plus the frontier, which holds the requests still queued at a
+  block boundary.
 
 What the fast path approximates, relative to the event path: per-request
 cache-state evolution (every request of a class gets the class's
@@ -70,9 +80,9 @@ from repro.engine.streaming import StreamingLoadCollector
 from repro.workloads.base import PolicyClass, WorkloadRequest
 from repro.workloads.registry import get_workload
 
-#: Chunk size for the per-request loops and folds: large enough to amortize
-#: numpy dispatch, small enough that transient Python floats stay ~6 MB even
-#: on a million-request run.
+#: Requests per block of the streamed loop: large enough to amortize numpy
+#: dispatch, small enough that a block's scratch arrays (and the Python
+#: floats of the several-slot heap loop) stay a few MB on any run size.
 _CHUNK = 65536
 
 #: Busy periods of up to this many requests are filled together, one position
@@ -191,17 +201,20 @@ def _memoize_oracle(flstore, signatures):
     return [serve(signature) for signature in signatures]
 
 
-def _class_stream(seed, num_classes_lookup, num_workloads, num_rounds, num_requests):
-    """The per-request class indices, chunk-drawn from the mixed-trace RNG."""
+def _class_stream(seed, lookup, num_requests):
+    """Each ``_CHUNK`` block's class indices, drawn in turn from the mixed-trace RNG.
+
+    ``lookup`` is :func:`_class_table`'s ``(workload index, round position)
+    -> class`` table; the trace cycles the rounds every ``num_workloads``
+    requests, as ``mixed_trace`` does.
+    """
     rng = derive_rng(seed, "mixed-trace")
-    per_round = num_workloads
-    class_index = np.empty(num_requests, dtype=np.int64)
+    num_workloads, num_rounds = lookup.shape
     for start in range(0, num_requests, _CHUNK):
         stop = min(start + _CHUNK, num_requests)
         name_index = rng.choice(num_workloads, size=stop - start)
-        round_position = (np.arange(start, stop) // per_round) % num_rounds
-        class_index[start:stop] = num_classes_lookup[name_index, round_position]
-    return class_index
+        round_position = (np.arange(start, stop) // num_workloads) % num_rounds
+        yield lookup[name_index, round_position]
 
 
 def _scalar_starts(arrived, services, busy):
@@ -293,84 +306,134 @@ def _fifo_starts(arrived, services, busy):
     return starts, float(starts[-1] + services[-1])
 
 
-def _start_times(arrivals, function_index, service, num_functions, slots):
-    """FIFO c-slot start times, in arrival order.
+def _start_times(arrived, functions, services, free):
+    """One block's FIFO c-slot start times, in arrival order.
 
-    Each function owns ``slots`` execution slots; a request starts at
+    ``free[f]`` is function ``f``'s heap of slot free times (``c`` entries),
+    carried from block to block and updated in place.  A request starts at
     ``max(arrival, earliest slot free)`` and occupies the slot for its
-    service time.  Requests with no function (index -1) start immediately.
-    Both branches run chunk-wise and carry each function's state across
-    chunks.  With one slot, each function's requests in a chunk go through
-    :func:`_fifo_starts`, the certified vectorized recurrence, which returns
-    the loop's exact floats.  With several, a per-function heap of slot
-    free times runs over plain Python floats (ndarray scalar access is
-    several times slower), never holding more than one chunk of them.
+    service time; requests with no function (index -1) start on arrival.
+    With one slot, each function's requests go through :func:`_fifo_starts`,
+    the certified vectorized recurrence, which returns the loop's exact
+    floats, with the heap's one entry as the busy-until time.  With
+    several, the heaps run over plain Python floats (ndarray scalar access
+    is several times slower), never holding more than one block of them.
     """
-    n = arrivals.size
-    starts = np.empty(n, dtype=np.float64)
+    slots = len(free[0]) if free else 1
     if slots == 1:
-        busy = [-inf] * num_functions
-        for chunk_start in range(0, n, _CHUNK):
-            stop = min(chunk_start + _CHUNK, n)
-            arrived = arrivals[chunk_start:stop]
-            functions = function_index[chunk_start:stop]
-            services = service[chunk_start:stop]
-            out = starts[chunk_start:stop]
-            out[:] = arrived
-            for f in range(num_functions):
-                is_mine = functions == f
-                count = np.count_nonzero(is_mine)
-                if count == functions.size:
-                    out[:], busy[f] = _fifo_starts(arrived, services, busy[f])
-                elif count:
-                    mine = np.flatnonzero(is_mine)
-                    out[mine], busy[f] = _fifo_starts(arrived[mine], services[mine], busy[f])
+        starts = arrived.copy()
+        for f, heap in enumerate(free):
+            is_mine = functions == f
+            count = np.count_nonzero(is_mine)
+            if count == functions.size:
+                starts[:], heap[0] = _fifo_starts(arrived, services, heap[0])
+            elif count:
+                mine = np.flatnonzero(is_mine)
+                starts[mine], heap[0] = _fifo_starts(arrived[mine], services[mine], heap[0])
         return starts
-    heaps = [[-inf] * slots for _ in range(num_functions)]
     heapreplace = heapq.heapreplace
-    for chunk_start in range(0, n, _CHUNK):
-        stop = min(chunk_start + _CHUNK, n)
-        arrived = arrivals[chunk_start:stop].tolist()
-        functions = function_index[chunk_start:stop].tolist()
-        services = service[chunk_start:stop].tolist()
-        out = arrived
-        for i, at in enumerate(arrived):
-            f = functions[i]
-            if f < 0:
-                continue
-            heap = heaps[f]
-            free_at = heap[0]
-            begin = at if at > free_at else free_at
-            out[i] = begin
-            heapreplace(heap, begin + services[i])
-        starts[chunk_start:stop] = out
-    return starts
+    out = arrived.tolist()
+    functions = functions.tolist()
+    services = services.tolist()
+    for i, at in enumerate(out):
+        f = functions[i]
+        if f < 0:
+            continue
+        heap = free[f]
+        free_at = heap[0]
+        begin = at if at > free_at else free_at
+        out[i] = begin
+        heapreplace(heap, begin + services[i])
+    return np.array(out, dtype=np.float64)
 
 
-def _max_queue_depth(arrivals, starts, waits):
-    """Peak concurrent waiters, counted at each queued arrival.
+def _max_queue_depth(arrived, starts, waits, frontier):
+    """One block's peak of concurrent waiters, and the frontier for the next.
 
     Only requests with a positive wait ever queue.  Taken in arrival order,
-    the ``k``-th queued arrival (from 1) finds ``k`` minus the number of
-    queued starts at or before its instant waiting, itself included, and
-    the peak is the largest of these.  A start at exactly an arrival's
-    instant counts first (``side="right"``), so a slot handoff at time ``t``
-    is counted after the departing waiter leaves — deterministic, and within
-    one of the event path's sample-order-dependent value.  The arrivals and
-    starts are sorted only when they are not already nondecreasing; on one
-    FIFO function both always are.
+    the ``k``-th queued arrival of the run (from 1) finds ``k`` minus the
+    number of queued starts at or before its instant waiting, itself
+    included.  A start at exactly an arrival's instant counts first
+    (``side="right"``), so a slot handoff at time ``t`` is counted after the
+    departing waiter leaves — deterministic, and within one of the event
+    path's sample-order-dependent value.
+
+    Arrivals are nondecreasing, so a queued start of a later block, which
+    comes after its own arrival, comes after every arrival of this one and
+    never counts here, and an earlier queued start at or before the
+    previous block's last arrival counts for every arrival of this one.
+    ``frontier`` holds, sorted, the rest: the earlier queued starts after
+    that arrival, one per earlier request still waiting then.  So the
+    ``i``-th queued arrival of this block (from 1) finds ``frontier.size +
+    i`` minus the queued starts at or before its instant, counted by binary
+    search over the frontier and this block's queued starts.  Returns the
+    peak (0 when nobody queues) and the next frontier: those starts, sorted
+    (they are out of order with several functions or slots), less the ones
+    at or before this block's last arrival.
     """
     queued = waits > 0.0
-    if not queued.any():
-        return 0
-    enqueued = arrivals[queued]
-    if (enqueued[1:] < enqueued[:-1]).any():
-        enqueued = np.sort(enqueued, kind="stable")
-    begun = starts[queued]
-    if (begun[1:] < begun[:-1]).any():
-        begun = np.sort(begun)
-    waiting = np.arange(1, enqueued.size + 1) - np.searchsorted(begun, enqueued, side="right")
-    return int(waiting.max())
+    pending = np.concatenate((frontier, starts[queued]))
+    if (pending[1:] < pending[:-1]).any():
+        pending.sort(kind="stable")
+    peak = 0
+    if queued.any():
+        enqueued = arrived[queued]
+        rank = np.arange(frontier.size + 1, frontier.size + enqueued.size + 1)
+        peak = int((rank - np.searchsorted(pending, enqueued, side="right")).max())
+    return peak, pending[np.searchsorted(pending, arrived[-1], side="right") :]
+
+
+def _serve_stream(
+    arrivals, classes, service_by_class, function_by_class, free, collector, *, label, source
+):
+    """Serve ``arrivals`` in ``_CHUNK`` blocks; return the streaming ``LoadReport``.
+
+    ``classes`` yields each block's class indices (see :func:`_class_stream`),
+    which pick its service times and functions from the per-class tables;
+    ``free`` carries every function's slot heap (see :func:`_start_times`).
+    Each block checks that its arrivals, ``source``'s output, do not
+    decrease (the depth count relies on it), runs the slot recurrence,
+    folds its waits and sojourns into ``collector``, keeps the running max
+    completion, and counts its peak depth against the carried frontier
+    (:func:`_max_queue_depth`).  Then it overwrites its arrivals with its
+    waits: ``arrivals`` is the one full-length array, and it ends holding
+    every wait, whose pairwise sum gives the exact mean queue depth.
+    """
+    n = arrivals.size
+    first_arrival = float(arrivals[0]) if n else 0.0
+    last_arrival = float(arrivals[-1]) if n else 0.0
+    last_completion = -inf if n else 0.0
+    max_depth = 0
+    frontier = np.empty(0, dtype=np.float64)
+    previous = -inf
+    for start, block in zip(range(0, n, _CHUNK), classes, strict=True):
+        arrived = arrivals[start : start + _CHUNK]
+        if arrived[0] < previous or (arrived[1:] < arrived[:-1]).any():
+            raise ValueError(
+                f"arrivals from {source!r} decrease between requests {max(start - 1, 0)} "
+                f"and {start + arrived.size - 1}; the fast path needs them nondecreasing"
+            )
+        previous = arrived[-1]
+        services = service_by_class[block]
+        starts = _start_times(arrived, function_by_class[block], services, free)
+        waits = starts - arrived
+        completions = starts + services
+        collector.fold_served_arrays(completions - arrived, waits)
+        last_completion = max(last_completion, float(completions.max()))
+        depth, frontier = _max_queue_depth(arrived, starts, waits, frontier)
+        max_depth = max(max_depth, depth)
+        arrived[:] = waits
+
+    collector.note_completion_time(last_completion)
+    horizon = last_completion - first_arrival
+    mean_depth = float(arrivals.sum()) / horizon if horizon > 0 else 0.0
+    return collector.build_report(
+        label,
+        submitted=n,
+        first_arrival=first_arrival,
+        last_arrival=last_arrival,
+        depth_profile=(mean_depth, max_depth),
+    )
 
 
 def run_fast_path(store, spec, arrival_process, slo_seconds, label):
@@ -400,40 +463,13 @@ def run_fast_path(store, spec, arrival_process, slo_seconds, label):
         else:
             function_by_class[class_id] = -1
 
-    arrivals = arrival_process.times_array(num_requests)
-    class_index = _class_stream(
-        spec.seed, lookup, len(workload_names), lookup.shape[1], num_requests
-    )
-    service = service_by_class[class_index]
-    function_index = function_by_class[class_index]
-
-    starts = _start_times(
-        arrivals,
-        function_index,
-        service,
-        num_functions=len(functions),
-        slots=spec.tier.function_concurrency,
-    )
-    waits = starts - arrivals
-    completions = starts + service
-    sojourns = completions - arrivals
-
-    collector = StreamingLoadCollector(slo_seconds)
-    for start in range(0, num_requests, _CHUNK):
-        stop = min(start + _CHUNK, num_requests)
-        collector.fold_served_arrays(sojourns[start:stop], waits[start:stop])
-
-    first_arrival = float(arrivals[0]) if num_requests else 0.0
-    last_arrival = float(arrivals[-1]) if num_requests else 0.0
-    last_completion = float(completions.max()) if num_requests else 0.0
-    collector.note_completion_time(last_completion)
-    horizon = last_completion - first_arrival
-    mean_depth = float(waits.sum()) / horizon if horizon > 0 else 0.0
-    max_depth = _max_queue_depth(arrivals, starts, waits)
-    return collector.build_report(
-        label,
-        submitted=num_requests,
-        first_arrival=first_arrival,
-        last_arrival=last_arrival,
-        depth_profile=(mean_depth, max_depth),
+    return _serve_stream(
+        arrival_process.times_array(num_requests),
+        _class_stream(spec.seed, lookup, num_requests),
+        service_by_class,
+        function_by_class,
+        [[-inf] * spec.tier.function_concurrency for _ in functions],
+        StreamingLoadCollector(slo_seconds),
+        label=label,
+        source=arrival_process,
     )

@@ -34,10 +34,14 @@ import numpy as np
 
 from repro.common.rng import derive_rng
 
-#: Block size for pre-drawn `standard_exponential` values and output chunks.
-#: Large enough to amortize numpy call overhead, small enough that a
-#: million-request generation never holds more than ~0.5 MB of scratch.
+#: Block size for pre-drawn `standard_exponential` values.  Large enough to
+#: amortize numpy call overhead, small enough that a million-request
+#: generation never holds more than ~1 MB of scratch beside its output.
 _CHUNK = 65536
+
+#: Gap draws in a bursty ON window's first segment; each further segment of
+#: the same window doubles, up to ``_CHUNK``.
+_FIRST_SEGMENT = 32
 
 
 class ArrivalProcess(abc.ABC):
@@ -82,11 +86,11 @@ class PoissonArrivals(ArrivalProcess):
         return self.times_array(num_requests).tolist()
 
     def times_array(self, num_requests: int) -> np.ndarray:
-        """One batched draw and one cumsum: the fully vectorized case."""
+        """One batched draw and one in-place cumsum: the fully vectorized case."""
         if num_requests <= 0:
             return np.empty(0, dtype=np.float64)
         gaps = self._rng().exponential(scale=1.0 / self.rate_rps, size=num_requests)
-        return np.cumsum(gaps)
+        return np.cumsum(gaps, out=gaps)
 
     @property
     def mean_rate_rps(self) -> float:
@@ -144,6 +148,11 @@ class BurstyArrivals(ArrivalProcess):
         the final arrival), then one OFF draw.  Arrival instants accumulate
         with the same float operation order as the scalar loop (a cumsum
         seeded with the window clock), so the output is bit-for-bit equal.
+
+        A window's gaps are cumsummed in segments of ``_FIRST_SEGMENT``
+        draws, doubling while the window continues, so a sparse window
+        costs a few dozen draws' work however much of the block is left,
+        and the time and scratch stay linear in ``num_requests``.
         """
         if num_requests <= 0:
             return np.empty(0, dtype=np.float64)
@@ -155,7 +164,7 @@ class BurstyArrivals(ArrivalProcess):
 
         buf = standard_exponential(_CHUNK)
         cursor = 0
-        chunks: list[np.ndarray] = []
+        out = np.empty(num_requests, dtype=np.float64)
         produced = 0
         clock = 0.0
 
@@ -171,36 +180,37 @@ class BurstyArrivals(ArrivalProcess):
             cursor += 1
             window_end = clock + on_duration
             t_prev = clock
+            segment = _FIRST_SEGMENT
             while True:
                 need = num_requests - produced
-                refill(min(need + 1, 1024))
-                want = min(buf.size - cursor, need + 1)
+                want = min(need + 1, segment)
+                refill(want)
                 # Seed the cumsum with the running clock so each instant is
                 # built by the exact additions (((clock + g1) + g2) + ...)
                 # the scalar loop performed.
                 seg = np.empty(want + 1, dtype=np.float64)
                 seg[0] = t_prev
                 np.multiply(buf[cursor : cursor + want], gap_scale, out=seg[1:])
-                instants = np.cumsum(seg)[1:]
+                instants = np.cumsum(seg, out=seg)[1:]
                 in_window = int(np.searchsorted(instants, window_end, side="right"))
                 if in_window < want:
                     # The terminating draw (first instant past the window,
                     # or the draw after the final requested arrival) is
                     # inside this segment.
                     usable = min(in_window, need)
-                    chunks.append(instants[:usable])
+                    out[produced : produced + usable] = instants[:usable]
                     produced += usable
                     cursor += usable + 1
                     break
                 if want == need + 1:
                     # All need+1 draws land in the window: the final arrival
                     # plus the draw consumed right after it.
-                    chunks.append(instants[:need])
+                    out[produced:] = instants[:need]
                     produced += need
                     cursor += need + 1
                     break
-                # Buffer exhausted mid-window: emit what we have and extend.
-                chunks.append(instants)
+                # Segment exhausted mid-window: emit it and extend, doubled.
+                out[produced : produced + want] = instants
                 produced += want
                 cursor += want
                 if produced >= num_requests:
@@ -210,11 +220,12 @@ class BurstyArrivals(ArrivalProcess):
                     cursor += 1
                     break
                 t_prev = float(instants[-1])
+                segment = min(2 * segment, _CHUNK)
             refill(1)
             off_duration = float(buf[cursor]) * mean_off
             cursor += 1
             clock = clock + (on_duration + off_duration)
-        return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        return out
 
 
 class DiurnalArrivals(ArrivalProcess):

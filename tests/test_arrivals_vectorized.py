@@ -9,6 +9,8 @@ block boundaries and across non-default parameters.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,20 @@ class TestByteIdentityAtSeed7:
         # mid-window (the extend path).
         process = BurstyArrivals(20000.0, seed=7, mean_on_seconds=10.0, mean_off_seconds=5.0)
         assert process.times(150_000) == _reference_bursty(process, 150_000)
+
+    def test_sparse_bursty_windows_stay_linear(self):
+        # At 0.1 req/s an ON window holds about two arrivals, so a window
+        # that cumsummed the rest of the pre-drawn block (up to 65,536 gaps)
+        # and kept it until the end would cost quadratic time and memory.
+        process = BurstyArrivals(0.1, seed=7)
+        tracemalloc.start()
+        try:
+            arrivals = process.times_array(10_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arrivals.tolist() == _reference_bursty(process, 10_000)
+        assert peak < 16 * 2**20
 
     def test_diurnal_with_non_default_cycle(self):
         process = DiurnalArrivals(8.0, seed=7, amplitude=0.3, period_seconds=40.0)

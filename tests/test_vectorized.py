@@ -1,26 +1,38 @@
-"""The fast path's slot recurrence and depth sweep against their loop forms.
+"""The fast path's streamed loop and its per-block steps against their loop forms.
 
-``_start_times`` computes single-slot FIFO starts with a vectorized guess,
-fill and certificate (:func:`repro.engine.vectorized._fifo_starts`).  The
-loop it replaced is kept here verbatim as the executable specification, and
-every start must equal the loop's bit for bit: on exact ties, zero
-services, requests with no function, interleaved functions, busy periods
-that span chunks or outgrow the short-period cutoff, and near-ties built to
-defeat the guess.  The several-slot heap branch is pinned to its own loop
-the same way, and ``_max_queue_depth`` to the lexsort sweep it replaced.
+``run_fast_path`` serves a run in ``_CHUNK`` blocks
+(:func:`repro.engine.vectorized._serve_stream`).  ``_start_times`` computes
+one block's single-slot FIFO starts with a vectorized guess, fill and
+certificate (:func:`repro.engine.vectorized._fifo_starts`), carrying each
+function's busy time to the next block.  The loop it replaced is kept here
+verbatim as the executable specification, and every start must equal the
+loop's bit for bit: on exact ties, zero services, requests with no
+function, interleaved functions, busy periods that span blocks or outgrow
+the short-period cutoff, and near-ties built to defeat the guess.  The
+several-slot heap branch is pinned to its own loop the same way,
+``_max_queue_depth`` and its carried frontier to the lexsort sweep it
+replaced, and the whole loop to the whole-array pipeline it replaced, on
+every ``LoadReport`` column.  Every property feeds the per-block steps one
+block at a time under ``_CHUNK`` patches down to one request, so busy
+times, slot heaps and the frontier cross many block boundaries.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
+import tracemalloc
 from math import inf
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import vectorized
+from repro.engine.streaming import StreamingLoadCollector
+from repro.scenario import build as scenario_build
 from repro.scenario import get_scenario, run
 
 
@@ -151,16 +163,126 @@ def spy(name):
     return mock.patch.object(vectorized, name, wraps=getattr(vectorized, name))
 
 
-def start_times(arrivals, functions, service, num_functions, slots=1, chunk=None, short=None):
-    """``_start_times`` under the given constants, the loop's starts, and the fallback count."""
+def in_arrival_order(arrivals, functions, service):
+    """The stream sorted by arrival, as every arrival process emits one.
+
+    Only ``near-tie`` streams need it: each function's arrivals track its
+    own busy time, and requests with no function arrive at 10^3 s.  Each
+    function's arrivals increase, so a stable sort keeps its requests in
+    order, and with them its busy times and near-ties.
+    """
+    order = np.argsort(arrivals, kind="stable")
+    return arrivals[order], functions[order], service[order]
+
+
+def blocks(n):
+    """The ``(start, stop)`` bounds of the ``_CHUNK`` blocks over ``n`` requests."""
+    chunk = vectorized._CHUNK
+    return [(start, min(start + chunk, n)) for start in range(0, n, chunk)]
+
+
+def streamed_start_times(arrivals, functions, service, num_functions, slots):
+    """``_start_times`` fed one block at a time, each function's slot heap carried."""
+    free = [[-inf] * slots for _ in range(num_functions)]
+    return np.concatenate(
+        [
+            vectorized._start_times(arrivals[a:b], functions[a:b], service[a:b], free)
+            for a, b in blocks(arrivals.size)
+        ]
+    )
+
+
+def streamed_max_queue_depth(arrivals, starts, waits):
+    """``_max_queue_depth`` fed one block at a time, the frontier carried."""
+    peak, frontier = 0, np.empty(0)
+    for a, b in blocks(arrivals.size):
+        depth, frontier = vectorized._max_queue_depth(
+            arrivals[a:b], starts[a:b], waits[a:b], frontier
+        )
+        peak = max(peak, depth)
+    return peak
+
+
+def streamed_report(arrivals, functions, service, num_functions, slots, slo, source="test"):
+    """``_serve_stream``'s ``LoadReport``, each request its own class."""
+    return vectorized._serve_stream(
+        arrivals.copy(),
+        (np.arange(a, b) for a, b in blocks(arrivals.size)),
+        service,
+        functions,
+        [[-inf] * slots for _ in range(num_functions)],
+        StreamingLoadCollector(slo),
+        label="test",
+        source=source,
+    )
+
+
+def whole_array_report(arrivals, functions, service, num_functions, slots, slo):
+    """The whole-array pipeline the streamed loop replaced, on the reference loops.
+
+    Starts, waits, completions and sojourns are full-length arrays, folded
+    one ``_CHUNK`` chunk at a time; the mean depth divides one sum over
+    every wait by the horizon, and the max depth is the lexsort sweep's.
+    """
+    starts = reference_start_times(arrivals, functions, service, num_functions, slots)
+    waits = starts - arrivals
+    completions = starts + service
+    sojourns = completions - arrivals
+    collector = StreamingLoadCollector(slo)
+    for a, b in blocks(arrivals.size):
+        collector.fold_served_arrays(sojourns[a:b], waits[a:b])
+    last_completion = float(completions.max())
+    collector.note_completion_time(last_completion)
+    horizon = last_completion - float(arrivals[0])
+    return collector.build_report(
+        "test",
+        submitted=arrivals.size,
+        first_arrival=float(arrivals[0]),
+        last_arrival=float(arrivals[-1]),
+        depth_profile=(
+            float(waits.sum()) / horizon if horizon > 0 else 0.0,
+            reference_max_queue_depth(arrivals, starts, waits),
+        ),
+    )
+
+
+@contextlib.contextmanager
+def constants(chunk=None, short=None):
+    """Patch ``_CHUNK`` and ``_SHORT_PERIOD``; ``None`` keeps the module's value."""
     with (
         mock.patch.object(vectorized, "_CHUNK", chunk or vectorized._CHUNK),
         mock.patch.object(vectorized, "_SHORT_PERIOD", short or vectorized._SHORT_PERIOD),
-        spy("_scalar_starts") as fallback,
     ):
-        starts = vectorized._start_times(arrivals, functions, service, num_functions, slots)
+        yield
+
+
+def start_times(arrivals, functions, service, num_functions, slots=1, chunk=None, short=None):
+    """Block-fed ``_start_times`` under the constants, the loop's starts, and the fallback count."""
+    with constants(chunk, short), spy("_scalar_starts") as fallback:
+        starts = streamed_start_times(arrivals, functions, service, num_functions, slots)
         expected = reference_start_times(arrivals, functions, service, num_functions, slots)
     return starts, expected, fallback.call_count
+
+
+def fast_path_peak(num_requests):
+    """tracemalloc's peak over ``run_fast_path`` serving ``million-request``."""
+    spec = get_scenario("million-request").with_overrides(
+        {"seed": 7, "workload.num_requests": num_requests}
+    )
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return vectorized.run_fast_path(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    with mock.patch.object(scenario_build, "run_fast_path", traced):
+        report = run(spec)
+    assert report.load.completed == num_requests
+    return peaks[0]
 
 
 class TestSingleSlotRecurrence:
@@ -227,20 +349,76 @@ class TestMaxQueueDepth:
         starts = np.array([0.0, 1.0, 2.0])
         waits = starts - arrivals
         assert reference_max_queue_depth(arrivals, starts, waits) == 1
-        assert vectorized._max_queue_depth(arrivals, starts, waits) == 1
+        for chunk in (1, 2, 3):
+            with constants(chunk):
+                assert streamed_max_queue_depth(arrivals, starts, waits) == 1
 
     def test_nobody_waits(self):
         arrivals = np.array([0.0, 1.0])
-        assert vectorized._max_queue_depth(arrivals, arrivals, np.zeros(2)) == 0
+        depth, frontier = vectorized._max_queue_depth(arrivals, arrivals, np.zeros(2), np.empty(0))
+        assert (depth, frontier.size) == (0, 0)
+
+    def test_the_frontier_keeps_only_the_starts_after_the_last_arrival(self):
+        # Two earlier waiters start at 2.5 and 3.5.  Both requests of this
+        # block queue too: one starts at 2.5, before the block's last arrival
+        # at 3.0, and the other at 4.0, after it.
+        arrivals = np.array([2.0, 3.0])
+        starts = np.array([2.5, 4.0])
+        depth, frontier = vectorized._max_queue_depth(
+            arrivals, starts, starts - arrivals, np.array([2.5, 3.5])
+        )
+        # The first arrival finds the two carried waiters and itself.
+        assert depth == 3
+        assert frontier.tolist() == [3.5, 4.0]
 
     @settings(max_examples=200, deadline=None)
     @given(case=streams(), slots=st.integers(1, 3), shuffle=st.booleans())
     def test_equals_the_lexsort_sweep(self, case, slots, shuffle):
-        (arrivals, functions, service), num_functions, _, _ = case
+        (arrivals, functions, service), num_functions, chunk, _ = case
+        arrivals, functions, service = in_arrival_order(arrivals, functions, service)
         starts = reference_start_times(arrivals, functions, service, num_functions, slots)
         if shuffle:
             order = np.random.default_rng(arrivals.size).permutation(arrivals.size)
-            arrivals, starts = arrivals[order], starts[order]
+            arrivals, functions, service = arrivals[order], functions[order], service[order]
+            starts = starts[order]
         waits = starts - arrivals
-        expected = reference_max_queue_depth(arrivals, starts, waits)
-        assert vectorized._max_queue_depth(arrivals, starts, waits) == expected
+        with constants(chunk):
+            if (arrivals[1:] < arrivals[:-1]).any():
+                # The depth count needs arrivals in order, so the streamed
+                # loop rejects a stream out of order and names its source.
+                with pytest.raises(ValueError, match="'shuffled'.*nondecreasing"):
+                    streamed_report(
+                        arrivals, functions, service, num_functions, slots, None, "shuffled"
+                    )
+                return
+            depth = streamed_max_queue_depth(arrivals, starts, waits)
+        assert depth == reference_max_queue_depth(arrivals, starts, waits)
+
+
+class TestStreamedLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(case=streams(), slots=st.integers(1, 3), slo=st.sampled_from([None, 0.5, 3.0]))
+    def test_every_report_column_equals_the_whole_array_pipeline(self, case, slots, slo):
+        (arrivals, functions, service), num_functions, chunk, short = case
+        arrivals, functions, service = in_arrival_order(arrivals, functions, service)
+        with constants(chunk, short):
+            streamed = streamed_report(arrivals, functions, service, num_functions, slots, slo)
+            expected = whole_array_report(arrivals, functions, service, num_functions, slots, slo)
+        assert streamed == expected
+
+    def test_a_decrease_across_a_block_boundary_is_rejected(self):
+        # Each block of two is in order; the second starts before the first ends.
+        arrivals = np.array([0.0, 2.0, 1.0, 3.0])
+        functions = np.zeros(4, dtype=np.int64)
+        service = np.ones(4)
+        with constants(2), pytest.raises(ValueError, match="requests 1 and 3"):
+            streamed_report(arrivals, functions, service, 1, 1, None)
+
+    def test_peak_memory_grows_by_one_float_per_request(self):
+        """From 2^17 to 2^19 requests the peak grows by about 8 B a request.
+
+        Every block's scratch is the same size at any run length; only the
+        arrivals, which end holding the waits, grow with the run.
+        """
+        small, large = fast_path_peak(2**17), fast_path_peak(2**19)
+        assert (large - small) / (2**19 - 2**17) <= 10
