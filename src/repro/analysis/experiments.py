@@ -6,17 +6,17 @@ plain-Python rows (lists of dictionaries) matching the series the paper
 plots.  The appendix experiments (Figures 12-19, Section 5.5, Section 2.2)
 live in :mod:`repro.analysis.experiments_appendix`.
 
-Scale parameters default to values that run in seconds on a laptop; the
-benchmarks pass the same defaults so the regenerated shapes are comparable
-across machines.  Absolute values are not expected to match the paper (our
-substrate is an analytic simulator, not AWS); the *shape* — who wins, by
-roughly what factor, where crossovers happen — is what each experiment
-checks (see EXPERIMENTS.md).
+Scale parameters default to values that run in seconds on a laptop.
+Absolute values are not expected to match the paper (our substrate is an
+analytic simulator, not AWS); the *shape* — who wins, by roughly what factor,
+where crossovers happen — is what each experiment checks.  The paper's values
+and the shape each run must keep live in one claims table,
+``tests/test_paper_claims.py`` (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,29 +39,6 @@ DEFAULT_NUM_ROUNDS = 25
 #: Default number of requests per workload in comparison traces.
 DEFAULT_REQUESTS_PER_WORKLOAD = 15
 
-#: Memoized trace summaries: several figures derive different rows from the
-#: same deterministic (model, workloads, systems, trace) serve — e.g. the
-#: per-request and accumulated latency/cost figures (7/15 and 8/16) — so the
-#: expensive serving pass is shared.  Keys fully determine the results; the
-#: cache obeys the :mod:`repro.analysis.setup_cache` enable switch.
-_summary_cache: dict[tuple, dict] = {}
-
-
-def _summaries_memo(key: tuple, compute) -> dict:
-    """Serve-trace summary memo (returns the cached mapping; treat as read-only)."""
-    if not setup_cache.enabled():
-        return compute()
-    cached = _summary_cache.get(key)
-    if cached is None:
-        cached = compute()
-        _summary_cache[key] = cached
-    return cached
-
-
-def clear_summary_cache() -> None:
-    """Drop every memoized trace summary (used by perf A/B measurements)."""
-    _summary_cache.clear()
-
 
 def compare_systems_on_workloads(
     model_name: str,
@@ -73,59 +50,40 @@ def compare_systems_on_workloads(
     seed: int = 7,
 ) -> dict[tuple[str, str], MetricSummary]:
     """Serve identical traces on every system; return (system, workload) summaries."""
-
-    def compute() -> dict[tuple[str, str], MetricSummary]:
-        config = paper_experiment_config(model_name, seed=seed)
-        setup = prepare_setup(config, num_rounds=num_rounds, systems=systems, policy_mode=policy_mode)
-        collector = MetricsCollector()
-        for workload_name in workloads:
-            trace = setup.generator.workload_trace(workload_name, requests_per_workload)
-            for system_name, system in setup.systems.items():
-                run_trace(system, trace, system_name=system_name, model_name=model_name, collector=collector)
-        return collector.by_system_and_workload()
-
-    key = (
-        "compare",
-        model_name,
-        tuple(workloads),
-        tuple(systems),
-        num_rounds,
-        requests_per_workload,
-        policy_mode,
-        seed,
-    )
-    return _summaries_memo(key, compute)
+    config = paper_experiment_config(model_name, seed=seed)
+    setup = prepare_setup(config, num_rounds=num_rounds, systems=systems, policy_mode=policy_mode)
+    collector = MetricsCollector()
+    for workload_name in workloads:
+        trace = setup.generator.workload_trace(workload_name, requests_per_workload)
+        for system_name, system in setup.systems.items():
+            run_trace(
+                system, trace, system_name=system_name, model_name=model_name, collector=collector
+            )
+    return collector.by_system_and_workload()
 
 
-def _single_system_summaries(
+def _objstore_summaries(
     model_name: str,
     workloads: Sequence[str],
-    system: str,
     num_rounds: int,
     requests_per_workload: int,
     seed: int,
 ) -> dict[str, MetricSummary]:
-    """Per-workload summaries of one system serving its trace (memoized).
+    """Per-workload summaries of ObjStore-Agg, the conventional stack.
 
-    The workloads are served sequentially on one system instance, exactly the
-    order the share/breakdown figures use, so cached summaries are identical
-    to what each figure would have measured on its own.
+    The workloads are served sequentially on one system instance, the order
+    the share and communication figures (1, 2 and 4) use.
     """
-
-    def compute() -> dict[str, MetricSummary]:
-        config = paper_experiment_config(model_name, seed=seed)
-        setup = prepare_setup(config, num_rounds=num_rounds, systems=(system,))
-        summaries: dict[str, MetricSummary] = {}
-        for workload_name in workloads:
-            trace = setup.generator.workload_trace(workload_name, requests_per_workload)
-            records = run_trace(
-                setup.systems[system], trace, system_name=system, model_name=model_name
-            )
-            summaries[workload_name] = summarize_records(records)
-        return summaries
-
-    key = ("single", model_name, tuple(workloads), system, num_rounds, requests_per_workload, seed)
-    return _summaries_memo(key, compute)
+    config = paper_experiment_config(model_name, seed=seed)
+    setup = prepare_setup(config, num_rounds=num_rounds, systems=("objstore-agg",))
+    summaries: dict[str, MetricSummary] = {}
+    for workload_name in workloads:
+        trace = setup.generator.workload_trace(workload_name, requests_per_workload)
+        records = run_trace(
+            setup.objstore_agg, trace, system_name="objstore-agg", model_name=model_name
+        )
+        summaries[workload_name] = summarize_records(records)
+    return summaries
 
 
 def _compare_task(kwargs: dict) -> dict[tuple[str, str], MetricSummary]:
@@ -137,50 +95,91 @@ def _compare_task(kwargs: dict) -> dict[tuple[str, str], MetricSummary]:
     return compare_systems_on_workloads(**kwargs)
 
 
-def _compare_per_model(
+def _vs_objstore_rows(
     models: Sequence[str],
     workloads: Sequence[str],
-    systems: Sequence[str],
     num_rounds: int,
     requests_per_workload: int,
     seed: int,
     workers: int | None,
-) -> list[dict[tuple[str, str], MetricSummary]]:
-    """Summaries for every model, optionally across parallel workers.
+    columns: Callable[[MetricSummary, MetricSummary], dict],
+) -> list[dict]:
+    """Figures 7, 8, 15 and 16: one row per (model, workload), FLStore vs ObjStore-Agg.
 
-    Results come back in ``models`` order, so parallel runs produce the same
-    rows as serial ones.
+    Each model's comparison is one task, optionally on parallel workers;
+    results come back in ``models`` order, so parallel runs produce the same
+    rows as serial ones.  ``columns(flstore, objstore_agg)`` maps the two
+    systems' summaries to the figure's columns, which follow ``model`` and
+    ``workload``.
     """
     tasks = [
         {
             "model_name": model_name,
             "workloads": tuple(workloads),
-            "systems": tuple(systems),
+            "systems": ("flstore", "objstore-agg"),
             "num_rounds": num_rounds,
             "requests_per_workload": requests_per_workload,
             "seed": seed,
         }
         for model_name in models
     ]
-    return map_tasks(_compare_task, tasks, workers)
+    per_model = map_tasks(_compare_task, tasks, workers)
+    return [
+        {
+            "model": model_name,
+            "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
+            **columns(
+                summaries[("flstore", workload_name)], summaries[("objstore-agg", workload_name)]
+            ),
+        }
+        for model_name, summaries in zip(models, per_model)
+        for workload_name in workloads
+    ]
+
+
+def _vs_cache_agg_rows(
+    model_name: str,
+    workloads: Sequence[str],
+    num_rounds: int,
+    requests_per_workload: int,
+    seed: int,
+    columns: Callable[[MetricSummary, MetricSummary], dict],
+) -> list[dict]:
+    """Figures 9 and 17: one row per workload, FLStore vs Cache-Agg.
+
+    ``columns(flstore, cache_agg)`` maps the two systems' summaries to the
+    figure's columns, which follow ``workload``.
+    """
+    summaries = compare_systems_on_workloads(
+        model_name,
+        workloads,
+        systems=("flstore", "cache-agg"),
+        num_rounds=num_rounds,
+        requests_per_workload=requests_per_workload,
+        seed=seed,
+    )
+    return [
+        {
+            "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
+            **columns(
+                summaries[("flstore", workload_name)], summaries[("cache-agg", workload_name)]
+            ),
+        }
+        for workload_name in workloads
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Figures 1 & 2 — non-training share of per-round FL latency and cost
 # ---------------------------------------------------------------------------
 
-def _training_round_profile(setup) -> tuple[float, float]:
+def _training_profile(config: SimulationConfig, rounds) -> tuple[float, float]:
     """Mean per-round training latency and cost of the simulated FL job.
 
     The round latency is the slowest participant's local training plus upload
     (synchronous FL); the round cost is the aggregator instance occupied for
     that duration plus the metadata upload requests.
     """
-    return _training_profile(setup.config, setup.rounds)
-
-
-def _training_profile(config: SimulationConfig, rounds) -> tuple[float, float]:
-    """Training latency/cost profile from the simulated rounds directly."""
     durations = []
     for record in rounds:
         slowest = max(meta.round_duration_seconds for meta in record.metadata.values())
@@ -188,6 +187,45 @@ def _training_profile(config: SimulationConfig, rounds) -> tuple[float, float]:
     mean_duration = float(np.mean(durations))
     training_cost = mean_duration / 3600.0 * config.pricing.aggregator_cost_per_hour
     return mean_duration, training_cost
+
+
+def _non_training_share(
+    model_name: str,
+    workloads: Sequence[str],
+    num_rounds: int,
+    requests_per_workload: int,
+    seed: int,
+    unit: str,
+) -> list[dict]:
+    """Figures 1 and 2: each workload's share of a round's latency or cost.
+
+    ``unit`` is ``"seconds"`` (Figure 1, mean latency) or ``"cost"`` (Figure
+    2, mean dollars); it names the ``training_*``, ``non_training_*`` and
+    ``total_*`` columns.
+    """
+    config = paper_experiment_config(model_name, seed=seed)
+    training_seconds, training_cost = _training_profile(
+        config, setup_cache.simulate_rounds(config, num_rounds)
+    )
+    training = training_seconds if unit == "seconds" else training_cost
+    summaries = _objstore_summaries(model_name, workloads, num_rounds, requests_per_workload, seed)
+    rows = []
+    for workload_name in workloads:
+        summary = summaries[workload_name]
+        non_training = (
+            summary.mean_latency_seconds if unit == "seconds" else summary.mean_cost_dollars
+        )
+        total = training + non_training
+        rows.append(
+            {
+                "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
+                f"training_{unit}": training,
+                f"non_training_{unit}": non_training,
+                f"total_{unit}": total,
+                "non_training_share_pct": 100.0 * non_training / total,
+            }
+        )
+    return rows
 
 
 def run_figure1_latency_share(
@@ -198,25 +236,9 @@ def run_figure1_latency_share(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 1: fraction of per-round FL latency spent in each non-training workload."""
-    config = paper_experiment_config(model_name, seed=seed)
-    training_seconds, _ = _training_profile(config, setup_cache.simulate_rounds(config, num_rounds))
-    summaries = _single_system_summaries(
-        model_name, workloads, "objstore-agg", num_rounds, requests_per_workload, seed
+    return _non_training_share(
+        model_name, workloads, num_rounds, requests_per_workload, seed, unit="seconds"
     )
-    rows = []
-    for workload_name in workloads:
-        non_training = summaries[workload_name].mean_latency_seconds
-        total = training_seconds + non_training
-        rows.append(
-            {
-                "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                "training_seconds": training_seconds,
-                "non_training_seconds": non_training,
-                "total_seconds": total,
-                "non_training_share_pct": 100.0 * non_training / total,
-            }
-        )
-    return rows
 
 
 def run_figure2_cost_share(
@@ -227,25 +249,9 @@ def run_figure2_cost_share(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 2: fraction of per-round FL cost attributable to each non-training workload."""
-    config = paper_experiment_config(model_name, seed=seed)
-    _, training_cost = _training_profile(config, setup_cache.simulate_rounds(config, num_rounds))
-    summaries = _single_system_summaries(
-        model_name, workloads, "objstore-agg", num_rounds, requests_per_workload, seed
+    return _non_training_share(
+        model_name, workloads, num_rounds, requests_per_workload, seed, unit="cost"
     )
-    rows = []
-    for workload_name in workloads:
-        non_training = summaries[workload_name].mean_cost_dollars
-        total = training_cost + non_training
-        rows.append(
-            {
-                "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                "training_cost": training_cost,
-                "non_training_cost": non_training,
-                "total_cost": total,
-                "non_training_share_pct": 100.0 * non_training / total,
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +278,8 @@ def run_figure4_comm_vs_comp(
     """
     rows = []
     for model_name in models:
-        summaries = _single_system_summaries(
-            model_name, workloads, "objstore-agg", num_rounds, requests_per_workload, seed
+        summaries = _objstore_summaries(
+            model_name, workloads, num_rounds, requests_per_workload, seed
         )
         for workload_name in workloads:
             summary = summaries[workload_name]
@@ -308,28 +314,23 @@ def run_figure7_latency_vs_objstore(
     workers: int | None = None,
 ) -> list[dict]:
     """Figure 7: per-request latency of FLStore vs ObjStore-Agg per model and workload."""
-    per_model = _compare_per_model(
-        models, workloads, ("flstore", "objstore-agg"), num_rounds, requests_per_workload, seed, workers
+    return _vs_objstore_rows(
+        models,
+        workloads,
+        num_rounds,
+        requests_per_workload,
+        seed,
+        workers,
+        lambda flstore, baseline: {
+            "flstore_latency_seconds": flstore.mean_latency_seconds,
+            "objstore_agg_latency_seconds": baseline.mean_latency_seconds,
+            "median_flstore_latency_seconds": flstore.median_latency_seconds,
+            "median_objstore_latency_seconds": baseline.median_latency_seconds,
+            "latency_reduction_pct": percent_reduction(
+                baseline.mean_latency_seconds, flstore.mean_latency_seconds
+            ),
+        },
     )
-    rows = []
-    for model_name, summaries in zip(models, per_model):
-        for workload_name in workloads:
-            flstore = summaries[("flstore", workload_name)]
-            baseline = summaries[("objstore-agg", workload_name)]
-            rows.append(
-                {
-                    "model": model_name,
-                    "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                    "flstore_latency_seconds": flstore.mean_latency_seconds,
-                    "objstore_agg_latency_seconds": baseline.mean_latency_seconds,
-                    "median_flstore_latency_seconds": flstore.median_latency_seconds,
-                    "median_objstore_latency_seconds": baseline.median_latency_seconds,
-                    "latency_reduction_pct": percent_reduction(
-                        baseline.mean_latency_seconds, flstore.mean_latency_seconds
-                    ),
-                }
-            )
-    return rows
 
 
 def run_figure8_cost_vs_objstore(
@@ -341,26 +342,21 @@ def run_figure8_cost_vs_objstore(
     workers: int | None = None,
 ) -> list[dict]:
     """Figure 8: per-request cost of FLStore vs ObjStore-Agg per model and workload."""
-    per_model = _compare_per_model(
-        models, workloads, ("flstore", "objstore-agg"), num_rounds, requests_per_workload, seed, workers
+    return _vs_objstore_rows(
+        models,
+        workloads,
+        num_rounds,
+        requests_per_workload,
+        seed,
+        workers,
+        lambda flstore, baseline: {
+            "flstore_cost_dollars": flstore.mean_cost_dollars,
+            "objstore_agg_cost_dollars": baseline.mean_cost_dollars,
+            "cost_reduction_pct": percent_reduction(
+                baseline.mean_cost_dollars, flstore.mean_cost_dollars
+            ),
+        },
     )
-    rows = []
-    for model_name, summaries in zip(models, per_model):
-        for workload_name in workloads:
-            flstore = summaries[("flstore", workload_name)]
-            baseline = summaries[("objstore-agg", workload_name)]
-            rows.append(
-                {
-                    "model": model_name,
-                    "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                    "flstore_cost_dollars": flstore.mean_cost_dollars,
-                    "objstore_agg_cost_dollars": baseline.mean_cost_dollars,
-                    "cost_reduction_pct": percent_reduction(
-                        baseline.mean_cost_dollars, flstore.mean_cost_dollars
-                    ),
-                }
-            )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -375,34 +371,25 @@ def run_figure9_vs_cache_agg(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 9: per-request latency and cost of FLStore vs Cache-Agg (6 workloads)."""
-    summaries = compare_systems_on_workloads(
+    return _vs_cache_agg_rows(
         model_name,
         workloads,
-        systems=("flstore", "cache-agg"),
-        num_rounds=num_rounds,
-        requests_per_workload=requests_per_workload,
-        seed=seed,
+        num_rounds,
+        requests_per_workload,
+        seed,
+        lambda flstore, baseline: {
+            "flstore_latency_seconds": flstore.mean_latency_seconds,
+            "cache_agg_latency_seconds": baseline.mean_latency_seconds,
+            "latency_reduction_pct": percent_reduction(
+                baseline.mean_latency_seconds, flstore.mean_latency_seconds
+            ),
+            "flstore_cost_dollars": flstore.mean_cost_dollars,
+            "cache_agg_cost_dollars": baseline.mean_cost_dollars,
+            "cost_reduction_pct": percent_reduction(
+                baseline.mean_cost_dollars, flstore.mean_cost_dollars
+            ),
+        },
     )
-    rows = []
-    for workload_name in workloads:
-        flstore = summaries[("flstore", workload_name)]
-        baseline = summaries[("cache-agg", workload_name)]
-        rows.append(
-            {
-                "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                "flstore_latency_seconds": flstore.mean_latency_seconds,
-                "cache_agg_latency_seconds": baseline.mean_latency_seconds,
-                "latency_reduction_pct": percent_reduction(
-                    baseline.mean_latency_seconds, flstore.mean_latency_seconds
-                ),
-                "flstore_cost_dollars": flstore.mean_cost_dollars,
-                "cache_agg_cost_dollars": baseline.mean_cost_dollars,
-                "cost_reduction_pct": percent_reduction(
-                    baseline.mean_cost_dollars, flstore.mean_cost_dollars
-                ),
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +406,7 @@ def run_figure10_overall_cost(
     """Figure 10: overall FL cost per round with and without FLStore."""
     config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore", "objstore-agg"))
-    _, training_cost = _training_round_profile(setup)
+    _, training_cost = _training_profile(config, setup.rounds)
     rows = []
     for workload_name in workloads:
         trace = setup.generator.workload_trace(workload_name, requests_per_workload)
@@ -618,28 +605,23 @@ def run_figure15_total_time_breakup(
     workers: int | None = None,
 ) -> list[dict]:
     """Figure 15: accumulated communication/computation hours, FLStore vs ObjStore-Agg."""
-    per_model = _compare_per_model(
-        models, workloads, ("flstore", "objstore-agg"), num_rounds, requests_per_workload, seed, workers
+    return _vs_objstore_rows(
+        models,
+        workloads,
+        num_rounds,
+        requests_per_workload,
+        seed,
+        workers,
+        lambda flstore, baseline: {
+            "objstore_communication_hours": baseline.total_communication_seconds / 3600.0,
+            "objstore_computation_hours": baseline.total_computation_seconds / 3600.0,
+            "flstore_total_hours": flstore.total_latency_seconds / 3600.0,
+            "objstore_comm_fraction": baseline.communication_fraction,
+            "total_time_reduction_pct": percent_reduction(
+                baseline.total_latency_seconds, flstore.total_latency_seconds
+            ),
+        },
     )
-    rows = []
-    for model_name, summaries in zip(models, per_model):
-        for workload_name in workloads:
-            flstore = summaries[("flstore", workload_name)]
-            baseline = summaries[("objstore-agg", workload_name)]
-            rows.append(
-                {
-                    "model": model_name,
-                    "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                    "objstore_communication_hours": baseline.total_communication_seconds / 3600.0,
-                    "objstore_computation_hours": baseline.total_computation_seconds / 3600.0,
-                    "flstore_total_hours": flstore.total_latency_seconds / 3600.0,
-                    "objstore_comm_fraction": baseline.communication_fraction,
-                    "total_time_reduction_pct": percent_reduction(
-                        baseline.total_latency_seconds, flstore.total_latency_seconds
-                    ),
-                }
-            )
-    return rows
 
 
 def run_figure16_total_cost_breakup(
@@ -651,27 +633,22 @@ def run_figure16_total_cost_breakup(
     workers: int | None = None,
 ) -> list[dict]:
     """Figure 16: accumulated cost breakup (communication vs computation) vs ObjStore-Agg."""
-    per_model = _compare_per_model(
-        models, workloads, ("flstore", "objstore-agg"), num_rounds, requests_per_workload, seed, workers
+    return _vs_objstore_rows(
+        models,
+        workloads,
+        num_rounds,
+        requests_per_workload,
+        seed,
+        workers,
+        lambda flstore, baseline: {
+            "objstore_total_cost": baseline.total_cost_dollars,
+            "objstore_communication_cost": baseline.total_communication_dollars,
+            "flstore_total_cost": flstore.total_cost_dollars,
+            "cost_reduction_pct": percent_reduction(
+                baseline.total_cost_dollars, flstore.total_cost_dollars
+            ),
+        },
     )
-    rows = []
-    for model_name, summaries in zip(models, per_model):
-        for workload_name in workloads:
-            flstore = summaries[("flstore", workload_name)]
-            baseline = summaries[("objstore-agg", workload_name)]
-            rows.append(
-                {
-                    "model": model_name,
-                    "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                    "objstore_total_cost": baseline.total_cost_dollars,
-                    "objstore_communication_cost": baseline.total_communication_dollars,
-                    "flstore_total_cost": flstore.total_cost_dollars,
-                    "cost_reduction_pct": percent_reduction(
-                        baseline.total_cost_dollars, flstore.total_cost_dollars
-                    ),
-                }
-            )
-    return rows
 
 
 def run_figure17_vs_cache_agg_totals(
@@ -682,34 +659,25 @@ def run_figure17_vs_cache_agg_totals(
     seed: int = 7,
 ) -> list[dict]:
     """Figure 17: total time and cost over the trace, FLStore vs Cache-Agg."""
-    summaries = compare_systems_on_workloads(
+    return _vs_cache_agg_rows(
         model_name,
         workloads,
-        systems=("flstore", "cache-agg"),
-        num_rounds=num_rounds,
-        requests_per_workload=requests_per_workload,
-        seed=seed,
+        num_rounds,
+        requests_per_workload,
+        seed,
+        lambda flstore, baseline: {
+            "cache_agg_total_hours": baseline.total_latency_seconds / 3600.0,
+            "flstore_total_hours": flstore.total_latency_seconds / 3600.0,
+            "time_reduction_pct": percent_reduction(
+                baseline.total_latency_seconds, flstore.total_latency_seconds
+            ),
+            "cache_agg_total_cost": baseline.total_cost_dollars,
+            "flstore_total_cost": flstore.total_cost_dollars,
+            "cost_reduction_pct": percent_reduction(
+                baseline.total_cost_dollars, flstore.total_cost_dollars
+            ),
+        },
     )
-    rows = []
-    for workload_name in workloads:
-        flstore = summaries[("flstore", workload_name)]
-        baseline = summaries[("cache-agg", workload_name)]
-        rows.append(
-            {
-                "workload": WORKLOAD_DISPLAY_NAMES[workload_name],
-                "cache_agg_total_hours": baseline.total_latency_seconds / 3600.0,
-                "flstore_total_hours": flstore.total_latency_seconds / 3600.0,
-                "time_reduction_pct": percent_reduction(
-                    baseline.total_latency_seconds, flstore.total_latency_seconds
-                ),
-                "cache_agg_total_cost": baseline.total_cost_dollars,
-                "flstore_total_cost": flstore.total_cost_dollars,
-                "cost_reduction_pct": percent_reduction(
-                    baseline.total_cost_dollars, flstore.total_cost_dollars
-                ),
-            }
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------

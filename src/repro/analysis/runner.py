@@ -14,9 +14,10 @@ so the per-figure functions in :mod:`repro.analysis.experiments` stay small.
 Steps 1-2 are deterministic in their parameters, so :func:`prepare_setup`
 serves them from :mod:`repro.analysis.setup_cache`: simulated rounds are
 memoized per ``(config, num_rounds)`` and fully ingested systems are handed
-out as pristine snapshots, which makes re-running related figures (and the
-benchmark suite) cheap.  :func:`map_tasks` runs independent experiment tasks
-in parallel worker processes when enabled (``repro.cli run --parallel``).
+out as pristine snapshots, which makes re-running related figures cheap.
+:func:`map_tasks` runs independent experiment tasks in parallel worker
+processes when its caller passes ``workers`` > 1 (``repro.cli run
+--parallel`` passes the CPU count to the runners that take ``workers``).
 """
 
 from __future__ import annotations
@@ -32,27 +33,12 @@ from repro.config import SimulationConfig
 from repro.core.flstore import FLStore, build_default_flstore
 from repro.fl.rounds import RoundRecord
 from repro.fl.trainer import FLJobSimulator
-from repro.serverless.faults import ZipfianFaultInjector
 from repro.simulation.metrics import MetricsCollector, RequestRecord
 from repro.traces.generator import RequestTraceGenerator
 from repro.workloads.base import WorkloadRequest
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-#: Default worker count for :func:`map_tasks`; 1 means run serially.
-_max_workers = 1
-
-
-def set_max_workers(workers: int) -> None:
-    """Set the default parallelism of :func:`map_tasks` (1 disables it)."""
-    global _max_workers
-    _max_workers = max(1, int(workers))
-
-
-def get_max_workers() -> int:
-    """Current default worker count for :func:`map_tasks`."""
-    return _max_workers
 
 
 def map_tasks(
@@ -62,17 +48,18 @@ def map_tasks(
 ) -> list[_R]:
     """Run ``fn`` over ``items``, in parallel processes when workers > 1.
 
-    Results are returned in input order, so a parallel run produces the same
-    rows as a serial one.  ``fn`` must be a module-level callable and the
-    items picklable (experiment tasks take plain config tuples).  Each task
-    is independent — experiments that share mutable state across items must
-    not be parallelised.
+    ``workers=None`` runs serially.  Results are returned in input order, so
+    a parallel run produces the same rows as a serial one.  ``fn`` must be a
+    module-level callable and the items picklable (experiment tasks take
+    plain config tuples).  Each task is independent — experiments that share
+    mutable state across items must not be parallelised.
     """
-    effective = _max_workers if workers is None else max(1, int(workers))
-    if effective <= 1 or len(items) <= 1:
+    workers = 1 if workers is None else int(workers)
+    if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(effective, len(items))) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
+
 
 #: Systems that :func:`prepare_setup` knows how to build.
 KNOWN_SYSTEMS: tuple[str, ...] = ("flstore", "objstore-agg", "cache-agg")
@@ -110,7 +97,6 @@ def prepare_setup(
     systems: Sequence[str] = KNOWN_SYSTEMS,
     policy_mode: str = "tailored",
     replication_factor: int | None = None,
-    fault_injector: ZipfianFaultInjector | None = None,
 ) -> ExperimentSetup:
     """Simulate an FL job, build the requested systems, and ingest the rounds.
 
@@ -118,29 +104,23 @@ def prepare_setup(
     :mod:`repro.analysis.setup_cache`: the simulated rounds are shared across
     setups with the same config, and the built-and-ingested systems are
     snapshotted so later calls with the same parameters skip the whole
-    build-and-ingest phase.  A ``fault_injector`` carries mutable sampling
-    state, so setups built around one bypass the snapshot cache.
+    build-and-ingest phase.  A fault injector carries mutable sampling
+    state, so callers attach one to the returned FLStore
+    (``setup.flstore.fault_injector = ...``); it is read only while serving.
     """
     config = config or SimulationConfig()
     simulator, rounds = setup_cache.simulate_job(config, num_rounds)
 
-    built: dict[str, object] | None = None
-    cache_key = None
-    if fault_injector is None:
-        cache_key = setup_cache.snapshot_key(
-            config, num_rounds, systems, policy_mode, replication_factor
-        )
-        built = setup_cache.get_system_snapshots(cache_key)
-
+    cache_key = setup_cache.snapshot_key(
+        config, num_rounds, systems, policy_mode, replication_factor
+    )
+    built = setup_cache.get_system_snapshots(cache_key)
     if built is None:
         built = {}
         for name in systems:
             if name == "flstore":
                 built[name] = build_default_flstore(
-                    config,
-                    policy_mode=policy_mode,
-                    replication_factor=replication_factor,
-                    fault_injector=fault_injector,
+                    config, policy_mode=policy_mode, replication_factor=replication_factor
                 )
             elif name == "objstore-agg":
                 built[name] = ObjStoreAggregator(config)
@@ -152,11 +132,10 @@ def prepare_setup(
         for record in rounds:
             for system in built.values():
                 system.ingest_round(record)
-        if cache_key is not None and setup_cache.enabled():
-            # Serialise the freshly ingested systems into the pristine cache
-            # master; the original graph stays with this caller (the master
-            # is immutable bytes, so serving on the original is safe).
-            setup_cache.put_system_snapshots(cache_key, built)
+        # Serialise the freshly ingested systems into the pristine cache
+        # master; the original graph stays with this caller (the master is
+        # immutable bytes, so serving on the original is safe).
+        setup_cache.put_system_snapshots(cache_key, built)
 
     catalog = next(iter(built.values())).catalog if built else None
     generator = RequestTraceGenerator(catalog, seed=config.seed) if catalog is not None else None

@@ -4,9 +4,8 @@ Every ``run_*`` experiment starts from the same skeleton: simulate an FL job,
 build one or more systems, and ingest the simulated rounds into each (see
 :func:`repro.analysis.runner.prepare_setup`).  Simulation and ingestion are
 deterministic functions of ``(config, seed, num_rounds, systems, policy_mode,
-replication_factor)``, yet the seed implementation recomputed them from
-scratch for every figure — the dominant fixed cost of sweeping the benchmark
-suite.
+replication_factor)``, and related figures, sweep cells and scenario builds
+ask for the same products over and over.
 
 This module caches two products:
 
@@ -26,10 +25,11 @@ frozen dataclasses that no consumer mutates).  That makes a snapshot an
 order of magnitude cheaper than a ``deepcopy`` while remaining
 behaviourally indistinguishable from a fresh build-and-ingest.
 
-Both caches are process-local, bounded, and can be disabled (or cleared) for
-A/B measurements; :class:`SetupCacheStats` feeds the benchmark's
-``analysis.setup_cache.hits`` and ``analysis.setup_cache.misses`` metrics
-(``bench/``), so cache effectiveness is tracked alongside request throughput.
+Both caches are process-local, bounded and always on.  :func:`clear` empties
+them, which the benchmark (``bench/``) does before each cold set-up it times,
+and :class:`SetupCacheStats` feeds its ``analysis.setup_cache.hits`` and
+``analysis.setup_cache.misses`` metrics, so cache effectiveness is tracked
+alongside request throughput.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ _MAX_ENTRIES = 32
 _rounds_cache: dict[tuple, tuple["FLJobSimulator", list["RoundRecord"]]] = {}
 #: Pristine masters: ``key -> (pickle bytes, shared payload list)``.
 _snapshot_cache: dict[tuple, tuple[bytes, list]] = {}
-_enabled = True
 _shared_types: frozenset[type] | None = None
 
 
@@ -170,17 +169,6 @@ class SetupCacheStats:
 stats = SetupCacheStats()
 
 
-def enabled() -> bool:
-    """Whether setup memoization is active."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> None:
-    """Enable or disable setup memoization (clears nothing)."""
-    global _enabled
-    _enabled = bool(value)
-
-
 def clear() -> None:
     """Drop every cached product and reset the hit/miss counters."""
     _rounds_cache.clear()
@@ -212,17 +200,15 @@ def simulate_job(
     from repro.fl.trainer import FLJobSimulator
 
     key = (_config_key(config), num_rounds)
-    if _enabled:
-        cached = _rounds_cache.get(key)
-        if cached is not None:
-            stats.rounds_hits += 1
-            return cached
+    cached = _rounds_cache.get(key)
+    if cached is not None:
+        stats.rounds_hits += 1
+        return cached
     stats.rounds_misses += 1
     simulator = FLJobSimulator(config)
     rounds = simulator.run_rounds(num_rounds)
-    if _enabled:
-        _rounds_cache[key] = (simulator, rounds)
-        _trim(_rounds_cache)
+    _rounds_cache[key] = (simulator, rounds)
+    _trim(_rounds_cache)
     return simulator, rounds
 
 
@@ -244,8 +230,6 @@ def snapshot_key(
 
 def get_system_snapshots(key: tuple) -> dict[str, object] | None:
     """Return a snapshot of the pristine ingested systems for ``key``, if cached."""
-    if not _enabled:
-        return None
     pristine = _snapshot_cache.get(key)
     if pristine is None:
         stats.snapshot_misses += 1
@@ -261,7 +245,5 @@ def put_system_snapshots(key: tuple, systems: dict[str, object]) -> None:
     using — and mutating — the original object graph while every later
     :func:`get_system_snapshots` pays only the unpickle.
     """
-    if not _enabled:
-        return
     _snapshot_cache[key] = snapshot_dump(systems)
     _trim(_snapshot_cache)

@@ -25,6 +25,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import Any, Callable
@@ -33,7 +34,6 @@ from repro.analysis import experiments as E
 from repro.analysis import experiments_appendix as A
 from repro.analysis.export import export_csv, export_json
 from repro.analysis.perf import tune_gc
-from repro.analysis.runner import set_max_workers
 from repro.analysis.tables import format_table, union_columns
 from repro.fleet import (
     ArtifactStore,
@@ -58,7 +58,8 @@ from repro.scenario import run as run_scenario_spec
 from repro.scenario import sweep as scenario_sweep
 from repro.workloads.registry import TAXONOMY, WORKLOAD_DISPLAY_NAMES
 
-#: Experiment name -> (callable, description, accepts num_rounds kwarg).
+#: Experiment name -> (runner, description).  ``run`` passes a runner only the
+#: flags its signature names (``num_rounds``, ``seed``, ``workers``).
 EXPERIMENTS: dict[str, tuple[Callable[..., Any], str]] = {
     "fig1": (E.run_figure1_latency_share, "Non-training share of per-round FL latency"),
     "fig2": (E.run_figure2_cost_share, "Non-training share of per-round FL cost"),
@@ -80,12 +81,6 @@ EXPERIMENTS: dict[str, tuple[Callable[..., Any], str]] = {
     "sec55": (A.run_section55_component_overhead, "Component overhead"),
     "sec22": (A.run_section22_capacity_analysis, "Capacity analysis"),
     "prefetch": (A.run_ablation_prefetch_depth, "Prefetch-depth ablation (extension)"),
-}
-
-#: Experiments whose runner accepts a ``num_rounds`` keyword.
-_ACCEPTS_ROUNDS = {
-    "fig1", "fig2", "fig4", "fig7", "fig8", "fig9", "fig10", "fig11", "table2",
-    "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "prefetch",
 }
 
 
@@ -143,7 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--parallel",
         action="store_true",
-        help="serve independent (system, workload) traces in parallel worker processes",
+        help="run the experiment's independent tasks in worker processes "
+        "(an experiment whose runner takes no workers rejects it)",
     )
     run.add_argument(
         "--workers",
@@ -398,16 +394,6 @@ def _report_command(args) -> int:
     return 0
 
 
-def _run_experiment(name: str, rounds: int | None, seed: int | None) -> Any:
-    runner, _ = EXPERIMENTS[name]
-    kwargs: dict[str, Any] = {}
-    if rounds is not None and name in _ACCEPTS_ROUNDS:
-        kwargs["num_rounds"] = rounds
-    if seed is not None and name in _ACCEPTS_ROUNDS and name not in {"fig19", "sec55", "sec22"}:
-        kwargs["seed"] = seed
-    return runner(**kwargs)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -434,13 +420,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "report":
         return _report_command(args)
 
+    runner, title = EXPERIMENTS[args.experiment]
+    workers = args.workers
+    if workers is None and args.parallel:
+        workers = os.cpu_count() or 1
+    flags = {
+        "num_rounds": ("--rounds", args.rounds),
+        "seed": ("--seed", args.seed),
+        "workers": ("--workers" if args.workers is not None else "--parallel", workers),
+    }
+    kwargs = {name: value for name, (_, value) in flags.items() if value is not None}
+    accepted = inspect.signature(runner).parameters
+    rejected = [flags[name][0] for name in kwargs if name not in accepted]
+    if rejected:
+        print(f"error: {args.experiment} does not take {', '.join(rejected)}", file=sys.stderr)
+        return 2
     tune_gc()
-    if args.parallel or args.workers is not None:
-        set_max_workers(args.workers if args.workers is not None else (os.cpu_count() or 1))
-
-    result = _run_experiment(args.experiment, args.rounds, args.seed)
+    result = runner(**kwargs)
     rows = result["rows"] if isinstance(result, dict) and "rows" in result else result
-    title = EXPERIMENTS[args.experiment][1]
     if isinstance(rows, list) and rows and isinstance(rows[0], dict):
         print(format_table(rows, title=title))
     else:

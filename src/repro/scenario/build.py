@@ -25,7 +25,6 @@ from typing import Any, Mapping, get_args, get_origin
 
 import numpy as np
 
-from repro.analysis import setup_cache
 from repro.analysis.runner import prepare_setup
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
@@ -81,12 +80,16 @@ def scenario_config(spec: ScenarioSpec) -> SimulationConfig:
 
 # Calibration memo: E[S] is a pure function of its key, and one sweep (or
 # one CI smoke over many specs sharing a mix) asks for the same value
-# repeatedly.  Obeys the setup-cache enable switch like every other memo.
+# repeatedly.
 _calibration_cache: dict[tuple, float] = {}
 
 
 def clear_calibration_cache() -> None:
-    """Drop memoized service-time calibrations (used by perf A/B runs)."""
+    """Drop memoized service-time calibrations.
+
+    The benchmark (``bench/``) calls it, with ``setup_cache.clear()``, before
+    each cold set-up it times, so calibration is measured, not remembered.
+    """
     _calibration_cache.clear()
 
 
@@ -117,15 +120,14 @@ def calibrate_mean_service_seconds(
     """
     num_requests = min(num_requests, 256)
     key = (model_name, tuple(workloads), num_rounds, num_requests, seed)
-    if setup_cache.enabled() and key in _calibration_cache:
+    if key in _calibration_cache:
         return _calibration_cache[key]
     config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
     trace = setup.generator.mixed_trace(list(workloads), num_requests)
     results = [setup.flstore.serve(request) for request in trace]
     mean_service = float(np.mean([r.latency.total_seconds for r in results]))
-    if setup_cache.enabled():
-        _calibration_cache[key] = mean_service
+    _calibration_cache[key] = mean_service
     return mean_service
 
 

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.analysis.export import export_csv, export_json, load_json
+from repro.analysis.runner import map_tasks
 from repro.cli import EXPERIMENTS, main
+
+
+def _worker_pid(_item: int) -> int:
+    return os.getpid()
 
 
 class TestExport:
@@ -215,6 +221,30 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "fig99"])
+
+    @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["run", "fig19", "--rounds", "5"], "--rounds"),
+            (["run", "sec22", "--seed", "3"], "--seed"),
+        ],
+    )
+    def test_run_rejects_a_flag_the_runner_does_not_take(self, argv, flag, capsys):
+        assert main(argv) == 2
+        assert f"does not take {flag}" in capsys.readouterr().err
+
+    def test_run_passes_workers_to_the_runner_and_sets_no_default(self, monkeypatch):
+        seen = []
+
+        def runner(workers=None):
+            seen.append(workers)
+            return [{"workers": workers}]
+
+        monkeypatch.setitem(EXPERIMENTS, "fig11", (runner, "stub"))
+        assert main(["run", "fig11", "--workers", "2"]) == 0
+        assert seen == [2]
+        # Later callers that pass no workers (sweeps, run-missing) stay in-process.
+        assert map_tasks(_worker_pid, [0, 1]) == [os.getpid(), os.getpid()]
 
     def test_every_registered_experiment_has_description(self):
         for name, (runner, description) in EXPERIMENTS.items():

@@ -19,7 +19,6 @@ from repro.simulation.records import (
 def fresh_setup_cache():
     """Each test starts from an empty cache and leaves none behind."""
     setup_cache.clear()
-    setup_cache.set_enabled(True)
     yield
     setup_cache.clear()
 
@@ -78,24 +77,6 @@ class TestSetupCache:
         cloned.cluster.evict(key)
         assert original.cluster.is_live(key)
         assert not cloned.cluster.is_live(key)
-
-    def test_disabled_cache_bypasses_memoization(self):
-        setup_cache.set_enabled(False)
-        config = _tiny_config()
-        first = setup_cache.simulate_rounds(config, 2)
-        second = setup_cache.simulate_rounds(config, 2)
-        assert first is not second
-        assert setup_cache.stats.rounds_hits == 0
-
-    def test_fault_injector_setups_bypass_snapshots(self):
-        from repro.serverless.faults import ZipfianFaultInjector
-
-        config = _tiny_config()
-        prepare_setup(config, num_rounds=2, systems=("flstore",),
-                      fault_injector=ZipfianFaultInjector(fault_rate=0.5, seed=3))
-        prepare_setup(config, num_rounds=2, systems=("flstore",),
-                      fault_injector=ZipfianFaultInjector(fault_rate=0.5, seed=3))
-        assert setup_cache.stats.snapshot_hits == 0
 
 
 class TestAccumulators:
