@@ -46,12 +46,11 @@ def compare_systems_on_workloads(
     systems: Sequence[str] = ("flstore", "objstore-agg"),
     num_rounds: int = DEFAULT_NUM_ROUNDS,
     requests_per_workload: int = DEFAULT_REQUESTS_PER_WORKLOAD,
-    policy_mode: str = "tailored",
     seed: int = 7,
 ) -> dict[tuple[str, str], MetricSummary]:
     """Serve identical traces on every system; return (system, workload) summaries."""
     config = paper_experiment_config(model_name, seed=seed)
-    setup = prepare_setup(config, num_rounds=num_rounds, systems=systems, policy_mode=policy_mode)
+    setup = prepare_setup(config, num_rounds=num_rounds, systems=systems)
     collector = MetricsCollector()
     for workload_name in workloads:
         trace = setup.generator.workload_trace(workload_name, requests_per_workload)

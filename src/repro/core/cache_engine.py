@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.cloud.object_store import ObjectStore
 from repro.cloud.payload import payload_size_bytes
@@ -180,7 +181,9 @@ class CacheEngine:
         self._enforce_capacity()
         return placement.latency
 
-    def plan_request(self, request: WorkloadRequest, required_keys: list[DataKey]) -> PolicyPlan:
+    def plan_request(
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey]
+    ) -> PolicyPlan:
         """Ask the policy for prefetch/evict advice around ``request``."""
         return self.policy.plan_request(request, required_keys, self.catalog)
 

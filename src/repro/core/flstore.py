@@ -18,12 +18,23 @@ Figure 5, and implements the end-to-end request workflow of Figure 6:
 The :meth:`FLStore.serve` method returns a :class:`ServeResult` carrying the
 workload output plus the latency and dollar cost of the request, decomposed
 the same way the paper's evaluation reports them.
+
+What step 3 needs besides the cache's state is fixed by the request's
+signature (workload, round, client, history, params) and the round catalog:
+the required keys, the compute time and the result-transfer time.  Each store
+keeps that :class:`RequestPlan` per signature for one
+:attr:`~repro.fl.catalog.RoundCatalog.version` (:meth:`FLStore.request_plan`),
+so a request whose signature this version has seen builds no keys;
+ingesting a round moves the version and drops the plans.  The gather then
+reads each key from the cache index once, and calls the policy per hit only
+when the policy records accesses (the tailored bundle does not; LRU, LFU and
+FIFO do, in key order).  Every output is the one a fresh plan would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.cloud.object_store import ObjectStore
 from repro.common.errors import DataNotFoundError
@@ -50,8 +61,28 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest, memoized_compute
+from repro.workloads.base import (
+    Workload,
+    WorkloadRequest,
+    memoized_compute,
+    request_signature,
+)
 from repro.workloads.registry import get_workload
+
+#: The base policy's ``record_access``, which does nothing: a store whose
+#: policy keeps it calls no per-hit callback.
+_NO_OP_RECORD_ACCESS = CachingPolicy.record_access
+
+
+class RequestPlan(NamedTuple):
+    """What serving one request signature needs, whatever the cache holds."""
+
+    #: The workload's ``required_keys``, in its order.
+    keys: tuple[DataKey, ...]
+    #: Modeled compute time on the executing function.
+    compute_seconds: float
+    #: Time to return the result to the client.
+    result_seconds: float
 
 
 @dataclass(slots=True)
@@ -141,6 +172,15 @@ class FLStore:
         #: Workload results by compute inputs (see ``memoized_compute``); it
         #: holds no simulated state and starts empty on every store.
         self._result_memo: dict = {}
+        #: Request plans by signature (see :meth:`request_plan`), valid for
+        #: catalog version ``_plan_version``; like the result memo it holds
+        #: no simulated state and starts empty on every store.
+        self._plan_memo: dict[tuple, RequestPlan] = {}
+        self._plan_version = self.catalog.version
+        #: Each request's share of the trace's always-on (keep-alive) hours.
+        self._share_hours = self.config.trace_duration_hours / max(
+            1, self.config.trace_num_requests
+        )
 
     # --------------------------------------------------------------- ingest
 
@@ -181,10 +221,41 @@ class FLStore:
             params=params,
         )
 
+    def request_plan(self, workload: Workload, request: WorkloadRequest) -> RequestPlan:
+        """``request``'s static plan: its required keys and fixed costs.
+
+        The plan is a function of the request's
+        :func:`~repro.workloads.base.request_signature` and of the round
+        catalog, never of the request id or tenant (the ``required_keys``
+        contract of :class:`~repro.workloads.base.Workload`).  So it is
+        computed once per signature and catalog version and reused; a
+        request whose params cannot be hashed is planned afresh.
+        """
+        catalog = self.catalog
+        memo = self._plan_memo
+        if self._plan_version != catalog.version:
+            memo.clear()
+            self._plan_version = catalog.version
+        try:
+            signature = request_signature(workload, request)
+            plan = memo.get(signature)
+        except TypeError:  # unhashable (or unorderable) params
+            signature = plan = None
+        if plan is None:
+            keys = tuple(workload.required_keys(request, catalog))
+            plan = RequestPlan(
+                keys,
+                workload.compute_seconds(self.model_spec, max(len(keys), 1)),
+                self.topology.client.transfer_seconds(workload.result_size_bytes),
+            )
+            if signature is not None:
+                memo[signature] = plan
+        return plan
+
     def serve(self, request: WorkloadRequest) -> ServeResult:
         """Serve one non-training request end to end (Figure 6 workflow)."""
         workload = get_workload(request.workload)
-        required_keys = workload.required_keys(request, self.catalog)
+        required_keys, compute_seconds, result_seconds = self.request_plan(workload, request)
         tracked = self.tracker.submit(request.request_id)
         routed = tracked.function_ids
 
@@ -206,14 +277,17 @@ class FLStore:
         # One pass over the cache index: hits load from their holders, misses
         # are fetched from the persistent store (and admitted, if the policy
         # says so) by ``fetch_missed``, and bytes are tallied per holder for
-        # the execution pick.  The policy sees every access in key order.
+        # the execution pick.  The policy sees every access in key order,
+        # except hits when its ``record_access`` is the base class's no-op.
         now = self.clock.now()
         policy = self.policy
         record_access = policy.record_access
         miss_fetch_seconds = 0.0
+        record_hit = None
+        if getattr(record_access, "__func__", None) is not _NO_OP_RECORD_ACCESS:
 
-        def record_hit(key: DataKey) -> None:
-            record_access(key, True, now)
+            def record_hit(key: DataKey) -> None:
+                record_access(key, True, now)
 
         def fetch_missed(key: DataKey) -> tuple[Any, bool]:
             nonlocal miss_fetch_seconds
@@ -236,7 +310,6 @@ class FLStore:
         routed += gathered.holders
 
         # --- locality-aware execution on the serverless cache --------------
-        compute_seconds = workload.compute_seconds(self.model_spec, max(len(required_keys), 1))
         execution_function = gathered.execution_function
         if execution_function is None:
             execution_function, spawn_latency = self._any_warm_function()
@@ -259,9 +332,7 @@ class FLStore:
         result = memoized_compute(self._result_memo, workload, request, gathered.data)
 
         # --- return results and persist them --------------------------------
-        latency.add_communication(
-            self.topology.client.transfer_seconds(workload.result_size_bytes)
-        )
+        latency.add_communication(result_seconds)
         result_key = ("result", request.request_id)
         store_result = self.persistent_store.put(result_key, result, size_bytes=workload.result_size_bytes)
         cost.add(store_result.cost)  # asynchronous: cost counted, latency off the critical path
@@ -282,7 +353,7 @@ class FLStore:
         evicted = self.engine.apply_evictions(plan.evict_keys)
 
         # --- per-request share of always-on costs ---------------------------
-        cost.add(self._provisioned_share())
+        cost.add(self.platform.keepalive_cost(self._share_hours))
 
         tracked.completed = True
         self.clock.advance(latency.total_seconds)
@@ -323,11 +394,6 @@ class FLStore:
             return warm[0].function_id, LatencyBreakdown.zero()
         function, spawn = self.platform.spawn_function()
         return function.function_id, spawn.latency
-
-    def _provisioned_share(self) -> CostBreakdown:
-        """Per-request share of FLStore's always-on costs (keep-alive pings)."""
-        share_hours = self.config.trace_duration_hours / max(1, self.config.trace_num_requests)
-        return self.platform.keepalive_cost(share_hours)
 
     # ------------------------------------------------------------- reporting
 

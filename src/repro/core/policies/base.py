@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
@@ -82,7 +83,7 @@ class CachingPolicy(abc.ABC):
     def plan_request(
         self,
         request: WorkloadRequest,
-        required_keys: list[DataKey],
+        required_keys: Sequence[DataKey],
         catalog: RoundCatalog,
     ) -> PolicyPlan:
         """Advice around one non-training request (prefetch / evict)."""

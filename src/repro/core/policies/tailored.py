@@ -20,6 +20,8 @@ so one class's eviction never removes data another class still needs.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.config import CachePolicyConfig
 from repro.core.policies.base import CachingPolicy, PolicyPlan
 from repro.fl.catalog import RoundCatalog
@@ -47,7 +49,7 @@ class SingleModelPolicy(CachingPolicy):
         return PolicyPlan(admit_keys=admit, evict_keys=evict)
 
     def plan_request(
-        self, request: WorkloadRequest, required_keys: list[DataKey], catalog: RoundCatalog
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
         # Serving workloads repeatedly hit the latest aggregate: prefetch the
         # next round's aggregate if training has already produced it.
@@ -87,7 +89,7 @@ class AllUpdatesInRoundPolicy(CachingPolicy):
         return PolicyPlan(admit_keys=admit, evict_keys=evict)
 
     def plan_request(
-        self, request: WorkloadRequest, required_keys: list[DataKey], catalog: RoundCatalog
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
         prefetch: list[DataKey] = []
         for ahead in range(1, self.prefetch_rounds_ahead + 1):
@@ -127,7 +129,7 @@ class AcrossRoundsPolicy(CachingPolicy):
         return PolicyPlan(admit_keys=admit)
 
     def plan_request(
-        self, request: WorkloadRequest, required_keys: list[DataKey], catalog: RoundCatalog
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
         client_ids = sorted({k.client_id for k in required_keys if k.is_update and k.client_id >= 0})
         prefetch: list[DataKey] = []
@@ -177,7 +179,7 @@ class MetadataPolicy(CachingPolicy):
         return PolicyPlan(admit_keys=admit, evict_keys=evict)
 
     def plan_request(
-        self, request: WorkloadRequest, required_keys: list[DataKey], catalog: RoundCatalog
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
         next_round = request.round_id + 1
         prefetch: list[DataKey] = []
@@ -216,6 +218,11 @@ class TailoredPolicyBundle(CachingPolicy):
         }
         #: ``key -> policy-class value`` ownership map used to scope evictions.
         self._owner: dict[DataKey, str] = {}
+        #: ``policy class -> (policy, class value)``: one lookup per request.
+        self._dispatch: dict[PolicyClass, tuple[CachingPolicy, str]] = {
+            policy_class: (policy, policy_class.value)
+            for policy_class, policy in self.policies.items()
+        }
 
     # ------------------------------------------------------------ dispatch
 
@@ -223,34 +230,38 @@ class TailoredPolicyBundle(CachingPolicy):
         """The taxonomy-selected policy class for ``request`` (Table 1)."""
         return get_workload(request.workload).policy_class
 
-    def _scope_plan(self, plan: PolicyPlan, owner: PolicyClass) -> PolicyPlan:
-        value = owner.value
+    def _scope_plan(self, plan: PolicyPlan, value: str) -> PolicyPlan:
+        """Scope a sub-policy's fresh ``plan`` to the class ``value``, in place.
+
+        The class claims the plan's admitted and prefetched keys, and the
+        plan keeps only the evictions of keys the class owns.
+        """
         owners = self._owner
-        for key in plan.admit_keys + plan.prefetch_keys:
+        for key in plan.admit_keys:
+            owners[key] = value
+        for key in plan.prefetch_keys:
             owners[key] = value
         evict = [key for key in plan.evict_keys if owners.get(key) == value]
         for key in evict:
             owners.pop(key, None)
-        return PolicyPlan(admit_keys=plan.admit_keys, prefetch_keys=plan.prefetch_keys, evict_keys=evict)
+        plan.evict_keys = evict
+        return plan
 
     # ------------------------------------------------------------ planning
 
     def plan_ingest(self, record: RoundRecord, catalog: RoundCatalog) -> PolicyPlan:
         merged = PolicyPlan()
-        for policy_class, policy in self.policies.items():
-            merged = merged.merge(self._scope_plan(policy.plan_ingest(record, catalog), policy_class))
+        for policy, value in self._dispatch.values():
+            merged = merged.merge(self._scope_plan(policy.plan_ingest(record, catalog), value))
         return merged
 
     def plan_request(
-        self, request: WorkloadRequest, required_keys: list[DataKey], catalog: RoundCatalog
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
-        policy_class = self.select_policy_class(request)
-        policy = self.policies[policy_class]
-        plan = policy.plan_request(request, required_keys, catalog)
-        scoped = self._scope_plan(plan, policy_class)
+        policy, value = self._dispatch[self.select_policy_class(request)]
+        scoped = self._scope_plan(policy.plan_request(request, required_keys, catalog), value)
         # Objects fetched on a miss for this request also become owned by the
         # dispatching class so later evictions can reclaim them.
-        value = policy_class.value
         claim = self._owner.setdefault
         for key in required_keys:
             claim(key, value)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.common.rng import derive_rng
 from repro.common.units import GB
@@ -55,7 +56,7 @@ class CapacityBoundPolicy(CachingPolicy):
         return PolicyPlan()
 
     def plan_request(
-        self, request: WorkloadRequest, required_keys: list[DataKey], catalog: RoundCatalog
+        self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
         """Reactive policies never prefetch."""
         del request, required_keys, catalog

@@ -17,8 +17,9 @@ O(affected keys) instead of O(tracked keys).
 A request reads its keys through two batch methods that read the index once
 per key.  :meth:`ServerlessCacheCluster.gather` is the request path's read:
 per key it reads the primary and the holder — exactly what :meth:`resolve`
-reads — then loads hits through one bound loader per holder function,
-counts failovers, and tallies bytes per holder for the execution pick.  The
+reads — then loads hits through one bound loader per holder function
+(calling the caller's per-hit callback only if it passed one), counts
+failovers, and tallies bytes per holder for the execution pick.  The
 pass's only mutation is the caller's ``on_miss`` admitting a fetched
 object, so every key is read from the index as it stands when the pass
 reaches it (what a fresh :meth:`resolve` would answer), and the execution
@@ -333,12 +334,13 @@ class ServerlessCacheCluster:
     def gather(
         self,
         keys: Sequence[DataKey],
-        on_hit: Callable[[DataKey], object],
+        on_hit: Callable[[DataKey], object] | None,
         on_miss: Callable[[DataKey], tuple[Any, bool]],
     ) -> GatherResult:
         """Read a request's ``keys`` in one pass over the liveness index.
 
-        A hit loads the value from its holder and calls ``on_hit(key)``.  A
+        A hit loads the value from its holder and calls ``on_hit(key)``, if
+        given (a caller with nothing to record per hit passes ``None``).  A
         miss calls ``on_miss(key)``, which returns the value (``None`` if it
         has none; the key is then left out of ``data``) and whether it tried
         to admit the value into this cache.  An admission may place and
@@ -369,7 +371,8 @@ class ServerlessCacheCluster:
                 if load is None:
                     load = loaders[holder] = get_function(holder).load
                 data[key] = load(key)
-                on_hit(key)
+                if on_hit is not None:
+                    on_hit(key)
                 tally[holder] = tally.get(holder, 0) + sizes[key]
             else:
                 misses += 1

@@ -129,13 +129,13 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     computes the workload, and writes the result back — never touching the
     serving tier's cache, queues, policies, or analytic clock, so admitted
     traffic is byte-unaffected by concurrent degraded serves.  (It does
-    share the shard's workload-result memo, which holds no simulated
-    state.)  The latency is dominated by the cold start plus the
-    object-store fetches, which is exactly the regime FLStore exists to
-    avoid; shedding onto it trades tail latency for availability.
+    share the shard's workload-result memo and request plans, which hold
+    no simulated state.)  The latency is dominated by the cold start plus
+    the object-store fetches, which is exactly the regime FLStore exists
+    to avoid; shedding onto it trades tail latency for availability.
     """
     workload = get_workload(request.workload)
-    required = workload.required_keys(request, flstore.catalog)
+    required, compute_seconds, result_seconds = flstore.request_plan(workload, request)
     serverless = flstore.config.serverless
     latency = LatencyAccumulator()
     cost = CostAccumulator()
@@ -152,7 +152,6 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
         if value is not None:
             data[key] = value
 
-    compute_seconds = workload.compute_seconds(flstore.model_spec, max(len(required), 1))
     latency.add(
         LatencyBreakdown(
             computation_seconds=compute_seconds,
@@ -166,7 +165,7 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     cost.add(flstore.cost_model.lambda_execution_cost(memory_gb, billed_seconds))
 
     result = memoized_compute(flstore._result_memo, workload, request, data)
-    latency.add_communication(flstore.topology.client.transfer_seconds(workload.result_size_bytes))
+    latency.add_communication(result_seconds)
     store_result = flstore.persistent_store.put(
         ("result", request.request_id), result, size_bytes=workload.result_size_bytes
     )

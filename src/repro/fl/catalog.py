@@ -7,6 +7,10 @@ system needs to know which clients actually participated in each round; the
 :class:`RoundCatalog` records exactly that, and nothing else — it never holds
 the (large) updates themselves, so both FLStore and the baselines can keep it
 locally at negligible memory cost (Section 5.5).
+
+:attr:`RoundCatalog.version` counts membership changes, so a consumer that
+derives something from the catalog (FLStore's per-signature request plans)
+can tell when to derive it afresh.
 """
 
 from __future__ import annotations
@@ -22,11 +26,15 @@ class RoundCatalog:
 
     _participants: dict[int, list[int]] = field(default_factory=dict)
     _metadata_clients: dict[int, list[int]] = field(default_factory=dict)
+    #: Bumped by every membership change; equal versions mean every query
+    #: below answers the same.
+    version: int = field(default=0, init=False, compare=False)
 
     def register_round(self, record: RoundRecord) -> None:
         """Record the membership of ``record``'s round."""
         self._participants[record.round_id] = list(record.participant_ids)
         self._metadata_clients[record.round_id] = sorted(record.metadata)
+        self.version += 1
 
     def register_membership(
         self,
@@ -39,6 +47,7 @@ class RoundCatalog:
         self._metadata_clients[round_id] = sorted(
             metadata_client_ids if metadata_client_ids is not None else participant_ids
         )
+        self.version += 1
 
     # -------------------------------------------------------------- queries
 

@@ -369,7 +369,9 @@ class ServerlessFunction:
         DataNotFoundError
             If ``key`` is not resident in this function.
         """
-        self._ensure_warm()
+        # Both checks inline: a hit on the request path is one frame.
+        if self.state is not _WARM:
+            raise FunctionReclaimedError(self.function_id)
         record = self._objects.get(key)
         if record is None:
             raise DataNotFoundError(key, f"function {self.function_id}")

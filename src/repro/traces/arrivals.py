@@ -39,9 +39,14 @@ from repro.common.rng import derive_rng
 #: generation never holds more than ~1 MB of scratch beside its output.
 _CHUNK = 65536
 
-#: Gap draws in a bursty ON window's first segment; each further segment of
-#: the same window doubles, up to ``_CHUNK``.
+#: Gap draws a bursty ON window walks as Python floats; each further segment
+#: of the same window is a numpy cumsum of twice the previous length, up to
+#: ``_CHUNK``.
 _FIRST_SEGMENT = 32
+
+#: Draws converted to Python floats at a time for those walks: sparse windows
+#: share one conversion, and a dense window wastes at most this many.
+_WALK_DRAWS = 8 * _FIRST_SEGMENT
 
 
 class ArrivalProcess(abc.ABC):
@@ -144,15 +149,20 @@ class BurstyArrivals(ArrivalProcess):
         same bit stream — so the whole process can be generated from one
         pre-drawn ``standard_exponential`` block consumed through a cursor:
         per window, one ON draw, the in-window gap draws plus the single
-        terminating draw (the overshoot past the window, or the draw after
-        the final arrival), then one OFF draw.  Arrival instants accumulate
-        with the same float operation order as the scalar loop (a cumsum
-        seeded with the window clock), so the output is bit-for-bit equal.
+        terminating draw (the first instant past the window), then one OFF
+        draw.  Arrival instants accumulate with the same float operations in
+        the same order as the scalar loop (((clock + g1) + g2) + ...), so the
+        output is bit-for-bit equal.
 
-        A window's gaps are cumsummed in segments of ``_FIRST_SEGMENT``
-        draws, doubling while the window continues, so a sparse window
-        costs a few dozen draws' work however much of the block is left,
-        and the time and scratch stay linear in ``num_requests``.
+        Each window first walks up to ``_FIRST_SEGMENT`` gap draws as Python
+        floats (read from ``_WALK_DRAWS``-long slices of the block converted
+        once), so a sparse window — most of them at low rates — costs no
+        numpy call.  A window still open after that continues in numpy
+        segments, each a cumsum seeded with the running instant, doubling up
+        to ``_CHUNK``: a dense window costs a few numpy calls per segment,
+        and time and scratch stay linear in ``num_requests``.  Draws past
+        the final arrival cannot change the output, so it returns as soon
+        as it is full.
         """
         if num_requests <= 0:
             return np.empty(0, dtype=np.float64)
@@ -164,68 +174,70 @@ class BurstyArrivals(ArrivalProcess):
 
         buf = standard_exponential(_CHUNK)
         cursor = 0
+        # ``buf[base : base + len(draws)]`` as Python floats, for the walk.
+        draws: list[float] = []
+        base = 0
         out = np.empty(num_requests, dtype=np.float64)
         produced = 0
         clock = 0.0
 
         def refill(at_least: int) -> None:
-            nonlocal buf, cursor
+            nonlocal buf, cursor, draws, base
             if buf.size - cursor < at_least:
                 buf = np.concatenate([buf[cursor:], standard_exponential(_CHUNK)])
-                cursor = 0
+                cursor = base = 0
+                draws = []
 
-        while produced < num_requests:
-            refill(1)
-            on_duration = float(buf[cursor]) * mean_on
-            cursor += 1
+        while True:
+            # The walk reads the window's ON draw, its first segment of gap
+            # draws and, after a terminating draw there, the OFF draw.
+            at = cursor - base
+            if at + _FIRST_SEGMENT + 2 > len(draws):
+                refill(_WALK_DRAWS)
+                draws = buf[cursor : cursor + _WALK_DRAWS].tolist()
+                base, at = cursor, 0
+            on_duration = draws[at] * mean_on
             window_end = clock + on_duration
-            t_prev = clock
-            segment = _FIRST_SEGMENT
-            while True:
-                need = num_requests - produced
-                want = min(need + 1, segment)
-                refill(want)
-                # Seed the cumsum with the running clock so each instant is
-                # built by the exact additions (((clock + g1) + g2) + ...)
-                # the scalar loop performed.
-                seg = np.empty(want + 1, dtype=np.float64)
-                seg[0] = t_prev
-                np.multiply(buf[cursor : cursor + want], gap_scale, out=seg[1:])
-                instants = np.cumsum(seg, out=seg)[1:]
-                in_window = int(np.searchsorted(instants, window_end, side="right"))
-                if in_window < want:
-                    # The terminating draw (first instant past the window,
-                    # or the draw after the final requested arrival) is
-                    # inside this segment.
-                    usable = min(in_window, need)
-                    out[produced : produced + usable] = instants[:usable]
-                    produced += usable
-                    cursor += usable + 1
+            t = clock
+            for used in range(at + 1, at + _FIRST_SEGMENT + 1):
+                t = t + draws[used] * gap_scale
+                if t > window_end:
+                    off_duration = draws[used + 1] * mean_off
+                    cursor = base + used + 2
                     break
-                if want == need + 1:
-                    # All need+1 draws land in the window: the final arrival
-                    # plus the draw consumed right after it.
-                    out[produced:] = instants[:need]
-                    produced += need
-                    cursor += need + 1
-                    break
-                # Segment exhausted mid-window: emit it and extend, doubled.
-                out[produced : produced + want] = instants
-                produced += want
-                cursor += want
-                if produced >= num_requests:
-                    # The final arrival was the segment's last draw; the
-                    # scalar loop still consumed one more gap draw after it.
-                    refill(1)
-                    cursor += 1
-                    break
-                t_prev = float(instants[-1])
-                segment = min(2 * segment, _CHUNK)
-            refill(1)
-            off_duration = float(buf[cursor]) * mean_off
-            cursor += 1
+                out[produced] = t
+                produced += 1
+                if produced == num_requests:
+                    return out
+            else:
+                # The window outlasted its first segment: continue in numpy
+                # segments up to its terminating draw.
+                cursor = base + at + _FIRST_SEGMENT + 1
+                segment = 2 * _FIRST_SEGMENT
+                while True:
+                    want = min(num_requests - produced, segment)
+                    refill(want)
+                    # Seed the cumsum with the running instant so each
+                    # instant is built by the walk's own additions.
+                    seg = np.empty(want + 1, dtype=np.float64)
+                    seg[0] = t
+                    np.multiply(buf[cursor : cursor + want], gap_scale, out=seg[1:])
+                    instants = np.cumsum(seg, out=seg)[1:]
+                    in_window = int(np.searchsorted(instants, window_end, side="right"))
+                    out[produced : produced + in_window] = instants[:in_window]
+                    produced += in_window
+                    if produced == num_requests:
+                        return out
+                    cursor += in_window
+                    if in_window < want:
+                        cursor += 1  # the terminating draw
+                        break
+                    t = float(instants[-1])
+                    segment = min(2 * segment, _CHUNK)
+                refill(1)
+                off_duration = float(buf[cursor]) * mean_off
+                cursor += 1
             clock = clock + (on_duration + off_duration)
-        return out
 
 
 class DiurnalArrivals(ArrivalProcess):

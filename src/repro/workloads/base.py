@@ -72,14 +72,19 @@ _REFERENCE_SIZE_MB = 82.7
 class Workload(abc.ABC):
     """Base class of every non-training workload.
 
-    Purity contract: ``compute`` must be a function of the request's
-    ``round_id``, ``client_id``, ``history_rounds`` and ``params`` and of
+    Purity contract: ``required_keys`` must be a function of the request's
+    signature — its ``round_id``, ``client_id``, ``history_rounds`` and
+    ``params`` — and of the catalog's membership, never of the request id
+    or tenant, and must keep no state between calls.  FLStore plans each
+    signature once per catalog version on that basis
+    (:meth:`repro.core.flstore.FLStore.request_plan`), for every workload.
+    Likewise ``compute`` must be a function of the same signature and of
     the ``data`` it is handed, and must neither mutate ``data`` nor keep
     state between calls.  Serving systems rely on that to reuse one result
     for every request with the same inputs (:func:`memoized_compute`).  A
     workload whose result depends on anything else — the request id, the
     tenant, a clock — sets :attr:`memoizable` to ``False`` and is computed
-    afresh for every request.
+    afresh for every request; its ``required_keys`` stays pure.
     """
 
     #: Machine-friendly name used in requests, registries, and traces.
@@ -103,7 +108,7 @@ class Workload(abc.ABC):
 
     @abc.abstractmethod
     def required_keys(self, request: WorkloadRequest, catalog: RoundCatalog) -> list[DataKey]:
-        """The metadata objects needed to serve ``request``."""
+        """The metadata objects needed to serve ``request`` (pure; see the class docstring)."""
 
     @abc.abstractmethod
     def compute(self, request: WorkloadRequest, data: Mapping[DataKey, Any]) -> dict[str, Any]:
@@ -140,14 +145,31 @@ class Workload(abc.ABC):
         return f"<Workload {self.name} ({self.policy_class.value})>"
 
 
+def request_signature(workload: Workload, request: WorkloadRequest) -> tuple:
+    """What a pure ``workload`` may read of ``request``, as a memo key.
+
+    ``(workload, round_id, client_id, history_rounds, sorted params)``: the
+    request id and the tenant are left out (the purity contract of
+    :class:`Workload`).  Raises ``TypeError`` when the params cannot be
+    ordered, and the tuple cannot be hashed when a param value cannot.
+    """
+    return (
+        workload,
+        request.round_id,
+        request.client_id,
+        request.history_rounds,
+        tuple(sorted(request.params.items())),
+    )
+
+
 def memoized_compute(
     memo: dict, workload: Workload, request: WorkloadRequest, data: Mapping[DataKey, Any]
 ) -> dict[str, Any]:
     """``workload.compute(request, data)``, reusing ``memo``'s result for repeated inputs.
 
     ``memo`` belongs to one serving system and lives as long as it does.  It
-    is keyed on the workload, the request's compute inputs and the ordered
-    data keys, and an entry is reused only when every data value is the
+    is keyed on the :func:`request_signature` and the ordered data keys,
+    and an entry is reused only when every data value is the
     *same object* it was computed from — so a store whose key now maps to
     a different object recomputes.  Requests whose params cannot be hashed
     and workloads that are not :attr:`~Workload.memoizable` are computed
@@ -157,14 +179,7 @@ def memoized_compute(
     if not workload.memoizable:
         return workload.compute(request, data)
     try:
-        key = (
-            workload,
-            request.round_id,
-            request.client_id,
-            request.history_rounds,
-            tuple(sorted(request.params.items())),
-            tuple(data),
-        )
+        key = (request_signature(workload, request), tuple(data))
         entry = memo.get(key)
     except TypeError:  # unhashable (or unorderable) params
         return workload.compute(request, data)

@@ -28,10 +28,12 @@ def register_workload(workload: Workload, replace: bool = False) -> Workload:
     """Register ``workload`` under its ``name``.
 
     The workload must keep :class:`~repro.workloads.base.Workload`'s purity
-    contract: serving systems reuse one ``compute`` result for every request
-    with the same round, client, history, params and data.  A workload whose
-    result depends on anything else (such as the request id) must set
-    ``memoizable = False``.
+    contract.  FLStore reuses one ``required_keys`` answer for every request
+    with the same round, client, history and params until the round catalog
+    changes, whatever the request id or tenant.  Serving systems reuse one
+    ``compute`` result for every request with the same round, client,
+    history, params and data; a workload whose result depends on anything
+    else (such as the request id) must set ``memoizable = False``.
 
     Parameters
     ----------

@@ -108,6 +108,23 @@ class TestByteIdentityAtSeed7:
         assert arrivals.tolist() == _reference_bursty(process, 10_000)
         assert peak < 16 * 2**20
 
+    @pytest.mark.parametrize(
+        ("rate", "num_requests"),
+        [
+            # noisy-neighbor's bursty tenant: about two arrivals per window,
+            # so nearly every window ends inside its first walked segment.
+            (0.092, 3000),
+            # hotkey-replicated's offered rate: about 39 arrivals per window,
+            # so most windows continue into the numpy segments.
+            (1.97, 1500),
+        ],
+    )
+    def test_bursty_at_registered_scenario_rates(self, rate, num_requests):
+        process = BurstyArrivals(rate, seed=7)
+        expected = _reference_bursty(process, num_requests)
+        assert process.times_array(num_requests).tolist() == expected
+        assert process.times(num_requests) == expected
+
     def test_diurnal_with_non_default_cycle(self):
         process = DiurnalArrivals(8.0, seed=7, amplitude=0.3, period_seconds=40.0)
         assert process.times(3000) == _reference_diurnal(process, 3000)

@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.flstore import FLStore, build_default_flstore
+from repro.core.policies.traditional import CapacityBoundPolicy
+from repro.core.serverless_cache import ServerlessCacheCluster
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.workloads.base import WorkloadRequest
+from repro.workloads.registry import get_workload
 
 
 class TestIngestion:
@@ -90,6 +93,42 @@ class TestServing:
         before = flstore.clock.now()
         flstore.serve(flstore.make_request("clustering", round_id=9))
         assert flstore.clock.now() > before
+
+
+class TestHitCallbacks:
+    """The policy hears of each hit exactly when it records accesses."""
+
+    def test_lru_store_records_every_hit_in_key_order(self, small_config, rounds, monkeypatch):
+        store = build_default_flstore(small_config, policy_mode="lru")
+        for record in rounds:
+            store.ingest_round(record)
+        store.serve(store.make_request("clustering", round_id=5))  # misses admit the round
+        calls = []
+        record_access = CapacityBoundPolicy.record_access
+
+        def recording(self, key, hit, now):
+            calls.append((key, hit))
+            return record_access(self, key, hit, now)
+
+        monkeypatch.setattr(CapacityBoundPolicy, "record_access", recording)
+        request = store.make_request("clustering", round_id=5)
+        served = store.serve(request)
+        keys = get_workload("clustering").required_keys(request, store.catalog)
+        assert served.cache_hits == len(keys) > 0
+        assert calls == [(key, True) for key in keys]
+
+    def test_tailored_store_gathers_without_a_hit_callback(self, flstore, monkeypatch):
+        callbacks = []
+        gather = ServerlessCacheCluster.gather
+
+        def recording(self, keys, on_hit, on_miss):
+            callbacks.append(on_hit)
+            return gather(self, keys, on_hit, on_miss)
+
+        monkeypatch.setattr(ServerlessCacheCluster, "gather", recording)
+        served = flstore.serve(flstore.make_request("clustering", round_id=9))
+        assert served.cache_hits > 0
+        assert callbacks == [None]
 
 
 class TestSpawnLatencyAccounting:

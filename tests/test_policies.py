@@ -20,6 +20,7 @@ from repro.core.policies.variants import RandomSelectionBundle, StaticPolicyBund
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
 from repro.workloads.base import PolicyClass, WorkloadRequest
+from repro.workloads.registry import list_workloads
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +265,24 @@ class TestTraditionalPolicies:
         assert LRUPolicy().admit_on_miss
 
 
+def _record_dispatch(bundle: TailoredPolicyBundle) -> list[PolicyClass]:
+    """Spy on ``bundle``'s sub-policies; returns the classes they plan requests for."""
+    planned: list[PolicyClass] = []
+    for policy_class, policy in bundle.policies.items():
+
+        def plan_request(
+            request, keys, catalog, policy_class=policy_class, original=policy.plan_request
+        ):
+            planned.append(policy_class)
+            return original(request, keys, catalog)
+
+        policy.plan_request = plan_request
+    return planned
+
+
 class TestVariants:
+    """The ablation bundles choose a request's class per request, never per workload."""
+
     def test_static_bundle_ignores_workload(self):
         bundle = StaticPolicyBundle(fixed_class=PolicyClass.P1_INDIVIDUAL)
         assert bundle.select_policy_class(_request("malicious_filtering", 0)) is PolicyClass.P1_INDIVIDUAL
@@ -273,6 +291,30 @@ class TestVariants:
         bundle = RandomSelectionBundle(seed=1)
         chosen = {bundle.select_policy_class(_request("clustering", 0)) for _ in range(40)}
         assert len(chosen) >= 2
+
+    @pytest.mark.parametrize("fixed_class", list(PolicyClass))
+    def test_static_bundle_plans_every_workload_with_its_fixed_class(self, fixed_class, catalog):
+        bundle = StaticPolicyBundle(fixed_class=fixed_class)
+        planned = _record_dispatch(bundle)
+        names = list_workloads()
+        for name in names:
+            bundle.plan_request(_request(name, 5, client_id=0), [], catalog)
+        assert planned == [fixed_class] * len(names)
+
+    def test_random_bundle_draws_once_per_plan_request(self, catalog):
+        bundle, reference = RandomSelectionBundle(seed=3), RandomSelectionBundle(seed=3)
+        planned = _record_dispatch(bundle)
+        drawn = []
+        # Repeating each workload is the point: a class cached per workload
+        # would plan every repeat with the first draw.
+        for round_id in range(1, 9):
+            for name in ("clustering", "clustering", "inference", "scheduling_perf"):
+                request = _request(name, round_id)
+                bundle.plan_request(request, [], catalog)
+                drawn.append(reference.select_policy_class(request))
+        assert planned == drawn
+        assert len(set(planned)) > 1
+        assert bundle._rng.bit_generator.state == reference._rng.bit_generator.state
 
 
 class TestFactory:

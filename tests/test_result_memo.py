@@ -4,7 +4,9 @@ A serving system hands one ``compute`` result to every request with equal
 compute inputs.  These tests pin the hit rule, check that each registered
 workload's ``memoizable`` flag tells the truth, compare every result served
 by every registered scenario against a fresh compute, and check that a memo
-never outlives the store that owns it.
+never outlives the store that owns it.  FLStore's per-signature request plans
+(``FLStore.request_plan``) are held to the same standard: every plan equals a
+fresh one, across catalog changes, and snapshots start without any.
 """
 
 from __future__ import annotations
@@ -166,6 +168,108 @@ class TestMemoizableFlag:
             assert first != second
 
 
+def _fresh_plan(flstore: FLStore, workload: Workload, request: WorkloadRequest) -> tuple:
+    """What ``FLStore.request_plan`` must answer, derived without its memo."""
+    keys = tuple(workload.required_keys(request, flstore.catalog))
+    return (
+        keys,
+        workload.compute_seconds(flstore.model_spec, max(len(keys), 1)),
+        flstore.topology.client.transfer_seconds(workload.result_size_bytes),
+    )
+
+
+class TestRequestPlans:
+    """A store plans each request signature once per catalog version."""
+
+    @pytest.mark.parametrize("name", list_workloads())
+    def test_request_id_and_tenant_do_not_change_the_keys(self, name, ingested):
+        flstore = ingested.flstore
+        workload = get_workload(name)
+        client = flstore.catalog.participants(3)[0]
+        requests = [
+            WorkloadRequest(
+                request_id=request_id,
+                workload=name,
+                round_id=3,
+                client_id=client,
+                params={"recent_rounds": 2},
+                tenant_id=tenant,
+            )
+            for request_id, tenant in (
+                ("plan-1", None),
+                ("plan-2", None),
+                ("plan-3", "tenant-a"),
+                ("plan-4", "tenant-b"),
+            )
+        ]
+        keys = [workload.required_keys(request, flstore.catalog) for request in requests]
+        assert keys[0] and all(other == keys[0] for other in keys[1:])
+        plans = [flstore.request_plan(workload, request) for request in requests]
+        assert plans[0] == _fresh_plan(flstore, workload, requests[0])
+        assert all(plan is plans[0] for plan in plans[1:])
+
+    @pytest.mark.parametrize("name", list_workloads())
+    def test_plans_follow_catalog_changes(self, name, small_config, rounds):
+        flstore = FLStore(config=small_config)
+        for record in rounds[:4]:
+            flstore.ingest_round(record)
+        workload = get_workload(name)
+        catalog = flstore.catalog
+        client = catalog.participants(3)[0]
+        request = WorkloadRequest("plan-1", name, round_id=5, client_id=client)
+        seen = [flstore.request_plan(workload, request)]
+        for change in (
+            lambda: flstore.ingest_round(rounds[4]),
+            lambda: flstore.ingest_round(rounds[5]),
+            # Rewrite a known round's membership: only the version says so.
+            lambda: catalog.register_membership(5, catalog.participants(5)[:2], [client]),
+            lambda: catalog.register_membership(4, [client]),
+        ):
+            version = catalog.version
+            change()
+            assert catalog.version == version + 1
+            plan = flstore.request_plan(workload, request)
+            assert plan == _fresh_plan(flstore, workload, request)
+            seen.append(plan)
+        assert len(set(seen)) > 1 or name == "inference"
+
+    @pytest.mark.parametrize(
+        ("name", "field", "values"),
+        [
+            ("clustering", "round_id", (2, 3)),
+            ("debugging", "client_id", "two participants"),
+            ("debugging", "history_rounds", (1, 3)),
+            ("scheduling_perf", "params", ({"recent_rounds": 1}, {"recent_rounds": 3})),
+        ],
+    )
+    def test_each_signature_field_keys_its_own_plan(self, name, field, values, ingested):
+        flstore = ingested.flstore
+        workload = get_workload(name)
+        catalog = flstore.catalog
+        participants = catalog.participants(3)
+        if values == "two participants":
+            values = tuple(participants[:2])
+        # The client with the longest history, so the history window matters.
+        client = max(participants, key=lambda cid: len(catalog.rounds_for_client(cid, up_to=3)))
+        base = {"round_id": 3, "client_id": client}
+        requests = [
+            WorkloadRequest(f"plan-{value}", name, **{**base, field: value}) for value in values
+        ]
+        plans = [flstore.request_plan(workload, request) for request in requests]
+        assert plans[0].keys != plans[1].keys
+        assert plans == [_fresh_plan(flstore, workload, request) for request in requests]
+
+    def test_unhashable_params_are_planned_afresh(self, ingested):
+        flstore = ingested.flstore
+        workload = get_workload("clustering")
+        request = WorkloadRequest("plan-1", "clustering", round_id=3, params={"clients": [1]})
+        before = dict(flstore._plan_memo)
+        plans = [flstore.request_plan(workload, request) for _ in range(2)]
+        assert plans[0] == plans[1] == _fresh_plan(flstore, workload, request)
+        assert plans[0] is not plans[1]
+        assert flstore._plan_memo == before
+
+
 class TestScenarioResults:
     @pytest.mark.parametrize("name", list_scenarios())
     def test_every_result_equals_a_fresh_compute(self, name, monkeypatch):
@@ -194,6 +298,9 @@ class TestScenarioResults:
         for flstore, request, result in served:
             workload = get_workload(request.workload)
             assert result == workload.compute(request, _stored_data(flstore, workload, request))
+            # The plan the serve used is what a fresh plan answers now.
+            plan = flstore.request_plan(workload, request)
+            assert plan == _fresh_plan(flstore, workload, request)
 
 
 class TestMemoLifetime:
@@ -211,16 +318,21 @@ class TestMemoLifetime:
         assert counts[0] == counts[1] > 0
 
     def test_snapshot_stores_start_with_an_empty_memo(self):
+        """Result memos, and FLStore's request plans, start empty on every snapshot."""
         config = SimulationConfig.small(seed=29)
         systems = ("flstore", "objstore-agg", "cache-agg")
+        assert FLStore(config=config)._plan_memo == {}
         setup = prepare_setup(config, num_rounds=3, systems=systems)
+        assert setup.flstore._plan_memo == {}
         for _ in range(2):
             trace = setup.generator.mixed_trace(["clustering", "scheduling_perf"], 6)
             for system in setup.systems.values():
                 for request in trace:
                     system.serve(request)
                 assert system._result_memo
+            assert setup.flstore._plan_memo
             hits = setup_cache.stats.snapshot_hits
             setup = prepare_setup(config, num_rounds=3, systems=systems)
             assert setup_cache.stats.snapshot_hits == hits + 1
             assert all(system._result_memo == {} for system in setup.systems.values())
+            assert setup.flstore._plan_memo == {}
