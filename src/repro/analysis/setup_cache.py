@@ -10,12 +10,21 @@ ask for the same products over and over.
 This module caches two products:
 
 * **simulated rounds** — ``FLJobSimulator(config).run_rounds(num_rounds)``
-  keyed on the config (including its seed) and the round count.  The cached
-  records are treated as immutable by every consumer.
+  keyed on what the simulator reads: the job config, the seed and the round
+  count.  Configs that differ only elsewhere (network, pricing, serverless
+  knobs, cache policy) share one entry.  The cached records are treated as
+  immutable by every consumer.
 * **ingested system snapshots** — the fully built-and-ingested systems dict,
   stored pristine (never served against) and handed out as structural
   snapshots, so each experiment starts from exactly the state a fresh
-  build-and-ingest would produce.
+  build-and-ingest would produce.  These are keyed on the whole config:
+  ingest spawns functions whose slot limit comes from
+  ``serverless.function_concurrency``.
+
+A scenario tier calibrates on the same config its shards are built from
+(:func:`repro.scenario.build.calibrate`), so one cold ``build_tier`` makes
+exactly one rounds miss and one snapshot miss, and every shard is a
+snapshot of that one master.
 
 Snapshots are taken with a pickle round-trip that copies every piece of
 mutable state (stores, indexes, policies, clocks, counters) but *shares* the
@@ -193,13 +202,17 @@ def simulate_job(
 ) -> tuple["FLJobSimulator", list["RoundRecord"]]:
     """Cached ``FLJobSimulator(config)`` plus its first ``num_rounds`` rounds.
 
+    The simulator reads only ``config.job`` and ``config.seed``, so the entry
+    is keyed on those and ``num_rounds``: a scenario tier's config and the
+    paper config it extends with tier knobs share one simulated job.
+
     Both the simulator and the records are shared across callers and must not
     be mutated or advanced; experiment code only reads them (ingestion copies
     payloads into stores).
     """
     from repro.fl.trainer import FLJobSimulator
 
-    key = (_config_key(config), num_rounds)
+    key = (repr(config.job), config.seed, num_rounds)
     cached = _rounds_cache.get(key)
     if cached is not None:
         stats.rounds_hits += 1

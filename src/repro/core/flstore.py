@@ -340,16 +340,19 @@ class FLStore:
         # --- tailored prefetching and eviction ------------------------------
         plan = self.engine.plan_request(request, required_keys)
         prefetched = 0
-        is_live = self.cluster.is_live
-        for key in plan.prefetch_keys:
-            if is_live(key):
-                continue
-            _, fetch_cost, value = self._fetch_from_persistent(key)
-            if value is None:
-                continue
-            cost.add(fetch_cost)  # prefetch is asynchronous: cost only
-            self.engine.admit(key, value, now=self.clock.now())
-            prefetched += 1
+        # Only a fetch changes liveness, so when every key is already live
+        # each iteration below would skip: one scan answers for all of them.
+        if not self.cluster.all_live(plan.prefetch_keys):
+            is_live = self.cluster.is_live
+            for key in plan.prefetch_keys:
+                if is_live(key):
+                    continue
+                _, fetch_cost, value = self._fetch_from_persistent(key)
+                if value is None:
+                    continue
+                cost.add(fetch_cost)  # prefetch is asynchronous: cost only
+                self.engine.admit(key, value, now=self.clock.now())
+                prefetched += 1
         evicted = self.engine.apply_evictions(plan.evict_keys)
 
         # --- per-request share of always-on costs ---------------------------

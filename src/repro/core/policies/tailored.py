@@ -164,6 +164,11 @@ class MetadataPolicy(CachingPolicy):
             raise ValueError("recent_rounds must be positive")
         self.recent_rounds = recent_rounds
         self._cached_rounds: set[int] = set()
+        #: Each round's metadata keys, valid for catalog version
+        #: ``_prefetch_version`` (the clients of a round change only when
+        #: the catalog does; a policy plans for one store's catalog).
+        self._prefetch_memo: dict[int, list[DataKey]] = {}
+        self._prefetch_version = -1
 
     def plan_ingest(self, record: RoundRecord, catalog: RoundCatalog) -> PolicyPlan:
         admit = record.metadata_keys()
@@ -182,13 +187,20 @@ class MetadataPolicy(CachingPolicy):
         self, request: WorkloadRequest, required_keys: Sequence[DataKey], catalog: RoundCatalog
     ) -> PolicyPlan:
         next_round = request.round_id + 1
-        prefetch: list[DataKey] = []
-        if catalog.has_round(next_round):
-            prefetch = [
+        if not catalog.has_round(next_round):
+            return PolicyPlan()
+        memo = self._prefetch_memo
+        if self._prefetch_version != catalog.version:
+            memo.clear()
+            self._prefetch_version = catalog.version
+        keys = memo.get(next_round)
+        if keys is None:
+            keys = memo[next_round] = [
                 DataKey.metadata(cid, next_round) for cid in catalog.metadata_clients(next_round)
             ]
-            self._cached_rounds.add(next_round)
-        return PolicyPlan(prefetch_keys=prefetch)
+        self._cached_rounds.add(next_round)
+        # Each plan gets its own list: callers may extend or reorder it.
+        return PolicyPlan(prefetch_keys=list(keys))
 
 
 class TailoredPolicyBundle(CachingPolicy):

@@ -732,9 +732,12 @@ class ShardedEngineFLStore:
 
         ``metrics`` selects the report pipeline: ``"full"`` (default)
         retains every outcome and reports exact percentiles; ``"streaming"``
-        folds outcomes into O(1)-memory accumulators
+        folds outcomes into accumulators of fixed size
         (:mod:`repro.engine.streaming`) — every scalar column except the
         percentile sketches stays exact, and ``report.outcomes`` is empty.
+        The shards still keep each served request's persisted result and
+        tracker entry in either mode: about 584 B per request on
+        ``sharded-burst``.
         """
         if len(requests) != len(arrival_times):
             raise ValueError("requests and arrival_times must have the same length")

@@ -1,11 +1,12 @@
-"""Streaming O(1)-memory load metrics (the ``metrics="streaming"`` mode).
+"""Streaming load metrics (the ``metrics="streaming"`` mode).
 
 The default (``metrics="full"``) report pipeline retains every
 :class:`~repro.engine.flstore.EngineOutcome`, then aggregates at the end
 (:func:`repro.engine.flstore.build_load_report`) — exact, byte-stable, and
 O(n) in request count.  At a million requests that's hundreds of MB of
-Python objects, so this module provides the constant-memory alternative the
-scenario knob selects:
+Python objects, so this module provides the row-free alternative the
+scenario knob selects, whose own state does not grow with the request
+count:
 
 * :class:`StreamingQuantiles` — a log-bucketed histogram sketch.  Counts per
   geometric bucket, quantiles answered at the bucket's geometric midpoint:
@@ -25,12 +26,22 @@ scenario knob selects:
   full pipeline exactly *except* the three percentile columns (sketch
   approximation) — and whose ``outcomes`` list is empty by construction.
 
-The collector is O(1) in the request count; a run on the vectorized fast
-path (:mod:`repro.engine.vectorized`) is not quite.  Besides the collector
-it holds one float64 per request, the waits, because ``mean_queue_depth``
-there is numpy's pairwise sum over every wait divided by the horizon (a
-running sum would round differently in the last digits and move the
-pinned ``million-request`` report), plus O(``_CHUNK``) scratch per block.
+The collector is O(1) in the request count; the run around it is not.  On
+the event path the stores keep the oracle's own model state for every
+served request: its persisted result (the object store's entry and key,
+and the result itself), its request tracker entry, and the request id both
+share.  A streaming ``sharded-burst`` run still holds about 584 B per
+offered request once it ends (tracemalloc, equal between 500 and 1,500
+requests and between 2,000 and 8,000; ``tests/test_streaming_metrics.py``
+pins the slope), and its traced peak grows about 1,055 B per request,
+because the trace's request objects are alive while it runs.
+
+A run on the vectorized fast path (:mod:`repro.engine.vectorized`) holds,
+besides the collector, one float64 per request, the waits, because
+``mean_queue_depth`` there is numpy's pairwise sum over every wait divided
+by the horizon (a running sum would round differently in the last digits
+and move the pinned ``million-request`` report), plus O(``_CHUNK``) scratch
+per block.
 """
 
 from __future__ import annotations

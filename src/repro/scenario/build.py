@@ -26,7 +26,7 @@ from typing import Any, Mapping, get_args, get_origin
 import numpy as np
 
 from repro.analysis.runner import prepare_setup
-from repro.config import SimulationConfig
+from repro.config import ServerlessConfig, SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine.autoscale import (
     AutoscaleConfig,
@@ -53,7 +53,7 @@ def paper_experiment_config(model_name: str, seed: int = 7) -> SimulationConfig:
 
     The single definition shared by the figure experiments
     (``repro.analysis.experiments``) and the scenario layer, so both draw on
-    the same calibrations and setup snapshots — and can never drift apart.
+    the same simulated FL jobs — and can never drift apart.
     """
     return SimulationConfig.paper(model_name=model_name, seed=seed).with_job(reduced_dim=64)
 
@@ -61,6 +61,18 @@ def paper_experiment_config(model_name: str, seed: int = 7) -> SimulationConfig:
 def base_config(spec: ScenarioSpec) -> SimulationConfig:
     """The paper-evaluation config of the spec, before tier knobs."""
     return paper_experiment_config(spec.model, seed=spec.seed)
+
+
+#: The :class:`~repro.config.ServerlessConfig` fields a spec's tier sets
+#: (:func:`scenario_config`).  They shape spawned functions' slot limits,
+#: request queues and admission, which only the engine uses: closed-loop
+#: ``FLStore.serve`` reads none of them.
+TIER_KNOBS: tuple[str, ...] = (
+    "max_queue_depth",
+    "shed_policy",
+    "function_concurrency",
+    "queue_discipline",
+)
 
 
 def scenario_config(spec: ScenarioSpec) -> SimulationConfig:
@@ -82,6 +94,7 @@ def scenario_config(spec: ScenarioSpec) -> SimulationConfig:
 # one CI smoke over many specs sharing a mix) asks for the same value
 # repeatedly.
 _calibration_cache: dict[tuple, float] = {}
+_DEFAULT_TIER_KNOBS = {name: getattr(ServerlessConfig(), name) for name in TIER_KNOBS}
 
 
 def clear_calibration_cache() -> None:
@@ -94,22 +107,27 @@ def clear_calibration_cache() -> None:
 
 
 def calibrate_mean_service_seconds(
-    model_name: str,
+    config: SimulationConfig,
     workloads: tuple[str, ...],
     num_rounds: int,
     num_requests: int,
-    seed: int,
 ) -> float:
-    """Mean closed-loop service time of a workload mix (seconds).
+    """Mean closed-loop service time of a workload mix on ``config`` (seconds).
 
-    Serves the mix sequentially through a fresh analytic ``FLStore`` (a
-    closed-loop run through the serving tier reproduces these results byte
-    for byte; ``tests/test_sharded.py`` pins that) and averages the
-    per-request latency — the ``E[S]`` that
-    turns a spec's ``utilization`` into an offered rate and its
-    ``slo_multiplier`` into an SLO.  Uses the *base* config (tier knobs
-    cannot change closed-loop service times, but keeping the config
-    identical keeps the setup snapshots shared with the figure experiments).
+    Serves the mix sequentially through a fresh analytic ``FLStore`` built
+    from ``config`` (a closed-loop run through the serving tier reproduces
+    these results byte for byte; ``tests/test_sharded.py`` pins that) and
+    averages the per-request latency — the ``E[S]`` that turns a spec's
+    ``utilization`` into an offered rate and its ``slo_multiplier`` into an
+    SLO.  The model and the seed are ``config``'s.
+
+    :func:`calibrate` passes the config the tier is built from, so the store
+    served here comes from the same setup-cache entries as the tier's
+    shards: one cold :func:`build_tier` simulates the FL job once and
+    ingests once, and every shard is a snapshot of that one master.  The
+    tier knobs (:data:`TIER_KNOBS`) cannot change a closed-loop service
+    time, so the memo ignores them and specs that differ only in those
+    share one calibration.
 
     The closed-loop sample is capped at 256 requests: the mix cycles its
     signature classes within far fewer requests than that, so a longer
@@ -119,10 +137,10 @@ def calibrate_mean_service_seconds(
     identical where both exist.)
     """
     num_requests = min(num_requests, 256)
-    key = (model_name, tuple(workloads), num_rounds, num_requests, seed)
+    untiered = replace(config, serverless=replace(config.serverless, **_DEFAULT_TIER_KNOBS))
+    key = (repr(untiered), tuple(workloads), num_rounds, num_requests)
     if key in _calibration_cache:
         return _calibration_cache[key]
-    config = paper_experiment_config(model_name, seed=seed)
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
     trace = setup.generator.mixed_trace(list(workloads), num_requests)
     results = [setup.flstore.serve(request) for request in trace]
@@ -134,10 +152,12 @@ def calibrate_mean_service_seconds(
 def calibrate(spec: ScenarioSpec) -> float:
     """The spec's calibrated mean service time (honouring any pinned value).
 
-    Multi-tenant specs calibrate over the union of the tenants' workload
-    mixes and their combined request count — one ``E[S]`` shared by every
-    tenant's rate and SLO math, so tenant weights change scheduling, never
-    the calibration.
+    Calibrates on :func:`scenario_config`, the config :func:`build_tier`
+    builds the tier from, so calibration and shards share one simulated job
+    and one ingested master.  Multi-tenant specs calibrate over the union
+    of the tenants' workload mixes and their combined request count — one
+    ``E[S]`` shared by every tenant's rate and SLO math, so tenant weights
+    change scheduling, never the calibration.
     """
     if spec.mean_service_seconds is not None:
         return spec.mean_service_seconds
@@ -150,11 +170,7 @@ def calibrate(spec: ScenarioSpec) -> float:
         workloads = spec.workload.workloads
         num_requests = spec.workload.num_requests
     return calibrate_mean_service_seconds(
-        spec.model,
-        workloads,
-        spec.num_rounds,
-        num_requests,
-        spec.seed,
+        scenario_config(spec), workloads, spec.num_rounds, num_requests
     )
 
 
@@ -194,6 +210,11 @@ def build_tier(spec: ScenarioSpec) -> Tier:
     ``add-shard`` actuation re-provisions one, both of which need the shard
     factory.  Resizability alone changes no behavior — an untouched
     resizable tier runs byte-identical to a fixed one.
+
+    Calibration (:func:`calibrate`) and the shards ask the setup cache for
+    the same config, so a cold build simulates the FL job once and builds,
+    ingests and pickles one master (one rounds miss and one snapshot miss
+    in ``setup_cache.stats``); each shard is a snapshot of that master.
     """
     config = scenario_config(spec)
     mean_service = calibrate(spec)

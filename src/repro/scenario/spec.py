@@ -420,8 +420,11 @@ class ScenarioSpec:
     mean_service_seconds: float | None = None
     #: Metric pipeline: ``"full"`` retains per-request rows (exact
     #: percentiles, byte-identical to pre-knob reports); ``"streaming"``
-    #: folds outcomes into O(1)-memory accumulators — required for
-    #: million-request scale, approximate only in the percentile columns.
+    #: folds outcomes into accumulators whose size does not grow with the
+    #: request count — required for million-request scale, approximate only
+    #: in the percentile columns.  The stores still keep their model state
+    #: per served request (persisted results, tracked request ids): about
+    #: 584 B a request on ``sharded-burst`` (see ``repro.engine.streaming``).
     metrics: str = "full"
     workload: WorkloadMixSpec = field(default_factory=WorkloadMixSpec)
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)

@@ -547,11 +547,16 @@ class TestAutoscaleSweep:
         assert none_row["scale_events"] == 0
 
     def test_reactive_vs_predictive_ordering_is_deterministic(self):
-        """The acceptance comparison, pinned at the default seed and at 12
-        rounds x 160 requests: on the diurnal process the predictive policy
-        beats the reactive one on p99 sojourn AND shed rate at no more
-        warm-capacity cost, fixed capacity sheds more than either scaler —
-        and the whole grid is reproducible row for row."""
+        """A seed-7 regression pin, at 12 rounds x 160 requests: on the
+        diurnal process the predictive policy beats the reactive one on p99
+        sojourn AND shed rate at no more warm-capacity cost, fixed capacity
+        sheds more than either scaler — and the whole grid is reproducible
+        row for row.
+
+        It pins what the code produces at seed 7, not a claim about the
+        policies: over spec seeds 1-16 at this size all three orderings hold
+        together in 5 seeds, and the capacity-cost ratio has median 1.06
+        (EXPERIMENTS.md, "The autoscale sweep")."""
         from repro.fleet import compare_autoscale_policies
         from repro.scenario import expand_axes, get_scenario, run
 

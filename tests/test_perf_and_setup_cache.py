@@ -1,12 +1,26 @@
-"""Setup cache, snapshot copies, accumulators, parallel runner."""
+"""Setup cache, snapshot copies, a scenario tier's set-up, accumulators, parallel runner."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import setup_cache
 from repro.analysis.runner import map_tasks, prepare_setup, run_trace
-from repro.config import SimulationConfig
+from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES, SimulationConfig
+from repro.scenario import (
+    build_tier,
+    calibrate,
+    calibrate_mean_service_seconds,
+    clear_calibration_cache,
+    get_scenario,
+    list_scenarios,
+    paper_experiment_config,
+)
+from repro.scenario import build as scenario_build
 from repro.simulation.records import (
     CostAccumulator,
     CostBreakdown,
@@ -35,9 +49,24 @@ class TestSetupCache:
         assert first is second
         assert setup_cache.stats.rounds_hits == 1
         assert setup_cache.stats.rounds_misses == 1
-        # Different round counts (or configs) are distinct entries.
+        # Different round counts are distinct entries.
         setup_cache.simulate_rounds(config, 4)
         assert setup_cache.stats.rounds_misses == 2
+        # The simulator reads only the job config and the seed, so configs
+        # that differ elsewhere share one entry...
+        elsewhere = replace(
+            config,
+            serverless=replace(config.serverless, function_concurrency=3, queue_discipline="wfq"),
+            network=replace(config.network, client_rtt_seconds=0.5),
+            trace_num_requests=7,
+        )
+        assert setup_cache.simulate_rounds(elsewhere, 3) is first
+        assert setup_cache.stats.rounds_misses == 2
+        # ...and a different job field or seed is a new one.
+        other_job = setup_cache.simulate_rounds(config.with_job(clients_per_round=4), 3)
+        other_seed = setup_cache.simulate_rounds(replace(config, seed=20), 3)
+        assert other_job is not first and other_seed is not first
+        assert setup_cache.stats.rounds_misses == 4
 
     def test_snapshot_hit_serves_equal_but_independent_systems(self):
         config = _tiny_config()
@@ -77,6 +106,72 @@ class TestSetupCache:
         cloned.cluster.evict(key)
         assert original.cluster.is_live(key)
         assert not cloned.cluster.is_live(key)
+
+
+#: The four ``ServerlessConfig`` fields a spec's tier sets, drawn over their
+#: valid values.
+_tier_knobs = st.fixed_dictionaries(
+    {
+        "max_queue_depth": st.integers(min_value=0, max_value=8),
+        "shed_policy": st.sampled_from(SHED_POLICIES),
+        "function_concurrency": st.integers(min_value=1, max_value=4),
+        "queue_discipline": st.sampled_from(QUEUE_DISCIPLINES),
+    }
+)
+
+
+class TestScenarioSetUp:
+    """A tier calibrates on the config it is built from, so it sets up once."""
+
+    @pytest.fixture(autouse=True)
+    def cold_calibration(self):
+        clear_calibration_cache()
+        yield
+        clear_calibration_cache()
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_calibrating_on_the_tier_config_equals_the_paper_config(self, name, monkeypatch):
+        spec = get_scenario(name)
+        on_tier = calibrate(spec)
+        clear_calibration_cache()
+        monkeypatch.setattr(scenario_build, "scenario_config", scenario_build.base_config)
+        assert calibrate(spec) == on_tier
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(knobs=_tier_knobs, seed=st.sampled_from((7, 11)))
+    def test_tier_knobs_never_move_a_calibration(self, knobs, seed):
+        paper = paper_experiment_config("efficientnet_v2_small", seed=seed)
+        tiered = replace(paper, serverless=replace(paper.serverless, **knobs))
+        mix = ("clustering", "inference", "scheduling_perf", "incentives")
+        clear_calibration_cache()
+        expected = calibrate_mean_service_seconds(paper, mix, 4, 24)
+        clear_calibration_cache()
+        assert calibrate_mean_service_seconds(tiered, mix, 4, 24) == expected
+
+    def test_the_memo_is_shared_across_tier_knobs_only(self):
+        paper = paper_experiment_config("resnet18", seed=7)
+        mix = ("inference",)
+        first = calibrate_mean_service_seconds(paper, mix, 3, 8)
+        misses = setup_cache.stats.snapshot_misses
+        tiered = replace(paper, serverless=replace(paper.serverless, function_concurrency=2))
+        assert calibrate_mean_service_seconds(tiered, mix, 3, 8) == first
+        assert setup_cache.stats.snapshot_misses == misses  # answered by the memo
+        # Any other field is a different calibration, not a stale memo entry.
+        slower = replace(paper, network=replace(paper.network, client_rtt_seconds=1.0))
+        assert calibrate_mean_service_seconds(slower, mix, 3, 8) > first
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_a_cold_build_simulates_once_and_ingests_once(self, name):
+        spec = get_scenario(name)
+        build_tier(spec)
+        stats = setup_cache.stats
+        assert (stats.rounds_misses, stats.snapshot_misses) == (1, 1)
+        # Every shard is a snapshot of the one master calibration built.
+        assert stats.snapshot_hits == spec.tier.shards
 
 
 class TestAccumulators:

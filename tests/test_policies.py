@@ -166,6 +166,22 @@ class TestMetadataPolicy:
         assert plan.prefetch_keys
         assert all(k.is_metadata and k.round_id == 4 for k in plan.prefetch_keys)
 
+    def test_request_prefetch_follows_catalog_changes(self, rounds):
+        catalog = RoundCatalog()
+        for record in rounds[:5]:
+            catalog.register_round(record)
+        policy = MetadataPolicy()
+        request = _request("scheduling_perf", 3)
+        first = policy.plan_request(request, [], catalog)
+        again = policy.plan_request(request, [], catalog)
+        assert again.prefetch_keys == first.prefetch_keys
+        assert again.prefetch_keys is not first.prefetch_keys  # each plan owns its list
+        # Rewriting round 4's membership moves the catalog version.
+        catalog.register_membership(4, [1, 2], metadata_client_ids=[2])
+        assert policy.plan_request(request, [], catalog).prefetch_keys == [DataKey.metadata(2, 4)]
+        # Round 5 is not in the catalog: nothing to prefetch.
+        assert policy.plan_request(_request("scheduling_perf", 4), [], catalog).prefetch_keys == []
+
 
 class TestTailoredBundle:
     def test_dispatch_follows_taxonomy(self):

@@ -12,17 +12,21 @@ specs — the event loop for the vectorized fast path
   profile matches to the bit;
 * the fast path preserves counts and conservation exactly, and its queueing
   columns stay within the documented approximation of the event path;
-* a streaming run retains no per-request rows and its peak allocation stays
-  flat in the request count (the memory guard).
+* a streaming run retains no per-request rows: on the fast path its peak
+  allocation stays flat in the request count (the memory guard), and on the
+  event path what it still holds per request is the oracle's model state,
+  pinned as a slope.
 """
 
+import gc
 import math
 import tracemalloc
 
 import pytest
 
 from repro.engine.streaming import METRICS_MODES, check_metrics_mode
-from repro.engine.vectorized import fast_path_eligible
+from repro.engine.vectorized import explain_fast_path, fast_path_eligible
+from repro.scenario import build as scenario_build
 from repro.scenario import get_scenario, run
 from repro.scenario.spec import ScenarioValidationError
 
@@ -277,3 +281,51 @@ class TestStreamingMemoryGuard:
         row = run(spec).row()
         assert row["conserved"] is True
         assert row["completed"] == row["served"] == 10**6
+
+
+class TestEventPathStreamingMemory:
+    """What a streaming run on the event path still holds, per request.
+
+    The collector's state does not grow with the request count, but the
+    stores it reports on do: every served request leaves its persisted
+    result (object-store entry, key and the result itself), its request
+    tracker entry and its request id behind.  On ``sharded-burst`` that is
+    about 584 B per offered request, measured equal between 500 and 1,500
+    requests and between 2,000 and 8,000.  The band fails if a change starts
+    retaining rows (a full-metrics outcome alone is larger than the band)
+    or if the model state's cost moves, which the docs quote.
+    """
+
+    SIZES = (500, 1500)
+
+    def test_retained_bytes_per_request(self, monkeypatch):
+        tiers = []
+        build_tier = scenario_build.build_tier
+
+        def keep_tier(spec):
+            tiers.append(build_tier(spec))
+            return tiers[-1]
+
+        monkeypatch.setattr(scenario_build, "build_tier", keep_tier)
+        base = get_scenario("sharded-burst").with_overrides({"metrics": "streaming"})
+        assert explain_fast_path(base), "the spec must run on the event path"
+        # Warm the calibration memo and the setup snapshot; both sizes share
+        # them (the calibration sample is capped below either size).
+        run(base.with_overrides({"workload.num_requests": self.SIZES[0]}))
+        retained = []
+        for size in self.SIZES:
+            tiers.clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                report = run(base.with_overrides({"workload.num_requests": size}))
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0] - start)
+            finally:
+                tracemalloc.stop()
+            assert tiers, "the run's tier must still be alive when measured"
+            assert report.load.outcomes == []
+            assert report.load.submitted == size
+        slope = (retained[1] - retained[0]) / (self.SIZES[1] - self.SIZES[0])
+        assert 450 <= slope <= 750, f"{slope:.0f} B retained per request"
