@@ -23,6 +23,7 @@ from repro.analysis.comparison import percent_reduction
 from repro.analysis.runner import prepare_setup, run_trace
 from repro.config import SimulationConfig
 from repro.core.cache_engine import CacheEngine
+from repro.core.flstore import FLStore
 from repro.core.policies.factory import make_policy_bundle
 from repro.core.request_tracker import RequestTracker
 from repro.core.serverless_cache import ServerlessCacheCluster
@@ -34,7 +35,8 @@ from repro.network.model import NetworkTopology
 from repro.scenario import paper_experiment_config
 from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.platform import ServerlessPlatform
-from repro.simulation.metrics import summarize_records
+from repro.simulation.metrics import RequestRecord, summarize_records
+from repro.workloads.base import WorkloadRequest
 from repro.workloads.registry import WORKLOAD_DISPLAY_NAMES
 
 
@@ -94,6 +96,20 @@ def run_figure12_scalability(
 # Figures 13 & 14 — fault tolerance and replication vs re-fetching
 # ---------------------------------------------------------------------------
 
+def _serve_under_faults(
+    store: FLStore,
+    trace: Sequence[WorkloadRequest],
+    injector: ZipfianFaultInjector,
+    model_name: str,
+) -> list[RequestRecord]:
+    """Serve ``trace`` on ``store``, striking it with ``injector`` before each request."""
+    records = []
+    for request in trace:
+        injector.strike(store)
+        records += run_trace(store, [request], system_name="flstore", model_name=model_name)
+    return records
+
+
 def run_figure13_fault_tolerance(
     model_name: str = "efficientnet_v2_small",
     workloads: Sequence[str] = (
@@ -115,18 +131,14 @@ def run_figure13_fault_tolerance(
     """Figure 13: latency/cost per request under Zipfian reclamations vs replica count."""
     rows = []
     for instances in function_instances:
-        config = paper_experiment_config(model_name, seed=seed)
-        injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=seed)
-        setup = prepare_setup(
-            config,
-            num_rounds=num_rounds,
-            systems=("flstore",),
-            replication_factor=instances - 1,
+        config = paper_experiment_config(model_name, seed=seed).with_serverless(
+            replication_factor=instances - 1
         )
-        setup.flstore.fault_injector = injector
+        injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=seed)
+        setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
         for workload_name in workloads:
             trace = setup.generator.workload_trace(workload_name, requests_per_workload)
-            records = run_trace(setup.flstore, trace, system_name="flstore", model_name=model_name)
+            records = _serve_under_faults(setup.flstore, trace, injector, model_name)
             summary = summarize_records(records)
             rows.append(
                 {
@@ -173,15 +185,14 @@ def run_figure14_replication_vs_refetch(
     per_workload: dict[str, dict[str, dict[str, float]]] = {}
     strategy_totals = {name: 0.0 for name in strategies}
     for strategy, replication in strategies.items():
-        config = paper_experiment_config(model_name, seed=seed)
-        injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=seed)
-        setup = prepare_setup(
-            config, num_rounds=num_rounds, systems=("flstore",), replication_factor=replication
+        config = paper_experiment_config(model_name, seed=seed).with_serverless(
+            replication_factor=replication
         )
-        setup.flstore.fault_injector = injector
+        injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=seed)
+        setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
         for workload_name in workloads:
             trace = setup.generator.workload_trace(workload_name, requests_per_workload)
-            records = run_trace(setup.flstore, trace, system_name="flstore", model_name=model_name)
+            records = _serve_under_faults(setup.flstore, trace, injector, model_name)
             summary = summarize_records(records)
             per_workload.setdefault(workload_name, {})[strategy] = {
                 "mean_latency_seconds": summary.mean_latency_seconds,
@@ -247,14 +258,14 @@ def run_figure19_model_footprints() -> dict:
 
 def run_section55_component_overhead(request_counts: Sequence[int] = (1000, 100000)) -> list[dict]:
     """Section 5.5: memory/time overhead of the Request Tracker and Cache Engine."""
-    config = SimulationConfig.small()
+    config = SimulationConfig.small().with_serverless(replication_factor=0)
     topology = NetworkTopology(config.network)
     cost_model = TransferCostModel(config.pricing)
     rows = []
     for count in request_counts:
         tracker = RequestTracker()
         platform = ServerlessPlatform(config.serverless, config.pricing)
-        cluster = ServerlessCacheCluster(platform, config.serverless, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         store = ObjectStore(topology.objstore, cost_model)
         engine = CacheEngine(make_policy_bundle("tailored"), cluster, store)
 

@@ -96,7 +96,6 @@ def prepare_setup(
     num_rounds: int = 30,
     systems: Sequence[str] = KNOWN_SYSTEMS,
     policy_mode: str = "tailored",
-    replication_factor: int | None = None,
 ) -> ExperimentSetup:
     """Simulate an FL job, build the requested systems, and ingest the rounds.
 
@@ -104,24 +103,18 @@ def prepare_setup(
     :mod:`repro.analysis.setup_cache`: the simulated rounds are shared across
     setups with the same config, and the built-and-ingested systems are
     snapshotted so later calls with the same parameters skip the whole
-    build-and-ingest phase.  A fault injector carries mutable sampling
-    state, so callers attach one to the returned FLStore
-    (``setup.flstore.fault_injector = ...``); it is read only while serving.
+    build-and-ingest phase.
     """
     config = config or SimulationConfig()
     simulator, rounds = setup_cache.simulate_job(config, num_rounds)
 
-    cache_key = setup_cache.snapshot_key(
-        config, num_rounds, systems, policy_mode, replication_factor
-    )
+    cache_key = setup_cache.snapshot_key(config, num_rounds, systems, policy_mode)
     built = setup_cache.get_system_snapshots(cache_key)
     if built is None:
         built = {}
         for name in systems:
             if name == "flstore":
-                built[name] = build_default_flstore(
-                    config, policy_mode=policy_mode, replication_factor=replication_factor
-                )
+                built[name] = build_default_flstore(config, policy_mode=policy_mode)
             elif name == "objstore-agg":
                 built[name] = ObjStoreAggregator(config)
             elif name == "cache-agg":

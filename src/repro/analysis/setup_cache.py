@@ -3,9 +3,10 @@
 Every ``run_*`` experiment starts from the same skeleton: simulate an FL job,
 build one or more systems, and ingest the simulated rounds into each (see
 :func:`repro.analysis.runner.prepare_setup`).  Simulation and ingestion are
-deterministic functions of ``(config, seed, num_rounds, systems, policy_mode,
-replication_factor)``, and related figures, sweep cells and scenario builds
-ask for the same products over and over.
+deterministic functions of ``(config, num_rounds, systems, policy_mode)``
+(the config carries the seed and the replication factor), and related
+figures, sweep cells and scenario builds ask for the same products over and
+over.
 
 This module caches two products:
 
@@ -235,10 +236,9 @@ def snapshot_key(
     num_rounds: int,
     systems: Sequence[str],
     policy_mode: str,
-    replication_factor: int | None,
 ) -> tuple:
     """Cache key identifying one deterministic build-and-ingest product."""
-    return (_config_key(config), num_rounds, tuple(systems), policy_mode, replication_factor)
+    return (_config_key(config), num_rounds, tuple(systems), policy_mode)
 
 
 def get_system_snapshots(key: tuple) -> dict[str, object] | None:

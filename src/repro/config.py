@@ -285,6 +285,10 @@ class SimulationConfig:
         """Return a copy with selected :class:`FLJobConfig` fields replaced."""
         return replace(self, job=replace(self.job, **kwargs))
 
+    def with_serverless(self, **kwargs: object) -> "SimulationConfig":
+        """Return a copy with selected :class:`ServerlessConfig` fields replaced."""
+        return replace(self, serverless=replace(self.serverless, **kwargs))
+
 
 DEFAULT_CONFIG = SimulationConfig()
 

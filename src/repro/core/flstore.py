@@ -51,7 +51,6 @@ from repro.fl.models import ModelSpec, get_model_spec
 from repro.fl.rounds import RoundRecord
 from repro.network.costs import TransferCostModel
 from repro.network.model import NetworkTopology
-from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.platform import ServerlessPlatform
 from repro.simulation.clock import SimClock
 from repro.simulation.metrics import RequestRecord
@@ -139,25 +138,17 @@ class FLStore:
         self,
         config: SimulationConfig | None = None,
         policy: CachingPolicy | None = None,
-        replication_factor: int | None = None,
-        fault_injector: ZipfianFaultInjector | None = None,
-        persistent_store: ObjectStore | None = None,
-        clock: SimClock | None = None,
     ) -> None:
         self.config = config or SimulationConfig()
-        self.clock = clock or SimClock()
+        self.clock = SimClock()
         self.topology = NetworkTopology(self.config.network)
         self.cost_model = TransferCostModel(self.config.pricing)
         self.platform = ServerlessPlatform(
             config=self.config.serverless, pricing=self.config.pricing, clock=self.clock
         )
-        self.cluster = ServerlessCacheCluster(
-            self.platform, config=self.config.serverless, replication_factor=replication_factor
-        )
-        self.persistent_store = (
-            persistent_store
-            if persistent_store is not None
-            else ObjectStore(self.topology.objstore, self.cost_model, name="persistent-store")
+        self.cluster = ServerlessCacheCluster(self.platform)
+        self.persistent_store = ObjectStore(
+            self.topology.objstore, self.cost_model, name="persistent-store"
         )
         self.catalog = RoundCatalog()
         self.policy = policy or make_policy_bundle(
@@ -165,7 +156,6 @@ class FLStore:
         )
         self.engine = CacheEngine(self.policy, self.cluster, self.persistent_store, catalog=self.catalog)
         self.tracker = RequestTracker()
-        self.fault_injector = fault_injector
         self.model_spec: ModelSpec = get_model_spec(self.config.job.model_name)
         self.ingest_cost = CostBreakdown.zero()
         self._request_ids = IdGenerator(prefix="req", width=6)
@@ -262,16 +252,6 @@ class FLStore:
         latency = LatencyAccumulator()
         latency.add_communication(self.topology.client.rtt_seconds)
         cost = CostAccumulator()
-
-        # --- optional fault injection (function reclamations) --------------
-        if self.fault_injector is not None:
-            reclaimed = self.fault_injector.sample_reclamations(
-                self.cluster.function_ids(), now=self.clock.now()
-            )
-            for function_id in reclaimed:
-                self.platform.reclaim_function(function_id)
-            if reclaimed:
-                self.engine.drop_lost_keys()
 
         # --- resolve and gather required data ------------------------------
         # One pass over the cache index: hits load from their holders, misses
@@ -426,34 +406,20 @@ class FLStore:
 def build_default_flstore(
     config: SimulationConfig | None = None,
     policy_mode: str = "tailored",
-    replication_factor: int | None = None,
-    fault_injector: ZipfianFaultInjector | None = None,
-    persistent_store: ObjectStore | None = None,
 ) -> FLStore:
     """Build an FLStore instance with the requested policy variant.
 
     Parameters
     ----------
     config:
-        Simulation configuration (defaults to the paper's setup).
+        Simulation configuration (defaults to the paper's setup).  Its
+        ``serverless.replication_factor`` sets the replica functions per
+        cached object (Section 4.5).
     policy_mode:
         Policy variant: ``"tailored"`` (FLStore), ``"limited"``, ``"static"``,
         ``"random-policy"``, ``"lru"``, ``"lfu"``, ``"fifo"`` or
         ``"random-eviction"`` (see Figure 11 and Table 2).
-    replication_factor:
-        Number of replica functions per cached object (Section 4.5).
-    fault_injector:
-        Optional Zipfian reclamation injector (Appendix A.2).
-    persistent_store:
-        Use an existing persistent store (lets several systems share one
-        cold-data repository in comparative experiments).
     """
     config = config or SimulationConfig()
     policy = make_policy_bundle(policy_mode, config=config.cache_policy, seed=config.seed)
-    return FLStore(
-        config=config,
-        policy=policy,
-        replication_factor=replication_factor,
-        fault_injector=fault_injector,
-        persistent_store=persistent_store,
-    )
+    return FLStore(config=config, policy=policy)

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.common.errors import CapacityError, DataNotFoundError
-from repro.config import ServerlessConfig
 from repro.fl.keys import DataKey
 from repro.serverless.function import FunctionState, ServerlessFunction
 from repro.serverless.platform import ServerlessPlatform
@@ -110,17 +109,10 @@ _free_bytes_of = operator.attrgetter("free_bytes")
 class ServerlessCacheCluster:
     """Places, replicates, resolves, and evicts cached FL metadata objects."""
 
-    def __init__(
-        self,
-        platform: ServerlessPlatform,
-        config: ServerlessConfig | None = None,
-        replication_factor: int | None = None,
-    ) -> None:
+    def __init__(self, platform: ServerlessPlatform) -> None:
         self.platform = platform
-        self.config = config or platform.config
-        self.replication_factor = (
-            self.config.replication_factor if replication_factor is None else replication_factor
-        )
+        self.config = platform.config
+        self.replication_factor = self.config.replication_factor
         self._primary: dict[DataKey, str] = {}
         self._replicas: dict[DataKey, list[str]] = {}
         self._sizes: dict[DataKey, int] = {}

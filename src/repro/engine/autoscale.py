@@ -42,8 +42,8 @@ Three policies ship:
 Declaratively, an autoscaler is attached through a scenario spec
 (:mod:`repro.scenario`): ``tier.autoscaler.enabled`` plus a policy name
 validated at spec build time — ``build_tier`` constructs the resizable tier,
-the policy, and this driver from one ``AutoscaleConfig`` so their control
-intervals can never drift apart.
+the policy from one ``AutoscaleConfig``, and this driver, which ticks by the
+policy's config, so there is no second control interval to drift apart.
 """
 
 from __future__ import annotations
@@ -259,10 +259,18 @@ HOLD = ScaleDecision()
 
 
 class AutoscalerPolicy(abc.ABC):
-    """Maps sampled control signals to scale decisions."""
+    """Maps sampled control signals to scale decisions.
+
+    ``config`` is the control loop's one :class:`AutoscaleConfig`: the
+    :class:`Autoscaler` driving the policy ticks at its
+    ``control_interval_seconds`` and actuates within its bounds.
+    """
 
     #: Machine-friendly identifier (CLI, report labels, sweep rows).
     name: str = "autoscaler"
+
+    def __init__(self, config: AutoscaleConfig | None = None) -> None:
+        self.config = config or AutoscaleConfig()
 
     @abc.abstractmethod
     def decide(self, signals: ControlSignals) -> ScaleDecision:
@@ -307,7 +315,7 @@ class ReactiveThresholdAutoscaler(AutoscalerPolicy):
     name = "reactive"
 
     def __init__(self, config: AutoscaleConfig | None = None) -> None:
-        self.config = config or AutoscaleConfig()
+        super().__init__(config)
         self._last_scale_up_at: float | None = None
         self._last_scale_down_at: float | None = None
 
@@ -355,8 +363,8 @@ class PredictiveAutoscaler(AutoscalerPolicy):
     def __init__(self, mean_service_seconds: float, config: AutoscaleConfig | None = None) -> None:
         if mean_service_seconds <= 0:
             raise ConfigurationError("mean_service_seconds must be positive")
+        super().__init__(config)
         self.mean_service_seconds = float(mean_service_seconds)
-        self.config = config or AutoscaleConfig()
         self._level: float | None = None
         self._trend = 0.0
 
@@ -405,7 +413,7 @@ class SLOViolationAutoscaler(AutoscalerPolicy):
     name = "slo"
 
     def __init__(self, config: AutoscaleConfig | None = None) -> None:
-        self.config = config or AutoscaleConfig()
+        super().__init__(config)
         self._last_scale_up_at: float | None = None
         self._last_scale_down_at: float | None = None
 
@@ -460,7 +468,7 @@ def make_autoscaler_policy(
     conversion (ignored by the others).
     """
     if kind == "none":
-        return NullAutoscaler()
+        return NullAutoscaler(config)
     if kind == "reactive":
         return ReactiveThresholdAutoscaler(config)
     if kind == "predictive":
@@ -540,29 +548,13 @@ class Autoscaler:
        apply in full, shard count moves at most one per tick.
     """
 
-    def __init__(
-        self,
-        tier,
-        policy: AutoscalerPolicy,
-        config: AutoscaleConfig | None = None,
-    ) -> None:
+    def __init__(self, tier, policy: AutoscalerPolicy) -> None:
         self.tier = tier
         self.policy = policy
-        self.config = config or AutoscaleConfig()
-        policy_config = getattr(policy, "config", None)
-        if (
-            policy_config is not None
-            and policy_config.control_interval_seconds != self.config.control_interval_seconds
-        ):
-            # The predictive policy converts its per-tick trend to a forecast
-            # through its config's control interval; a driver ticking at a
-            # different cadence would silently mis-scale every forecast.
-            raise ConfigurationError(
-                "the policy and the Autoscaler driver must share one control interval "
-                f"({policy_config.control_interval_seconds} != "
-                f"{self.config.control_interval_seconds}); build both from the same "
-                "AutoscaleConfig (see make_autoscaler_policy)"
-            )
+        #: The policy's config: the predictive policy converts its per-tick
+        #: trend to a forecast through its control interval, so the driver
+        #: ticks at that interval and no other.
+        self.config = policy.config
         self.events: list[ScaleEvent] = []
         self.ticks = 0
         self.capacity_unit_seconds = 0.0

@@ -1,9 +1,9 @@
 """Typed fault injection across the serving tier, scheduled as engine events.
 
-The seed's :class:`~repro.serverless.faults.ZipfianFaultInjector` samples
-function reclamations on the analytic serve path; everything built since —
-the discrete-event engine, the sharded front door, the router, the
-autoscaler — had never seen a fault.  This module closes that gap: a
+Figures 13 and 14 strike one analytic store with a
+:class:`~repro.serverless.faults.ZipfianFaultInjector` between closed-loop
+serves; the serving tier — the discrete-event engine, the sharded front
+door, the router, the autoscaler — takes its faults from here instead: a
 :class:`FaultPlan` turns a spec's validated fault clauses
 (:class:`~repro.scenario.spec.FaultSpec`: kind, onset, duration, magnitude)
 into scheduled events on the tier's event loop, so faults strike *mid-run*,

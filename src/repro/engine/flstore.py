@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.common.units import GB
 from repro.core.flstore import FLStore, ServeResult
-from repro.engine.kernel import EventLoop, SimTask, Timeout
+from repro.engine.kernel import SimTask, Timeout
 from repro.engine.streaming import DepthAccumulator
 from repro.network.model import spike_cost, spike_latency
 from repro.simulation.metrics import RequestRecord
@@ -47,6 +47,9 @@ from repro.simulation.records import (
 )
 from repro.workloads.base import WorkloadRequest, memoized_compute
 from repro.workloads.registry import get_workload
+
+if TYPE_CHECKING:  # the front door imports this module; annotations only
+    from repro.engine.sharded import ShardedEngineFLStore
 
 #: How a request left the engine:
 #: ``served`` — executed on the serving tier (possibly after queueing);
@@ -383,41 +386,32 @@ class EngineFLStore:
     counters; the shard serves what is routed to it.  Admission control
     reads ``config.serverless``: at most ``max_queue_depth`` requests wait
     for a slot on this shard (``0`` means unbounded), and arrivals beyond
-    that are shed per ``shed_policy`` (``"drop"`` or
+    that are shed per the tier's ``shed_policy`` (``"drop"`` or
     ``"degrade-to-objstore"``), which the front door may switch online.
+    The tenant weights and SLOs that drive queue disciplines and push-out
+    admission are the tier's too; only the push-out ranking's counters
+    (:attr:`tenant_finished`, :attr:`tenant_slo_violations`) are per shard.
 
     Parameters
     ----------
     flstore:
-        The analytic core used as the serving oracle.  It must *not* carry
-        its own fault injector: on the engine path, reclamations come from
-        the ``reclamation-storm`` fault clause (:mod:`repro.engine.faults`).
-    loop:
-        The front door's shared event loop (a fresh one by default).
-    on_queue_change:
-        Called with ``+1`` / ``-1`` whenever a request starts / stops
-        waiting for a slot on this shard; the front door sums these into
-        the tier-wide queue depth.
+        The analytic core used as the serving oracle.  On the engine path,
+        reclamations come from the ``reclamation-storm`` fault clause
+        (:mod:`repro.engine.faults`).
+    tier:
+        The front door.  The shard runs on its event loop, reports each
+        ``+1`` / ``-1`` change of this shard's waiting count to its
+        ``note_queue_change`` (summed into the tier-wide queue depth), and
+        reads its ``shed_policy``, ``tenant_weights`` and
+        ``tenant_slo_seconds``.
     """
 
-    def __init__(
-        self,
-        flstore: FLStore,
-        loop: EventLoop | None = None,
-        on_queue_change: Callable[[int], None] | None = None,
-    ) -> None:
-        if flstore.fault_injector is not None:
-            raise ValueError(
-                "the engine does not sample reclamations; build the FLStore without "
-                "a fault injector and schedule a reclamation-storm fault clause instead"
-            )
+    def __init__(self, flstore: FLStore, tier: ShardedEngineFLStore) -> None:
         self.flstore = flstore
-        self.loop = loop or EventLoop()
+        self.tier = tier
+        self.loop = tier.loop
         self.platform = flstore.platform
-        self._on_queue_change = on_queue_change
-        serverless = flstore.config.serverless
-        self.max_queue_depth = serverless.max_queue_depth
-        self.shed_policy = serverless.shed_policy
+        self.max_queue_depth = flstore.config.serverless.max_queue_depth
         self.keepalive_pings = 0
         self.reclamations = 0
         self.shed_requests = 0
@@ -435,12 +429,9 @@ class EngineFLStore:
         self.network_fault_multiplier = 1.0
         self._outstanding = 0
         self._waiting = 0
-        #: Multi-tenant state (empty on single-tenant engines, which keeps
-        #: every untagged code path byte-identical).  Weights feed the
-        #: wfq/drr queue disciplines; per-tenant SLOs and the lifetime
-        #: violation/finished counters of this shard rank push-out victims.
-        self._tenant_weights: dict[str, float] = {}
-        self.tenant_slo_seconds: dict[str, float] = {}
+        #: Lifetime finished/violation counts per tenant on this shard; with
+        #: the tier's SLOs they rank push-out victims (empty on single-tenant
+        #: tiers, which keeps every untagged code path byte-identical).
         self.tenant_finished: dict[str, int] = {}
         self.tenant_slo_violations: dict[str, int] = {}
         self._tenant_waiting: dict[str, int] = {}
@@ -467,26 +458,6 @@ class EngineFLStore:
 
     # ---------------------------------------------------------------- tenancy
 
-    def configure_tenants(
-        self,
-        weights: Mapping[str, float],
-        slo_seconds: Mapping[str, float | None] | None = None,
-    ) -> None:
-        """Arm the engine's tenant policy state.
-
-        ``weights`` drive the ``wfq``/``drr`` queue disciplines and the
-        push-out victim ranking; ``slo_seconds`` gives each tenant its own
-        sojourn SLO (``None`` entries disable violation accounting for that
-        tenant).  An empty ``weights`` mapping disarms tenancy entirely —
-        the engine is then byte-identical to a pre-tenant build.
-        """
-        self._tenant_weights = dict(weights)
-        self.tenant_slo_seconds = {
-            tenant: slo
-            for tenant, slo in (slo_seconds or {}).items()
-            if slo is not None
-        }
-
     def tenant_violation_rate(self, tenant: str | None) -> float:
         """Lifetime SLO-violation rate of ``tenant`` (0.0 before any finish)."""
         if tenant is None:
@@ -510,6 +481,7 @@ class EngineFLStore:
         as before.
         """
         arriving_rate = self.tenant_violation_rate(arriving)
+        weights = self.tier.tenant_weights
         victim = None
         best: tuple[float, float, str] | None = None
         for flow, depth in queued.items():
@@ -518,7 +490,7 @@ class EngineFLStore:
             rate = self.tenant_violation_rate(flow)
             if rate <= arriving_rate:
                 continue
-            key = (rate, depth / self._tenant_weights.get(flow, 1.0), str(flow))
+            key = (rate, depth / weights.get(flow, 1.0), str(flow))
             if best is None or key > best:
                 best = key
                 victim = flow
@@ -531,7 +503,7 @@ class EngineFLStore:
         synchronously with a ``"shed"`` grant and records its own shed
         outcome), leaving admission room for the arrival.
         """
-        if not self._tenant_weights:
+        if not self.tier.tenant_weights:
             return False
         victim = self._pushout_victim(request.tenant_id, self._tenant_waiting)
         if victim is None:
@@ -551,10 +523,10 @@ class EngineFLStore:
         control and starts the request's process on ``task``, the front
         door's own task, which resolves with an :class:`EngineOutcome` when
         the request completes.  When ``max_queue_depth`` requests are
-        already waiting, the arrival is shed per ``shed_policy`` *before*
-        the serving oracle runs, so a dropped request leaves no trace in
-        the cache, the policies, or the analytic clock, and a drop resolves
-        ``task`` before this call returns.
+        already waiting, the arrival is shed per the tier's ``shed_policy``
+        *before* the serving oracle runs, so a dropped request leaves no
+        trace in the cache, the policies, or the analytic clock, and a drop
+        resolves ``task`` before this call returns.
         """
         self._outstanding += 1
         if (
@@ -568,7 +540,7 @@ class EngineFLStore:
         self.loop.process(process, task=task)
 
     def _shed_process(self, request: WorkloadRequest, arrived_at: float):
-        """Shed ``request`` per ``shed_policy`` from now on; returns its outcome.
+        """Shed ``request`` per the tier's ``shed_policy``; returns its outcome.
 
         ``"drop"`` rejects it on the spot (the process never waits, so a
         drop at admission resolves inside the front door's arrival event);
@@ -578,7 +550,7 @@ class EngineFLStore:
         stand; ``arrived_at`` is the request's original arrival.
         """
         shed_at = self.loop.now
-        if self.shed_policy == "degrade-to-objstore":
+        if self.tier.shed_policy == "degrade-to-objstore":
             self.degraded_requests += 1
             result = self._apply_network_fault(serve_degraded(self.flstore, request))
             service_seconds = result.latency.total_seconds * self.service_time_multiplier
@@ -614,9 +586,10 @@ class EngineFLStore:
             else:
                 token = SimTask(self.loop, name=f"slot:{request.request_id}")
                 tenant = request.tenant_id
-                weight = self._tenant_weights.get(tenant, 1.0) if tenant else 1.0
+                weights = self.tier.tenant_weights
+                weight = weights.get(tenant, 1.0) if tenant else 1.0
                 queue = self.platform.request_queue(function_id)
-                if self._tenant_weights and queue.full:
+                if weights and queue.full:
                     # A cross-function push-out freed global admission room
                     # but this particular function's queue is still at
                     # capacity: evict its worst-scored flow locally so the
@@ -626,7 +599,7 @@ class EngineFLStore:
                         flows,
                         key=lambda f: (
                             self.tenant_violation_rate(f),
-                            flows[f] / self._tenant_weights.get(f, 1.0),
+                            flows[f] / weights.get(f, 1.0),
                             str(f),
                         ),
                     )
@@ -685,14 +658,13 @@ class EngineFLStore:
         if tenant is None or outcome.disposition == "shed":
             return
         self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
-        slo = self.tenant_slo_seconds.get(tenant)
+        slo = self.tier.tenant_slo_seconds.get(tenant)
         if slo is not None and outcome.sojourn_seconds > slo:
             self.tenant_slo_violations[tenant] = self.tenant_slo_violations.get(tenant, 0) + 1
 
     def _note_queue_change(self, delta: int) -> None:
         self._waiting += delta
-        if self._on_queue_change is not None:
-            self._on_queue_change(delta)
+        self.tier.note_queue_change(delta)
 
     def _apply_network_fault(self, result: ServeResult) -> ServeResult:
         """Scale a result's communication latency/cost during a network spike."""

@@ -303,10 +303,6 @@ class RemediationController:
         """The window violation rate, when an SLO arms that detector."""
         return signals.violation_rate if self.slo_seconds is not None else 0.0
 
-    def _current_shed_policy(self) -> str:
-        active = self.tier.active_shards
-        return active[0].shed_policy if active else "drop"
-
     # -------------------------------------------------------------- detection
 
     def _detect(self, signals: ControlSignals) -> list[Anomaly]:
@@ -377,7 +373,7 @@ class RemediationController:
                     f"rebalance {router_kind} routing by live queue depth",
                 )
             )
-        if pressured and self._current_shed_policy() == "drop" and signals.shed_delta > 0:
+        if pressured and self.tier.shed_policy == "drop" and signals.shed_delta > 0:
             proposals.append(
                 Proposal(
                     "shed-degrade",
@@ -404,7 +400,7 @@ class RemediationController:
             "shards": signals.active_shards,
             "slots": signals.slots_per_function,
             "router_kind": self.tier.router.kind,
-            "shed_policy": self._current_shed_policy(),
+            "shed_policy": self.tier.shed_policy,
         }
         key = (proposal.action, *sorted(state.items()))
         forecast = self._shadow_cache.get(key)
@@ -486,7 +482,7 @@ class RemediationController:
             final_shards=self.tier.num_shards,
             final_slots_per_function=self.tier.slots_per_function,
             final_router_kind=self.tier.router.kind,
-            final_shed_policy=self._current_shed_policy(),
+            final_shed_policy=self.tier.shed_policy,
             records=list(self.records),
             anomalies=list(self.anomaly_log),
         )

@@ -13,10 +13,10 @@ cache-liveness accounting (cached bytes, live keys, warm functions) summed
 over the tier.
 
 Each shard keeps its own admission controller
-(``ServerlessConfig.max_queue_depth`` / ``shed_policy``), so overload on a
-hot shard sheds or degrades only that shard's arrivals while cold shards
-keep serving — the scaling behaviour a ``tier.shards`` sweep of the
-``sharded-burst`` scenario measures.
+(``ServerlessConfig.max_queue_depth``, shedding per the tier's
+``shed_policy``), so overload on a hot shard sheds or degrades only that
+shard's arrivals while cold shards keep serving — the scaling behaviour a
+``tier.shards`` sweep of the ``sharded-burst`` scenario measures.
 
 The tier resizes online (:meth:`add_shard` / :meth:`remove_shard`), which is
 what the autoscaler (:mod:`repro.engine.autoscale`) actuates:
@@ -164,7 +164,7 @@ class ShardedEngineFLStore:
         self.replica_hits = 0
         #: The shedding policy every shard applies (``config.serverless``
         #: until :meth:`set_shed_policy` switches it online).
-        self._shed_policy = flstores[0].config.serverless.shed_policy
+        self.shed_policy = flstores[0].config.serverless.shed_policy
         #: Requests waiting for a slot tier-wide — the running sum of the
         #: shards' queue reports — and the current run's profile of it.
         self._queue_depth = 0
@@ -172,7 +172,7 @@ class ShardedEngineFLStore:
         self._shard_factory = shard_factory
         #: All shards ever created, in creation order; retired shards stay
         #: (their completed work and counters remain part of the tier).
-        self.shards = [self._new_shard(flstore) for flstore in flstores]
+        self.shards = [EngineFLStore(flstore, self) for flstore in flstores]
         #: Indices into ``shards`` currently receiving traffic; resized
         #: last-in-first-out so router slot ``i`` is always ``_active[i]``.
         self._active: list[int] = list(range(len(self.shards)))
@@ -209,11 +209,9 @@ class ShardedEngineFLStore:
         self.finished_total = 0
         self.slo_violations_total = 0
         self.watch_slo_seconds: float | None = None
-        #: Tier-level tenant policy state, propagated to every shard
-        #: (:meth:`EngineFLStore.configure_tenants`) — current and future —
-        #: so per-shard queue disciplines and push-out admission see the same
-        #: weights everywhere.
-        self._tenant_weights: dict[str, float] = {}
+        #: Tenant policy (:meth:`configure_tenants`), read by every shard's
+        #: queue disciplines and push-out admission.
+        self.tenant_weights: dict[str, float] = {}
         self.tenant_slo_seconds: dict[str, float] = {}
         self.tenant_finished: dict[str, int] = {}
         self.tenant_slo_violations: dict[str, int] = {}
@@ -235,13 +233,7 @@ class ShardedEngineFLStore:
         )
         return cls(flstores, router=router or make_router(router_kind, num_shards), **kwargs)
 
-    def _new_shard(self, flstore: FLStore) -> EngineFLStore:
-        """Wrap ``flstore`` as a shard on the tier's loop and shedding policy."""
-        shard = EngineFLStore(flstore, loop=self.loop, on_queue_change=self._on_queue_change)
-        shard.shed_policy = self._shed_policy
-        return shard
-
-    def _on_queue_change(self, delta: int) -> None:
+    def note_queue_change(self, delta: int) -> None:
         """Fold one shard's ``+1``/``-1`` queue report into the tier-wide depth."""
         self._queue_depth += delta
         self._note_depth(self.loop.now, self._queue_depth)
@@ -251,9 +243,7 @@ class ShardedEngineFLStore:
 
         It runs while the *tier* has requests in flight (including
         submitted-but-not-yet-arrived ones) and the shard is active, so a
-        retired shard's daemon winds down at its next tick.  Only the
-        scheduled daemon holds the predicate, so its shard keeps no
-        reference back to the tier.
+        retired shard's daemon winds down at its next tick.
         """
         return lambda: self._inflight > 0 and index in self._active
 
@@ -308,19 +298,21 @@ class ShardedEngineFLStore:
         weights,
         slo_seconds=None,
     ) -> None:
-        """Arm tenant policy state tier-wide (every shard, retired included).
+        """Arm the tier's tenant policy.
 
-        Shards added later inherit the configuration in :meth:`add_shard`.
-        An empty ``weights`` mapping disarms tenancy.
+        ``weights`` drive the ``wfq``/``drr`` queue disciplines and the
+        push-out victim ranking; ``slo_seconds`` gives each tenant its own
+        sojourn SLO (``None`` entries disable violation accounting for that
+        tenant).  Every shard reads both from the tier, so shards re-activated
+        or added later apply them too.  An empty ``weights`` mapping disarms
+        tenancy.
         """
-        self._tenant_weights = dict(weights)
+        self.tenant_weights = dict(weights)
         self.tenant_slo_seconds = {
             tenant: slo
             for tenant, slo in (slo_seconds or {}).items()
             if slo is not None
         }
-        for shard in self.shards:
-            shard.configure_tenants(weights, slo_seconds)
 
     # ------------------------------------------------------------ submission
 
@@ -586,7 +578,7 @@ class ShardedEngineFLStore:
                     flstore.ingest_round(record)
             if not warm_join:
                 self._cold_join(flstore)
-            shard = self._new_shard(flstore)
+            shard = EngineFLStore(flstore, self)
             index = len(self.shards)
             self.shards.append(shard)
             self.routed_counts.append(0)
@@ -594,8 +586,6 @@ class ShardedEngineFLStore:
         # Keep the provisioned per-function slots in lockstep with the tier:
         # they may have been re-scaled while this shard was retired.
         shard.set_function_concurrency(self.slots_per_function)
-        if self._tenant_weights:
-            shard.configure_tenants(self._tenant_weights, self.tenant_slo_seconds)
         self._active.append(index)
         self.router = self.router.resized(len(self._active))
         self._bind_router()
@@ -649,17 +639,14 @@ class ShardedEngineFLStore:
 
         A remediation actuator: flipping ``drop`` to ``degrade-to-objstore``
         trades rejections for slow degraded serves while the tier recovers.
-        Applies to every shard (retired ones included, so a re-activated
-        shard rejoins with the tier's current policy) and to shards added
-        later.
+        Every shard reads the policy from the tier, so it applies to shards
+        re-activated or added later too.
         """
         if policy not in SHED_POLICIES:
             raise ConfigurationError(
                 f"unknown shed policy {policy!r}; expected one of {SHED_POLICIES}"
             )
-        self._shed_policy = policy
-        for shard in self.shards:
-            shard.shed_policy = policy
+        self.shed_policy = policy
 
     def set_router_kind(self, kind: str) -> None:
         """Rebuild the front door's router as ``kind`` over the active shards.
@@ -741,6 +728,8 @@ class ShardedEngineFLStore:
         """
         if len(requests) != len(arrival_times):
             raise ValueError("requests and arrival_times must have the same length")
+        if priorities is not None and len(priorities) != len(requests):
+            raise ValueError("requests and priorities must have the same length")
         check_metrics_mode(metrics)
         base = self.loop.now
         absolute_times = [base + float(at) for at in arrival_times]

@@ -77,7 +77,8 @@ import numpy as np
 from repro.common.ids import IdGenerator
 from repro.common.rng import derive_rng
 from repro.engine.streaming import StreamingLoadCollector
-from repro.workloads.base import PolicyClass, WorkloadRequest
+from repro.traces.generator import request_target
+from repro.workloads.base import WorkloadRequest
 from repro.workloads.registry import get_workload
 
 #: Requests per block of the streamed loop: large enough to amortize numpy
@@ -145,28 +146,19 @@ def explain_fast_path(spec) -> list[str]:
 def _class_table(catalog, workload_names):
     """Map every (workload, trace position round) pair to a signature class.
 
-    Mirrors ``mixed_trace``'s per-request construction: P1 workloads always
-    target the newest round (one class per workload), P3 workloads follow
-    the round's first participant, P2/P4 target the cycled round itself.
-    Returns the ``(workload index, round position) -> class`` lookup plus
-    each class's ``(workload, round, client)`` exemplar signature.
+    Targets each pair as ``mixed_trace`` does
+    (:func:`~repro.traces.generator.request_target`).  Returns the
+    ``(workload index, round position) -> class`` lookup plus each class's
+    ``(workload, round, client)`` exemplar signature.
     """
     rounds = catalog.rounds()
-    latest = catalog.latest_round
     classes: dict[tuple, int] = {}
     signatures: list[tuple] = []
     lookup = np.empty((len(workload_names), len(rounds)), dtype=np.int64)
     for name_index, name in enumerate(workload_names):
         workload = get_workload(name)
         for round_position, round_id in enumerate(rounds):
-            request_round = round_id
-            client_id = None
-            if workload.policy_class is PolicyClass.P1_INDIVIDUAL:
-                request_round = latest
-            elif workload.policy_class is PolicyClass.P3_ACROSS_ROUNDS:
-                participants = catalog.participants(round_id)
-                client_id = participants[0] if participants else None
-            key = (name, request_round, client_id)
+            key = (name, *request_target(catalog, workload, round_id))
             if key not in classes:
                 classes[key] = len(signatures)
                 signatures.append(key)

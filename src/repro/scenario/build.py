@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, get_args, get_origin
 
 import numpy as np
@@ -46,6 +46,7 @@ from repro.engine.vectorized import fast_path_eligible, run_fast_path
 from repro.routing import make_router
 from repro.scenario.spec import ScenarioSpec, field_types
 from repro.traces.arrivals import make_arrival_process
+from repro.workloads.registry import workload_priority
 
 
 def paper_experiment_config(model_name: str, seed: int = 7) -> SimulationConfig:
@@ -77,16 +78,11 @@ TIER_KNOBS: tuple[str, ...] = (
 
 def scenario_config(spec: ScenarioSpec) -> SimulationConfig:
     """The full simulation config: base config plus the spec's tier knobs."""
-    config = base_config(spec)
-    return replace(
-        config,
-        serverless=replace(
-            config.serverless,
-            max_queue_depth=spec.tier.admission.max_queue_depth,
-            shed_policy=spec.tier.admission.shed_policy,
-            function_concurrency=spec.tier.function_concurrency,
-            queue_discipline=spec.tier.queue_discipline,
-        ),
+    return base_config(spec).with_serverless(
+        max_queue_depth=spec.tier.admission.max_queue_depth,
+        shed_policy=spec.tier.admission.shed_policy,
+        function_concurrency=spec.tier.function_concurrency,
+        queue_discipline=spec.tier.queue_discipline,
     )
 
 
@@ -137,7 +133,7 @@ def calibrate_mean_service_seconds(
     identical where both exist.)
     """
     num_requests = min(num_requests, 256)
-    untiered = replace(config, serverless=replace(config.serverless, **_DEFAULT_TIER_KNOBS))
+    untiered = config.with_serverless(**_DEFAULT_TIER_KNOBS)
     key = (repr(untiered), tuple(workloads), num_rounds, num_requests)
     if key in _calibration_cache:
         return _calibration_cache[key]
@@ -235,13 +231,12 @@ def build_tier(spec: ScenarioSpec) -> Tier:
     )
     autoscaler = None
     if spec.tier.autoscaler.enabled:
-        autoscale_config = AutoscaleConfig(
-            control_interval_seconds=spec.tier.autoscaler.control_interval_seconds
-        )
         policy = make_autoscaler_policy(
-            spec.tier.autoscaler.policy, autoscale_config, mean_service_seconds=mean_service
+            spec.tier.autoscaler.policy,
+            AutoscaleConfig(control_interval_seconds=spec.tier.autoscaler.control_interval_seconds),
+            mean_service_seconds=mean_service,
         )
-        autoscaler = Autoscaler(store, policy, autoscale_config)
+        autoscaler = Autoscaler(store, policy)
     if spec.tenants:
         store.configure_tenants(
             {tenant.name: tenant.weight for tenant in spec.tenants},
@@ -602,7 +597,10 @@ def run(spec: ScenarioSpec) -> RunReport:
     instants drawn from the spec's process at ``utilization / E[S]`` (or the
     explicit ``rate_rps``), with keep-alive daemons live and — if the spec
     enables one — the autoscaler's control loop ticking on the same virtual
-    timeline.  Conservation is asserted before the report is returned: a
+    timeline.  Each request queues at its workload's Table 1 priority
+    (:func:`~repro.workloads.registry.workload_priority`), or at its
+    tenant's ``priority`` on a multi-tenant spec; only the ``priority``
+    queue discipline reads it.  Conservation is asserted before the report is returned: a
     tier (resizing or not) must account for every offered request exactly
     once, as served, degraded, or shed.
     """
@@ -630,7 +628,8 @@ def run(spec: ScenarioSpec) -> RunReport:
                 list(spec.workload.workloads), spec.workload.num_requests
             )
             arrivals = arrival_process.times(len(trace))
-            priorities = None
+            priority = {name: workload_priority(name) for name in spec.workload.workloads}
+            priorities = [priority[request.workload] for request in trace]
         label = spec.arrival.kind
         if tier.autoscaler is not None:
             label = f"{label}/{spec.tier.autoscaler.policy}"

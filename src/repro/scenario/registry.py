@@ -137,8 +137,9 @@ for _spec in (
             autoscaler=AutoscalerSpec(enabled=True, policy="predictive"),
         ),
     ),
-    # Priority queues under bursty overload: P1 jumps the queue on two
-    # shards with two warm slots per function, nothing shed.
+    # Priority queues under bursty overload: each request queues at its
+    # workload's Table 1 class (``workload_priority``), so P1 jumps the
+    # queue on two shards with two warm slots per function, nothing shed.
     ScenarioSpec(
         name="priority-overload",
         num_rounds=8,

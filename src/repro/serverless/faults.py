@@ -2,28 +2,34 @@
 
 The paper's fault-tolerance evaluation (Appendix A.2) injects function
 reclamations following a Zipfian distribution, matching the measurement
-studies of AWS Lambda cited from InfiniCache.  The injector below decides,
-for each served request, which (if any) of the currently warm functions are
-reclaimed before the request executes.
+studies of AWS Lambda cited from InfiniCache.  The experiment owns the
+injector and calls :meth:`ZipfianFaultInjector.strike` on the store before
+each request it serves (Figures 13 and 14), so which (if any) of the store's
+cached functions are reclaimed is decided before the request executes.  The
+discrete-event engine does not use it: its reclamations come from the
+``reclamation-storm`` fault clause (:mod:`repro.engine.faults`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.common.rng import derive_rng
+
+if TYPE_CHECKING:  # the core imports the serverless package; annotations only
+    from repro.core.flstore import FLStore
 
 
 @dataclass
 class FaultEvent:
     """One injected reclamation.
 
-    ``time_seconds`` is the simulation time at which the reclamation was
-    sampled — the analytic clock on the closed-loop path, the event loop's
-    virtual time on the engine path — so fault traces can be lined up
-    against arrival/completion timelines, not just request ordinals.
+    ``time_seconds`` is the store's analytic clock when the reclamation was
+    sampled, so fault traces can be lined up against request latencies, not
+    just request ordinals.
     """
 
     request_index: int
@@ -45,11 +51,6 @@ class ZipfianFaultInjector:
         ``a``); must be > 1.
     seed:
         Master seed; the injector derives an independent stream.
-    stream:
-        Label of the derived RNG stream.  The default keeps the historical
-        single-injector stream; multi-clause fault plans
-        (:mod:`repro.engine.faults`) pass ``f"fault-{kind}-{i}"`` so every
-        clause draws from an independently seeded, reproducible stream.
     """
 
     def __init__(
@@ -57,7 +58,6 @@ class ZipfianFaultInjector:
         fault_rate: float = 0.05,
         zipf_exponent: float = 2.5,
         seed: int = 7,
-        stream: str = "fault-injector",
     ) -> None:
         if not 0.0 <= fault_rate <= 1.0:
             raise ValueError("fault_rate must be in [0, 1]")
@@ -65,8 +65,7 @@ class ZipfianFaultInjector:
             raise ValueError("zipf_exponent must be > 1")
         self.fault_rate = fault_rate
         self.zipf_exponent = zipf_exponent
-        self.stream = stream
-        self._rng = derive_rng(seed, stream)
+        self._rng = derive_rng(seed, "fault-injector")
         self.events: list[FaultEvent] = []
         self._request_index = 0
 
@@ -91,6 +90,20 @@ class ZipfianFaultInjector:
         reclaimed = [str(function_id) for function_id in np.atleast_1d(chosen)]
         for function_id in reclaimed:
             self.events.append(FaultEvent(self._request_index, function_id, now))
+        return reclaimed
+
+    def strike(self, store: FLStore) -> list[str]:
+        """Reclaim ``store``'s functions before the next request it serves.
+
+        Samples over the store's cached functions at its analytic clock,
+        reclaims the chosen ones on its platform, and drops the keys whose
+        every copy they held.  Returns the reclaimed function ids.
+        """
+        reclaimed = self.sample_reclamations(store.cluster.function_ids(), now=store.clock.now())
+        for function_id in reclaimed:
+            store.platform.reclaim_function(function_id)
+        if reclaimed:
+            store.engine.drop_lost_keys()
         return reclaimed
 
     @property

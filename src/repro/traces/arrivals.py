@@ -61,17 +61,15 @@ class ArrivalProcess(abc.ABC):
         self.rate_rps = float(rate_rps)
         self.seed = seed
 
-    @abc.abstractmethod
     def times(self, num_requests: int) -> list[float]:
         """The first ``num_requests`` arrival instants, starting at >= 0."""
+        if num_requests <= 0:
+            return []
+        return self.times_array(num_requests).tolist()
 
+    @abc.abstractmethod
     def times_array(self, num_requests: int) -> np.ndarray:
-        """The same instants as :meth:`times`, as one float64 ndarray.
-
-        Subclasses override this with a vectorized generator where the RNG
-        stream allows; the default materializes through :meth:`times`.
-        """
-        return np.asarray(self.times(num_requests), dtype=np.float64)
+        """The same instants as :meth:`times`, as one float64 ndarray."""
 
     def _rng(self, *streams: object) -> np.random.Generator:
         return derive_rng(self.seed, "arrivals", self.name, self.rate_rps, *streams)
@@ -84,11 +82,6 @@ class PoissonArrivals(ArrivalProcess):
     """Homogeneous Poisson arrivals: i.i.d. exponential inter-arrival gaps."""
 
     name = "poisson"
-
-    def times(self, num_requests: int) -> list[float]:
-        if num_requests <= 0:
-            return []
-        return self.times_array(num_requests).tolist()
 
     def times_array(self, num_requests: int) -> np.ndarray:
         """One batched draw and one in-place cumsum: the fully vectorized case."""
@@ -135,11 +128,6 @@ class BurstyArrivals(ArrivalProcess):
     def mean_rate_rps(self) -> float:
         """Long-run average arrival rate (the nominal ``rate_rps``)."""
         return self.rate_rps
-
-    def times(self, num_requests: int) -> list[float]:
-        if num_requests <= 0:
-            return []
-        return self.times_array(num_requests).tolist()
 
     def times_array(self, num_requests: int) -> np.ndarray:
         """Vectorized ON/OFF window sampling, byte-identical to the scalar loop.
@@ -275,11 +263,6 @@ class DiurnalArrivals(ArrivalProcess):
         return self.rate_rps * (
             1.0 + self.amplitude * np.sin(2.0 * np.pi * t / self.period_seconds)
         )
-
-    def times(self, num_requests: int) -> list[float]:
-        if num_requests <= 0:
-            return []
-        return self.times_array(num_requests).tolist()
 
     def times_array(self, num_requests: int) -> np.ndarray:
         """Lewis-Shedler thinning into a preallocated ndarray.

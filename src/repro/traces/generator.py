@@ -21,8 +21,26 @@ import numpy as np
 from repro.common.ids import IdGenerator
 from repro.common.rng import derive_rng
 from repro.fl.catalog import RoundCatalog
-from repro.workloads.base import PolicyClass, WorkloadRequest
+from repro.workloads.base import PolicyClass, Workload, WorkloadRequest
 from repro.workloads.registry import get_workload
+
+
+def request_target(
+    catalog: RoundCatalog, workload: Workload, round_id: int
+) -> tuple[int, int | None]:
+    """The ``(round, client)`` a mixed-trace request of ``workload`` targets.
+
+    ``round_id`` is the round the trace has reached.  P1 (serving) targets
+    the newest round, P3 (across-round tracing) the round's first
+    participant, and every other class the round itself.  Mixed traces and
+    the vectorized fast path's signature classes both follow this rule.
+    """
+    if workload.policy_class is PolicyClass.P1_INDIVIDUAL:
+        return catalog.latest_round, None
+    if workload.policy_class is PolicyClass.P3_ACROSS_ROUNDS:
+        participants = catalog.participants(round_id)
+        return round_id, participants[0] if participants else None
+    return round_id, None
 
 
 @dataclass(frozen=True)
@@ -221,14 +239,7 @@ class RequestTraceGenerator:
         for index, name_index in enumerate(drawn.tolist()):
             round_id = rounds[(index // per_round) % len(rounds)]
             name = workload_names[name_index]
-            workload = get_workload(name)
-            client_id = None
-            request_round = round_id
-            if workload.policy_class is PolicyClass.P1_INDIVIDUAL:
-                request_round = self.catalog.latest_round
-            elif workload.policy_class is PolicyClass.P3_ACROSS_ROUNDS:
-                participants = self.catalog.participants(round_id)
-                client_id = participants[0] if participants else None
+            request_round, client_id = request_target(self.catalog, get_workload(name), round_id)
             trace.append(
                 WorkloadRequest(
                     request_id=self._ids.next(),

@@ -19,6 +19,7 @@ from repro.engine import (
     PredictiveAutoscaler,
     ReactiveThresholdAutoscaler,
     ShardedEngineFLStore,
+    SimTask,
     make_autoscaler_policy,
 )
 from repro.fl.trainer import FLJobSimulator
@@ -391,16 +392,33 @@ class TestOnlineResize:
         assert added.platform.function_concurrency == 2
 
     def test_online_shed_policy_reaches_every_shard(self, scale_config, scale_rounds):
-        """``set_shed_policy`` reaches retired shards and shards built later."""
-        tier = _built_tier(scale_config, scale_rounds)
-        assert tier.shards[0].shed_policy == scale_config.serverless.shed_policy == "drop"
+        """After ``set_shed_policy``, an arrival refused admission on a
+        re-activated shard and on a shard built later is served degraded."""
+
+        def refused(shard) -> str:
+            # One request executes, one waits at the queue bound of 1, and
+            # the third is refused admission.
+            tasks = []
+            for _ in range(3):
+                request = shard.flstore.make_request(
+                    "inference", round_id=tier.catalog.latest_round
+                )
+                tasks.append(SimTask(tier.loop, name=request.request_id))
+                shard.admit(request, tasks[-1])
+            tier.loop.run()
+            return tasks[-1].result.disposition
+
+        tier = _built_tier(scale_config.with_serverless(max_queue_depth=1), scale_rounds)
+        assert scale_config.serverless.shed_policy == "drop"
+        assert refused(tier.shards[0]) == "shed"
         retired = tier.shards[tier.add_shard()]
         tier.remove_shard()
         tier.set_shed_policy("degrade-to-objstore")
         assert tier.shards[tier.add_shard()] is retired
         built = tier.shards[tier.add_shard()]
         assert built is not retired
-        assert {shard.shed_policy for shard in tier.shards} == {"degrade-to-objstore"}
+        assert refused(retired) == "degraded"
+        assert refused(built) == "degraded"
 
     def test_raising_slots_mid_run_shortens_the_burst(self, scale_config, scale_rounds):
         def run(rescale: bool) -> float:
@@ -423,7 +441,7 @@ class TestOnlineResize:
 class TestAutoscalerDriver:
     def test_factor_target_prefers_slots_then_shards(self, scale_config, scale_rounds):
         tier = _built_tier(scale_config, scale_rounds)
-        autoscaler = Autoscaler(tier, NullAutoscaler(), AutoscaleConfig(max_slots_per_function=4))
+        autoscaler = Autoscaler(tier, NullAutoscaler(AutoscaleConfig(max_slots_per_function=4)))
         assert autoscaler._factor_target(3, current_shards=1, current_slots=1) == (1, 3)
         assert autoscaler._factor_target(5, current_shards=1, current_slots=1) == (2, 3)
         # Shard-count hysteresis: a target of 3 still fits comfortably in one
@@ -436,7 +454,7 @@ class TestAutoscalerDriver:
         straight back to (2, 4) and the tier could never give capacity back;
         the driver now actuates the single step closest to the target."""
         tier = _built_tier(scale_config, scale_rounds)
-        autoscaler = Autoscaler(tier, NullAutoscaler(), AutoscaleConfig(max_slots_per_function=4))
+        autoscaler = Autoscaler(tier, NullAutoscaler(AutoscaleConfig(max_slots_per_function=4)))
         assert autoscaler._factor_target(7, current_shards=2, current_slots=4) == (2, 3)
         # A genuine hold (target == current capacity) is still a no-op.
         assert autoscaler._factor_target(8, current_shards=2, current_slots=4) == (2, 4)
@@ -452,7 +470,7 @@ class TestAutoscalerDriver:
         on the existing shards while the new shard is still cold: 2x4 asked
         for 9 units factors to (3, 4), never (3, 3)."""
         tier = _built_tier(scale_config, scale_rounds)
-        autoscaler = Autoscaler(tier, NullAutoscaler(), AutoscaleConfig(max_slots_per_function=4))
+        autoscaler = Autoscaler(tier, NullAutoscaler(AutoscaleConfig(max_slots_per_function=4)))
         assert autoscaler._factor_target(9, current_shards=2, current_slots=4) == (3, 4)
         assert autoscaler._factor_target(5, current_shards=1, current_slots=4) == (2, 4)
 

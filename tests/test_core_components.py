@@ -19,17 +19,19 @@ from repro.workloads.base import WorkloadRequest
 
 @pytest.fixture()
 def platform():
-    return ServerlessPlatform(ServerlessConfig(), PricingConfig())
+    return ServerlessPlatform(ServerlessConfig(replication_factor=0), PricingConfig())
 
 
 @pytest.fixture()
 def cluster(platform):
-    return ServerlessCacheCluster(platform, replication_factor=0)
+    return ServerlessCacheCluster(platform)
 
 
 @pytest.fixture()
-def replicated_cluster(platform):
-    return ServerlessCacheCluster(platform, replication_factor=2)
+def replicated_cluster():
+    return ServerlessCacheCluster(
+        ServerlessPlatform(ServerlessConfig(replication_factor=2), PricingConfig())
+    )
 
 
 @pytest.fixture()
@@ -71,10 +73,10 @@ class TestServerlessCacheCluster:
         assert len(placement.replica_function_ids) == 2
         assert placement.primary_function_id not in placement.replica_function_ids
 
-    def test_failover_to_replica_after_reclamation(self, replicated_cluster, platform):
+    def test_failover_to_replica_after_reclamation(self, replicated_cluster):
         key = DataKey.update(1, 0)
         placement = replicated_cluster.place(key, b"", size_bytes=10 * MB)
-        platform.reclaim_function(placement.primary_function_id)
+        replicated_cluster.platform.reclaim_function(placement.primary_function_id)
         resolved = replicated_cluster.resolve(key)
         assert resolved.is_hit
         assert resolved.failed_over
@@ -190,8 +192,10 @@ class TestCacheEngine:
         assert not engine.is_cached(key)
 
     def test_full_warm_function_limit_counts_as_placement_failure(self, topology, cost_model):
-        platform = ServerlessPlatform(ServerlessConfig(max_warm_functions=1), PricingConfig())
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        platform = ServerlessPlatform(
+            ServerlessConfig(max_warm_functions=1, replication_factor=0), PricingConfig()
+        )
+        cluster = ServerlessCacheCluster(platform)
         store = ObjectStore(topology.objstore, cost_model)
         engine = CacheEngine(make_policy_bundle("tailored"), cluster, store)
         first, second = DataKey.update(1, 0), DataKey.update(2, 0)
@@ -204,7 +208,7 @@ class TestCacheEngine:
 
     def test_capacity_enforced_for_bounded_policy(self, topology, cost_model, platform, small_config):
         store = ObjectStore(topology.objstore, cost_model)
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         policy = make_policy_bundle("lru")
         engine = CacheEngine(policy, cluster, store)
         for i in range(5):

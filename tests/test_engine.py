@@ -10,7 +10,6 @@ from repro.common.errors import CapacityError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import (
-    EngineFLStore,
     EventLoop,
     FaultPlan,
     ShardedEngineFLStore,
@@ -19,7 +18,6 @@ from repro.engine import (
 )
 from repro.fl.trainer import FLJobSimulator
 from repro.scenario import FaultSpec
-from repro.serverless.faults import ZipfianFaultInjector
 from repro.serverless.function import RequestQueue, ServerlessFunction
 from repro.serverless.platform import ServerlessPlatform
 from repro.traces.generator import RequestTraceGenerator
@@ -238,15 +236,6 @@ def engine_rounds(engine_config):
     return FLJobSimulator(engine_config).run_rounds(8)
 
 
-class TestEngineShard:
-    def test_engine_rejects_flstore_with_its_own_injector(self, engine_config):
-        flstore = build_default_flstore(
-            engine_config, fault_injector=ZipfianFaultInjector(fault_rate=0.5)
-        )
-        with pytest.raises(ValueError, match="reclamation-storm"):
-            EngineFLStore(flstore)
-
-
 class TestOpenLoop:
     def _engine(self, engine_config, engine_rounds):
         return ShardedEngineFLStore([_ingested_flstore(engine_config, engine_rounds)])
@@ -267,6 +256,13 @@ class TestOpenLoop:
         assert waits[0] == 0.0
         assert waits[-1] > 0.0
         assert report.p99_sojourn_seconds >= report.p50_sojourn_seconds
+
+    def test_short_priorities_are_rejected(self, engine_config, engine_rounds):
+        """A priority list shorter than the requests must not drop requests."""
+        engine = self._engine(engine_config, engine_rounds)
+        trace = RequestTraceGenerator(engine.catalog, seed=3).workload_trace("inference", 6)
+        with pytest.raises(ValueError, match="priorities"):
+            engine.run_open_loop(trace, [0.0] * len(trace), priorities=[1.0, 4.0])
 
     def test_open_loop_is_deterministic(self, engine_config, engine_rounds):
         def run_once():
@@ -463,3 +459,26 @@ class TestPriorityServing:
         first = self._run(engine_config, engine_rounds, "priority")
         second = self._run(engine_config, engine_rounds, "priority")
         assert first == second
+
+    def test_priority_overload_scenario_serves_p1_first(self):
+        """The registered ``priority-overload`` spec queues each request at
+        its workload's priority: P1 inference waits less than P4
+        scheduling_perf, and requests finish in another order than FIFO's."""
+        import numpy as np
+
+        from repro.scenario import get_scenario, run
+
+        def run_with(discipline):
+            spec = get_scenario("priority-overload")
+            outcomes = run(spec.with_overrides({"tier.queue_discipline": discipline})).load.outcomes
+            means = {
+                workload: np.mean(
+                    [o.sojourn_seconds for o in outcomes if o.request.workload == workload]
+                )
+                for workload in ("inference", "scheduling_perf")
+            }
+            return means, [o.request.request_id for o in outcomes]
+
+        means, order = run_with("priority")
+        assert means["inference"] < means["scheduling_perf"]
+        assert order != run_with("fifo")[1]

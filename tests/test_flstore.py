@@ -173,29 +173,29 @@ class TestCostModel:
 class TestFaultTolerance:
     def _build(self, small_config, rounds, replication, fault_rate):
         injector = ZipfianFaultInjector(fault_rate=fault_rate, seed=5)
-        system = build_default_flstore(
-            small_config, replication_factor=replication, fault_injector=injector
-        )
+        system = build_default_flstore(small_config.with_serverless(replication_factor=replication))
         for record in rounds:
             system.ingest_round(record)
-        return system
+        return system, injector
 
     def test_faults_do_not_break_serving(self, small_config, rounds):
-        system = self._build(small_config, rounds, replication=0, fault_rate=0.5)
+        system, injector = self._build(small_config, rounds, replication=0, fault_rate=0.5)
         for i in range(6, 10):
+            injector.strike(system)
             result = system.serve(system.make_request("malicious_filtering", round_id=i))
             assert isinstance(result.result, dict)
 
     def test_replication_reduces_miss_penalty_under_faults(self, small_config, rounds):
         unreplicated = self._build(small_config, rounds, replication=0, fault_rate=0.6)
         replicated = self._build(small_config, rounds, replication=2, fault_rate=0.6)
-        def total_misses(system):
+        def total_misses(system, injector):
             misses = 0
             for i in range(4, 10):
+                injector.strike(system)
                 misses += system.serve(system.make_request("clustering", round_id=i)).cache_misses
             return misses
 
-        assert total_misses(replicated) <= total_misses(unreplicated)
+        assert total_misses(*replicated) <= total_misses(*unreplicated)
 
     def test_policy_mode_variants_build_and_serve(self, small_config, rounds):
         for mode in ("lru", "fifo", "static", "random-policy", "limited"):
@@ -210,13 +210,6 @@ class TestBuilder:
     def test_builder_rejects_unknown_policy(self, small_config):
         with pytest.raises(ValueError):
             build_default_flstore(small_config, policy_mode="quantum")
-
-    def test_shared_persistent_store(self, small_config, rounds):
-        first = build_default_flstore(small_config)
-        for record in rounds[:2]:
-            first.ingest_round(record)
-        second = build_default_flstore(small_config, persistent_store=first.persistent_store)
-        assert second.persistent_store is first.persistent_store
 
     def test_default_build_is_flstore_instance(self, small_config):
         assert isinstance(build_default_flstore(small_config), FLStore)

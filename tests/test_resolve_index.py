@@ -105,15 +105,17 @@ def assert_index_consistent(cluster: ServerlessCacheCluster):
 
 @pytest.fixture()
 def platform():
-    return ServerlessPlatform(ServerlessConfig(), PricingConfig())
+    return ServerlessPlatform(ServerlessConfig(replication_factor=0), PricingConfig())
 
 
 class TestLivenessIndexProperty:
     @pytest.mark.parametrize("replication_factor", [0, 1, 2])
     def test_index_matches_oracle_under_zipfian_faults(self, replication_factor):
         """Random place/evict/reclaim churn keeps the index oracle-consistent."""
-        platform = ServerlessPlatform(ServerlessConfig(), PricingConfig())
-        cluster = ServerlessCacheCluster(platform, replication_factor=replication_factor)
+        platform = ServerlessPlatform(
+            ServerlessConfig(replication_factor=replication_factor), PricingConfig()
+        )
+        cluster = ServerlessCacheCluster(platform)
         injector = ZipfianFaultInjector(fault_rate=0.35, seed=17 + replication_factor)
         rng = np.random.default_rng(23 + replication_factor)
 
@@ -144,8 +146,8 @@ class TestLivenessIndexProperty:
     def test_tier_replica_accounting_matches_oracle_under_zipfian_faults(self):
         """Random churn mixing owned and tier-replica placements keeps the
         owned/replica byte split oracle-consistent — no double-counting."""
-        platform = ServerlessPlatform(ServerlessConfig(), PricingConfig())
-        cluster = ServerlessCacheCluster(platform, replication_factor=1)
+        platform = ServerlessPlatform(ServerlessConfig(replication_factor=1), PricingConfig())
+        cluster = ServerlessCacheCluster(platform)
         injector = ZipfianFaultInjector(fault_rate=0.35, seed=41)
         rng = np.random.default_rng(43)
 
@@ -180,7 +182,7 @@ class TestLivenessIndexProperty:
         assert_index_consistent(cluster)
 
     def test_replica_mark_cleared_on_eviction_and_promotion(self, platform):
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         key = DataKey.update(9, 0)
         cluster.place(key, b"r", size_bytes=10 * MB, tier_replica=True)
         assert cluster.is_tier_replica(key)
@@ -200,8 +202,9 @@ class TestLivenessIndexProperty:
         assert not cluster.is_tier_replica(key)
         assert_index_consistent(cluster)
 
-    def test_reclamation_event_prunes_reverse_map(self, platform):
-        cluster = ServerlessCacheCluster(platform, replication_factor=1)
+    def test_reclamation_event_prunes_reverse_map(self):
+        platform = ServerlessPlatform(ServerlessConfig(replication_factor=1), PricingConfig())
+        cluster = ServerlessCacheCluster(platform)
         key = DataKey.update(1, 0)
         placement = cluster.place(key, b"x", size_bytes=10 * MB)
         assert key in cluster._function_keys[placement.primary_function_id]
@@ -213,7 +216,7 @@ class TestLivenessIndexProperty:
         assert_index_consistent(cluster)
 
     def test_total_loss_is_recorded_without_probing(self, platform):
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         key = DataKey.update(2, 0)
         placement = cluster.place(key, b"x", size_bytes=10 * MB)
         platform.reclaim_function(placement.primary_function_id)
@@ -226,7 +229,7 @@ class TestLivenessIndexProperty:
         """Reclamation walks a function's keys in the order they were placed
         (a re-placed key counts from its new placement), never in hash
         order: key hashes are address-derived, so they vary by process."""
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         clients = np.random.default_rng(5).permutation(21).tolist()
         keys = [DataKey.update(client, client % 3) for client in clients]
         for key in keys:
@@ -239,7 +242,7 @@ class TestLivenessIndexProperty:
         assert_index_consistent(cluster)
 
     def test_replace_after_loss_clears_lost_state(self, platform):
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         key = DataKey.update(3, 0)
         placement = cluster.place(key, b"old", size_bytes=10 * MB)
         platform.reclaim_function(placement.primary_function_id)
@@ -252,7 +255,7 @@ class TestLivenessIndexProperty:
         assert_index_consistent(cluster)
 
     def test_restore_does_not_resurrect_lost_copies(self, platform):
-        cluster = ServerlessCacheCluster(platform, replication_factor=0)
+        cluster = ServerlessCacheCluster(platform)
         key = DataKey.update(4, 0)
         placement = cluster.place(key, b"x", size_bytes=10 * MB)
         platform.reclaim_function(placement.primary_function_id)

@@ -8,10 +8,11 @@ the functions it was served by and executed on, every latency and cost
 component (in ``LatencyBreakdown`` and ``CostBreakdown`` field order), and
 a sha256 of the workload result's canonical JSON.
 
-Every cell runs a ``ZipfianFaultInjector`` (rate 0.3), so primaries are
-reclaimed under the gather and replicas answer; functions are small, so a
-request's hits span several functions; and ``lru`` admits every miss into a
-capacity it overflows, so admissions evict keys in the middle of a gather.
+Every cell strikes the store with a ``ZipfianFaultInjector`` (rate 0.3)
+before each request, so primaries are lost and replicas answer; functions
+are small, so a request's hits span several functions; and ``lru`` admits
+every miss into a capacity it overflows, so admissions evict keys in the
+middle of a gather.
 ``RunReport`` digests leave results out, so this is the check on them.
 
 The fixture is recorded only from *pre-change* code, as with
@@ -76,11 +77,9 @@ def serve_cell(replication_factor: int, policy: str) -> list[dict]:
     config = _config()
     _, rounds = setup_cache.simulate_job(config, NUM_ROUNDS)
     store = build_default_flstore(
-        config,
-        policy_mode=policy,
-        replication_factor=replication_factor,
-        fault_injector=ZipfianFaultInjector(fault_rate=0.3, seed=5),
+        config.with_serverless(replication_factor=replication_factor), policy_mode=policy
     )
+    injector = ZipfianFaultInjector(fault_rate=0.3, seed=5)
     for record in rounds:
         store.ingest_round(record)
     generator = RequestTraceGenerator(store.catalog, seed=13)
@@ -101,6 +100,7 @@ def serve_cell(replication_factor: int, policy: str) -> list[dict]:
     for request in trace:
         required = set(get_workload(request.workload).required_keys(request, store.catalog))
         admitted[0] = 0
+        injector.strike(store)
         served = store.serve(request)
         rows.append(
             {
