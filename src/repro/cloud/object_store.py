@@ -77,12 +77,17 @@ class ObjectStore:
         self._objects[key] = _StoredObject(value=value, size_bytes=size)
         self.stats.puts += 1
         self.stats.bytes_written += size
-        effects = self._put_effects.get(size)
+        latency, cost = self.put_effects(size)
+        return OperationResult(value=None, latency=latency, cost=cost)
+
+    def put_effects(self, size_bytes: int) -> tuple[LatencyBreakdown, CostBreakdown]:
+        """The latency and cost :meth:`put` charges for ``size_bytes``; stores nothing."""
+        effects = self._put_effects.get(size_bytes)
         if effects is None:
-            latency = LatencyBreakdown.communication(self._link.transfer_seconds(size))
-            effects = (latency, self._costs.objstore_put_cost(size))
-            self._put_effects[size] = effects
-        return OperationResult(value=None, latency=effects[0], cost=effects[1])
+            latency = LatencyBreakdown.communication(self._link.transfer_seconds(size_bytes))
+            effects = (latency, self._costs.objstore_put_cost(size_bytes))
+            self._put_effects[size_bytes] = effects
+        return effects
 
     def get(self, key: Hashable) -> OperationResult:
         """Fetch the object stored under ``key``.

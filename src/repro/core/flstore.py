@@ -19,6 +19,14 @@ The :meth:`FLStore.serve` method returns a :class:`ServeResult` carrying the
 workload output plus the latency and dollar cost of the request, decomposed
 the same way the paper's evaluation reports them.
 
+No modeled latency reads the workload's output: step 4's compute time is
+analytic, and the result's write-back is off the critical path.  So
+:meth:`FLStore.service_latency` runs the same serve path without its two
+output steps — executing the workload and persisting the result (whose bill
+it still charges) — and returns the latency ``serve`` would, bit for bit.
+Service-time calibration (:func:`repro.scenario.build.calibrate_mean_service_seconds`)
+reads only that latency, so it executes no workload.
+
 What step 3 needs besides the cache's state is fixed by the request's
 signature (workload, round, client, history, params) and the round catalog:
 the required keys, the compute time and the result-transfer time.  Each store
@@ -34,7 +42,7 @@ FIFO do, in key order).  Every output is the one a fresh plan would give.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.cloud.object_store import ObjectStore
 from repro.common.errors import DataNotFoundError
@@ -71,6 +79,11 @@ from repro.workloads.registry import get_workload
 #: The base policy's ``record_access``, which does nothing: a store whose
 #: policy keeps it calls no per-hit callback.
 _NO_OP_RECORD_ACCESS = CachingPolicy.record_access
+
+#: ``execute(workload, request, data) -> (result, bill of persisting it)``,
+#: the one step in which :meth:`FLStore.serve` and
+#: :meth:`FLStore.service_latency` differ.
+_Execute = Callable[[Workload, WorkloadRequest, Mapping[DataKey, Any]], tuple[Any, CostBreakdown]]
 
 
 class RequestPlan(NamedTuple):
@@ -244,6 +257,27 @@ class FLStore:
 
     def serve(self, request: WorkloadRequest) -> ServeResult:
         """Serve one non-training request end to end (Figure 6 workflow)."""
+        return self._serve(request, self._execute)
+
+    def service_latency(self, request: WorkloadRequest) -> LatencyBreakdown:
+        """``serve(request).latency``, without executing the workload or writing its result.
+
+        Runs every other step of :meth:`serve` in the same order (plan,
+        tracker, gather with miss admission, invoke, prefetch and evictions,
+        clock advance), so the cache, the tracker and the clock end as a
+        ``serve`` would leave them and the latency is the same, bit for bit.
+        Only the persistent store differs: it holds no result for the
+        request.  Calibration reads nothing else of a served request.
+        """
+        return self._serve(request, self._bill_result).latency
+
+    def _serve(self, request: WorkloadRequest, execute: _Execute) -> ServeResult:
+        """The Figure 6 workflow, with ``execute`` (:data:`_Execute`) as its workload step.
+
+        ``execute`` runs after the invoke and before the prefetch, so a
+        workload that raises leaves the prefetch, the evictions and the clock
+        untouched.
+        """
         workload = get_workload(request.workload)
         required_keys, compute_seconds, result_seconds = self.request_plan(workload, request)
         tracked = self.tracker.submit(request.request_id)
@@ -309,13 +343,12 @@ class FLStore:
             )
             cost.add(self.cost_model.lambda_execution_cost(memory_gb, miss_fetch_seconds))
 
-        result = memoized_compute(self._result_memo, workload, request, gathered.data)
-
-        # --- return results and persist them --------------------------------
+        # --- execute, return the result and persist it ----------------------
+        # ``serve`` runs the workload and writes its result here;
+        # ``service_latency`` only prices the write.
+        result, result_bill = execute(workload, request, gathered.data)
         latency.add_communication(result_seconds)
-        result_key = ("result", request.request_id)
-        store_result = self.persistent_store.put(result_key, result, size_bytes=workload.result_size_bytes)
-        cost.add(store_result.cost)  # asynchronous: cost counted, latency off the critical path
+        cost.add(result_bill)  # asynchronous: cost counted, latency off the critical path
 
         # --- tailored prefetching and eviction ------------------------------
         plan = self.engine.plan_request(request, required_keys)
@@ -356,6 +389,23 @@ class FLStore:
         )
 
     # ---------------------------------------------------------------- helpers
+
+    def _execute(
+        self, workload: Workload, request: WorkloadRequest, data: Mapping[DataKey, Any]
+    ) -> tuple[dict[str, Any], CostBreakdown]:
+        """Run ``workload`` on the gathered ``data`` and persist the result."""
+        result = memoized_compute(self._result_memo, workload, request, data)
+        stored = self.persistent_store.put(
+            ("result", request.request_id), result, size_bytes=workload.result_size_bytes
+        )
+        return result, stored.cost
+
+    def _bill_result(
+        self, workload: Workload, request: WorkloadRequest, data: Mapping[DataKey, Any]
+    ) -> tuple[None, CostBreakdown]:
+        """What :meth:`_execute` would bill for the result write, running nothing."""
+        del request, data
+        return None, self.persistent_store.put_effects(workload.result_size_bytes)[1]
 
     def _fetch_from_persistent(self, key: DataKey) -> tuple[LatencyBreakdown, CostBreakdown, Any]:
         """Fetch a cold object from the persistent store (returns ``None`` if absent)."""

@@ -45,7 +45,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
-from repro.workloads.base import WorkloadRequest, memoized_compute
+from repro.workloads.base import WorkloadRequest
 from repro.workloads.registry import get_workload
 
 if TYPE_CHECKING:  # the front door imports this module; annotations only
@@ -167,12 +167,9 @@ def serve_degraded(flstore: FLStore, request: WorkloadRequest) -> ServeResult:
     billed_seconds = max(fetch_seconds + compute_seconds, 0.001)
     cost.add(flstore.cost_model.lambda_execution_cost(memory_gb, billed_seconds))
 
-    result = memoized_compute(flstore._result_memo, workload, request, data)
+    result, result_bill = flstore._execute(workload, request, data)
     latency.add_communication(result_seconds)
-    store_result = flstore.persistent_store.put(
-        ("result", request.request_id), result, size_bytes=workload.result_size_bytes
-    )
-    cost.add(store_result.cost)  # asynchronous: cost counted, latency off the critical path
+    cost.add(result_bill)  # asynchronous: cost counted, latency off the critical path
 
     return ServeResult(
         request_id=request.request_id,

@@ -110,12 +110,17 @@ def calibrate_mean_service_seconds(
 ) -> float:
     """Mean closed-loop service time of a workload mix on ``config`` (seconds).
 
-    Serves the mix sequentially through a fresh analytic ``FLStore`` built
+    Runs the mix sequentially through a fresh analytic ``FLStore`` built
     from ``config`` (a closed-loop run through the serving tier reproduces
-    these results byte for byte; ``tests/test_sharded.py`` pins that) and
+    these latencies byte for byte; ``tests/test_sharded.py`` pins that) and
     averages the per-request latency — the ``E[S]`` that turns a spec's
     ``utilization`` into an offered rate and its ``slo_multiplier`` into an
     SLO.  The model and the seed are ``config``'s.
+
+    Each request goes through :meth:`~repro.core.flstore.FLStore.service_latency`,
+    the serve path without the workload's execution and result write: the
+    latency is the one ``serve`` would return, bit for bit, and a cold
+    calibration computes no workload and persists no result.
 
     :func:`calibrate` passes the config the tier is built from, so the store
     served here comes from the same setup-cache entries as the tier's
@@ -139,8 +144,8 @@ def calibrate_mean_service_seconds(
         return _calibration_cache[key]
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
     trace = setup.generator.mixed_trace(list(workloads), num_requests)
-    results = [setup.flstore.serve(request) for request in trace]
-    mean_service = float(np.mean([r.latency.total_seconds for r in results]))
+    service_latency = setup.flstore.service_latency
+    mean_service = float(np.mean([service_latency(request).total_seconds for request in trace]))
     _calibration_cache[key] = mean_service
     return mean_service
 
@@ -150,10 +155,12 @@ def calibrate(spec: ScenarioSpec) -> float:
 
     Calibrates on :func:`scenario_config`, the config :func:`build_tier`
     builds the tier from, so calibration and shards share one simulated job
-    and one ingested master.  Multi-tenant specs calibrate over the union
-    of the tenants' workload mixes and their combined request count — one
-    ``E[S]`` shared by every tenant's rate and SLO math, so tenant weights
-    change scheduling, never the calibration.
+    and one ingested master.  It averages modeled latencies only, so it
+    executes no workload (:func:`calibrate_mean_service_seconds`).
+    Multi-tenant specs calibrate over the union of the tenants' workload
+    mixes and their combined request count — one ``E[S]`` shared by every
+    tenant's rate and SLO math, so tenant weights change scheduling, never
+    the calibration.
     """
     if spec.mean_service_seconds is not None:
         return spec.mean_service_seconds
@@ -211,6 +218,8 @@ def build_tier(spec: ScenarioSpec) -> Tier:
     the same config, so a cold build simulates the FL job once and builds,
     ingests and pickles one master (one rounds miss and one snapshot miss
     in ``setup_cache.stats``); each shard is a snapshot of that master.
+    Calibration reads only modeled latencies, so a cold build executes no
+    workload and writes no result: serving starts with :func:`run`.
     """
     config = scenario_config(spec)
     mean_service = calibrate(spec)

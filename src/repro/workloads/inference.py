@@ -11,6 +11,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.common.errors import WorkloadError
 from repro.common.rng import derive_rng
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
@@ -39,15 +40,20 @@ class InferenceWorkload(Workload):
         self.validate_data(request, data, keys)
         aggregate: ModelUpdate = data[keys[0]]
         batch_size = int(request.params.get("batch_size", 64))
+        if batch_size < 1:
+            raise WorkloadError(f"request {request.request_id}: batch_size must be >= 1")
         rng = derive_rng(0, "inference-batch", request.request_id)
-        inputs = rng.normal(0.0, 1.0, size=(batch_size, aggregate.dim))
+        # ``standard_normal`` draws what ``normal(0.0, 1.0)`` draws, and the
+        # two means below are ``ndarray.mean()``'s sum over count without its
+        # Python-level wrapper: the results are equal bit for bit.
+        inputs = rng.standard_normal((batch_size, aggregate.dim))
         logits = inputs @ aggregate.weights
         probabilities = 1.0 / (1.0 + np.exp(-logits))
         predictions = (probabilities >= 0.5).astype(int)
         return {
             "round_id": request.round_id,
             "batch_size": batch_size,
-            "positive_fraction": float(predictions.mean()),
-            "mean_confidence": float(np.abs(probabilities - 0.5).mean() * 2.0),
+            "positive_fraction": int(np.count_nonzero(predictions)) / batch_size,
+            "mean_confidence": float(np.add.reduce(np.abs(probabilities - 0.5)) / batch_size * 2.0),
             "predictions": predictions.tolist(),
         }

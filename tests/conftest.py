@@ -12,6 +12,7 @@ from repro.fl.trainer import FLJobSimulator
 from repro.network.costs import TransferCostModel
 from repro.network.model import NetworkTopology
 from repro.traces.generator import RequestTraceGenerator
+from repro.workloads.registry import get_workload, list_workloads
 
 
 @pytest.fixture(scope="session")
@@ -89,3 +90,20 @@ def cache_agg(small_config, rounds):
 def trace_generator(flstore):
     """A trace generator bound to the ingested FLStore catalog."""
     return RequestTraceGenerator(flstore.catalog, seed=3)
+
+
+@pytest.fixture()
+def compute_calls(monkeypatch) -> list[int]:
+    """A live count of ``Workload.compute`` calls on every registered workload class."""
+    counter = [0]
+    # Patched on the classes: undoing a patch on an instance would leave a
+    # bound method behind that shadows later class-level wrappers.
+    for cls in {type(get_workload(name)) for name in list_workloads()}:
+        original = cls.compute
+
+        def counting(self, request, data, original=original):
+            counter[0] += 1
+            return original(self, request, data)
+
+        monkeypatch.setattr(cls, "compute", counting)
+    return counter

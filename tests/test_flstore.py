@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common.errors import WorkloadError
 from repro.core.flstore import FLStore, build_default_flstore
 from repro.core.policies.traditional import CapacityBoundPolicy
 from repro.core.serverless_cache import ServerlessCacheCluster
+from repro.fl.keys import DataKey
 from repro.serverless.faults import ZipfianFaultInjector
+from repro.traces.generator import RequestTraceGenerator
 from repro.workloads.base import WorkloadRequest
-from repro.workloads.registry import get_workload
+from repro.workloads.registry import get_workload, list_workloads
 
 
 class TestIngestion:
@@ -93,6 +96,44 @@ class TestServing:
         before = flstore.clock.now()
         flstore.serve(flstore.make_request("clustering", round_id=9))
         assert flstore.clock.now() > before
+
+
+class TestServiceLatency:
+    """``service_latency`` is ``serve`` without the workload and the result write."""
+
+    def test_it_returns_the_served_latency_and_leaves_the_same_state(self, small_config, rounds):
+        served, timed = build_default_flstore(small_config), build_default_flstore(small_config)
+        for system in (served, timed):
+            for record in rounds:
+                system.ingest_round(record)
+        trace = RequestTraceGenerator(served.catalog, seed=3).mixed_trace(list_workloads(), 80)
+        for request in trace:
+            assert timed.service_latency(request) == served.serve(request).latency
+            assert timed.tracker.is_completed(request.request_id)
+        assert timed.clock.now() == served.clock.now()
+        assert timed.cluster.cached_keys() == served.cluster.cached_keys()
+        # Only the results are missing from the persistent store.
+        stored, written = set(timed.persistent_store.keys()), set(served.persistent_store.keys())
+        assert written - stored == {("result", request.request_id) for request in trace}
+        assert stored <= written
+
+    def test_a_missing_aggregate_fails_before_the_prefetch_and_the_clock(self, flstore):
+        """Inference raises where it executes: after the invoke, before the prefetch."""
+        missing, following = DataKey.aggregate(2), DataKey.aggregate(3)
+        flstore.persistent_store.delete(missing)
+        assert not flstore.cluster.is_live(missing)
+        assert not flstore.cluster.is_live(following)
+        assert flstore.persistent_store.contains(following)
+        now, cached = flstore.clock.now(), flstore.cluster.cached_keys()
+        with pytest.raises(WorkloadError, match="missing 1 required"):
+            flstore.serve(flstore.make_request("inference", round_id=2))
+        assert flstore.clock.now() == now
+        assert flstore.cluster.cached_keys() == cached
+        # Without the workload the same request goes on: P1 prefetches the
+        # next round's aggregate and the clock moves.
+        flstore.service_latency(flstore.make_request("inference", round_id=2))
+        assert flstore.cluster.is_live(following)
+        assert flstore.clock.now() > now
 
 
 class TestHitCallbacks:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import setup_cache
 from repro.analysis.runner import map_tasks, prepare_setup, run_trace
+from repro.cloud.object_store import ObjectStore
 from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES, SimulationConfig
 from repro.scenario import (
     build_tier,
@@ -19,6 +21,7 @@ from repro.scenario import (
     get_scenario,
     list_scenarios,
     paper_experiment_config,
+    scenario_config,
 )
 from repro.scenario import build as scenario_build
 from repro.simulation.records import (
@@ -163,6 +166,41 @@ class TestScenarioSetUp:
         # Any other field is a different calibration, not a stale memo entry.
         slower = replace(paper, network=replace(paper.network, client_rtt_seconds=1.0))
         assert calibrate_mean_service_seconds(slower, mix, 3, 8) > first
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_calibration_is_the_mean_served_latency(self, name):
+        spec = get_scenario(name)
+        calibrated = calibrate(spec)
+        # The reference: serve calibration's own sample on a fresh setup and
+        # average what ``serve`` returns.
+        if spec.tenants:
+            mix = sorted({workload for tenant in spec.tenants for workload in tenant.workloads})
+            num_requests = sum(tenant.num_requests for tenant in spec.tenants)
+        else:
+            mix, num_requests = list(spec.workload.workloads), spec.workload.num_requests
+        setup_cache.clear()
+        config = scenario_config(spec)
+        setup = prepare_setup(config, num_rounds=spec.num_rounds, systems=("flstore",))
+        trace = setup.generator.mixed_trace(mix, min(num_requests, 256))
+        served = [setup.flstore.serve(request).latency.total_seconds for request in trace]
+        assert calibrated == float(np.mean(served))
+
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_a_cold_calibration_computes_nothing_and_writes_no_result(
+        self, name, compute_calls, monkeypatch
+    ):
+        writes = []
+        put = ObjectStore.put
+
+        def recording(self, key, value, size_bytes=None):
+            writes.append(key)
+            return put(self, key, value, size_bytes)
+
+        monkeypatch.setattr(ObjectStore, "put", recording)
+        calibrate(get_scenario(name))
+        assert setup_cache.stats.snapshot_misses == 1  # cold: it ingested the master
+        assert compute_calls[0] == 0
+        assert not [key for key in writes if isinstance(key, tuple) and key[0] == "result"]
 
     @pytest.mark.parametrize("name", list_scenarios())
     def test_a_cold_build_simulates_once_and_ingests_once(self, name):

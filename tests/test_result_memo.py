@@ -21,7 +21,7 @@ from repro.analysis.runner import prepare_setup
 from repro.config import SimulationConfig
 from repro.core.flstore import FLStore
 from repro.fl.keys import DataKey
-from repro.scenario import calibrate, get_scenario, list_scenarios, run, smoke_spec
+from repro.scenario import clear_calibration_cache, get_scenario, list_scenarios, run, smoke_spec
 from repro.workloads.base import Workload, WorkloadRequest, memoized_compute
 from repro.workloads.registry import get_workload, list_workloads
 
@@ -53,22 +53,6 @@ def _request(
         history_rounds=history_rounds,
         params=params,
     )
-
-
-def _count_compute_calls(monkeypatch) -> list[int]:
-    """Wrap every registered workload class's ``compute``; returns the live call counter."""
-    counter = [0]
-    # Patched on the classes: undoing a patch on an instance would leave a
-    # bound method behind that shadows later class-level wrappers.
-    for cls in {type(get_workload(name)) for name in list_workloads()}:
-        original = cls.compute
-
-        def counting(self, request, data, original=original):
-            counter[0] += 1
-            return original(self, request, data)
-
-        monkeypatch.setattr(cls, "compute", counting)
-    return counter
 
 
 class TestHitRule:
@@ -305,16 +289,17 @@ class TestScenarioResults:
 
 class TestMemoLifetime:
     @pytest.mark.parametrize("name", list_scenarios())
-    def test_repeated_runs_compute_alike(self, name, monkeypatch):
+    def test_repeated_runs_compute_alike(self, name, compute_calls):
         """A second run in a warm process recomputes everything its first run did."""
         spec = smoke_spec(get_scenario(name))
-        calibrate(spec)  # calibration is cached per process; keep it out of both counts
-        counter = _count_compute_calls(monkeypatch)
+        # The first run also calibrates, which executes no workload, so a
+        # cold calibration adds nothing to its count.
+        clear_calibration_cache()
         counts = []
         for _ in range(2):
-            counter[0] = 0
+            compute_calls[0] = 0
             run(spec)
-            counts.append(counter[0])
+            counts.append(compute_calls[0])
         assert counts[0] == counts[1] > 0
 
     def test_snapshot_stores_start_with_an_empty_memo(self):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,10 @@ import pytest
 
 import repro
 from repro.common.errors import WorkloadError
+from repro.common.rng import derive_rng
 from repro.fl.catalog import RoundCatalog
 from repro.fl.keys import DataKey
-from repro.fl.models import get_model_spec
+from repro.fl.models import ModelUpdate, get_model_spec
 from repro.workloads.base import PolicyClass, Workload, WorkloadRequest
 from repro.workloads.clustering import kmeans
 from repro.workloads.cosine_similarity import pairwise_cosine
@@ -55,6 +58,23 @@ def _data_for(workload, request, catalog, rounds_by_id):
         except KeyError:
             continue
     return data
+
+
+def _inference_before_the_rewrite(request, aggregate):
+    """Inference's result as computed with ``rng.normal`` and ``ndarray.mean``."""
+    batch_size = int(request.params.get("batch_size", 64))
+    rng = derive_rng(0, "inference-batch", request.request_id)
+    inputs = rng.normal(0.0, 1.0, size=(batch_size, aggregate.dim))
+    logits = inputs @ aggregate.weights
+    probabilities = 1.0 / (1.0 + np.exp(-logits))
+    predictions = (probabilities >= 0.5).astype(int)
+    return {
+        "round_id": request.round_id,
+        "batch_size": batch_size,
+        "positive_fraction": float(predictions.mean()),
+        "mean_confidence": float(np.abs(probabilities - 0.5).mean() * 2.0),
+        "predictions": predictions.tolist(),
+    }
 
 
 def _request(workload, round_id, client_id=None, **params):
@@ -183,6 +203,37 @@ class TestComputations:
         assert result["batch_size"] == 32
         assert len(result["predictions"]) == 32
         assert 0.0 <= result["positive_fraction"] <= 1.0
+
+    def test_inference_equals_its_formula_before_the_rewrite(self):
+        """``standard_normal`` and the wrapper-free means change no bit of a result."""
+        workload = get_workload("inference")
+        cases = np.random.default_rng(2024)
+        for case in range(2500):
+            dim = int(cases.integers(1, 97))
+            scale = float(cases.choice([0.0, 1e-3, 0.1, 1.0, 10.0, 1e3]))
+            round_id = int(cases.integers(0, 50))
+            aggregate = ModelUpdate(-1, round_id, "resnet18", cases.standard_normal(dim) * scale, 1)
+            params = {} if case % 5 == 0 else {"batch_size": int(cases.integers(1, 129))}
+            request_id = f"req-{int(cases.integers(0, 10**6)):06d}" if case % 2 else f"t{case}"
+            request = WorkloadRequest(request_id, "inference", round_id, params=params)
+            with np.errstate(over="ignore"):  # the largest scale saturates the sigmoid
+                result = workload.compute(request, {DataKey.aggregate(round_id): aggregate})
+                expected = _inference_before_the_rewrite(request, aggregate)
+            assert result == expected
+            assert [type(value) for value in result.values()] == [
+                type(value) for value in expected.values()
+            ]
+            assert pickle.dumps(result) == pickle.dumps(expected)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_inference_rejects_a_batch_below_one(self, catalog, rounds_by_id, batch_size):
+        workload = get_workload("inference")
+        request = _request("inference", 3, batch_size=batch_size)
+        data = _data_for(workload, request, catalog, rounds_by_id)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's empty-mean warning included
+            with pytest.raises(WorkloadError, match=f"request {request.request_id}: batch_size"):
+                workload.compute(request, data)
 
     def test_inference_batch_does_not_depend_on_the_hash_seed(self):
         """The batch is drawn from the request id, never from salted ``hash()``."""
