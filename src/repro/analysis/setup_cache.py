@@ -18,14 +18,16 @@ This module caches two products:
 * **ingested system snapshots** — the fully built-and-ingested systems dict,
   stored pristine (never served against) and handed out as structural
   snapshots, so each experiment starts from exactly the state a fresh
-  build-and-ingest would produce.  These are keyed on the whole config:
-  ingest spawns functions whose slot limit comes from
-  ``serverless.function_concurrency``.
+  build-and-ingest would produce.  These are keyed on the whole config,
+  which ingest reads (function memory, placement, network and pricing).
 
 A scenario tier calibrates on the same config its shards are built from
 (:func:`repro.scenario.build.calibrate`), so one cold ``build_tier`` makes
 exactly one rounds miss and one snapshot miss, and every shard is a
-snapshot of that one master.
+snapshot of that one master.  The serving tier's own settings (slots per
+function, queue discipline, admission, SLO) live on its front door, not in
+the config, and each shard applies them to its snapshot when it is built:
+a sweep over those settings alone builds one master for all its cells.
 
 Snapshots are taken with a pickle round-trip that copies every piece of
 mutable state (stores, indexes, policies, clocks, counters) but *shares* the

@@ -142,14 +142,16 @@ class PricingConfig:
                 raise ConfigurationError(f"pricing value {name} must be non-negative")
 
 
-#: Shedding policies of the admission controller (see ``ServerlessConfig``).
+#: Shedding policies of the serving tier's admission control (see
+#: :class:`repro.engine.sharded.ShardedEngineFLStore`).
 SHED_POLICIES: tuple[str, ...] = ("drop", "degrade-to-objstore")
 
-#: Disciplines of the per-function request queues (see ``ServerlessConfig``).
-#: ``fifo``/``priority`` order individual requests; ``wfq`` (weighted fair
-#: queueing, self-clocked virtual finish times) and ``drr`` (deficit round
-#: robin) schedule *flows* — per-tenant backlogs served in proportion to the
-#: tenant weights configured on the scenario spec.
+#: Disciplines of the serving tier's per-function request queues (see
+#: :class:`repro.engine.sharded.ShardedEngineFLStore`).  ``fifo``/``priority``
+#: order individual requests; ``wfq`` (weighted fair queueing, self-clocked
+#: virtual finish times) and ``drr`` (deficit round robin) schedule *flows* —
+#: per-tenant backlogs served in proportion to the tenant weights configured
+#: on the scenario spec.
 QUEUE_DISCIPLINES: tuple[str, ...] = ("fifo", "priority", "wfq", "drr")
 
 
@@ -175,24 +177,6 @@ class ServerlessConfig:
     failover_timeout_seconds: float = 2.0
     #: Maximum number of functions the platform will keep warm at once.
     max_warm_functions: int = 512
-    #: Concurrent executions one warm function admits before requests queue
-    #: (serverless providers run one request per instance; raise it to model
-    #: provisioned-concurrency pools behind a single logical function).
-    function_concurrency: int = 1
-    #: Discipline of the per-function request queue used by the discrete-event
-    #: engine: ``"fifo"``, ``"priority"`` (lower priority value served first),
-    #: ``"wfq"`` (weighted fair queueing across tenant flows), or ``"drr"``
-    #: (deficit round robin across tenant flows).
-    queue_discipline: str = "fifo"
-    #: Admission control: maximum number of requests allowed to wait for an
-    #: execution slot on one serving shard (and on any one function queue).
-    #: ``0`` means unbounded — every request is admitted, the PR-2 behaviour.
-    max_queue_depth: int = 0
-    #: What happens to a request that arrives while the queue is full:
-    #: ``"drop"`` rejects it outright, ``"degrade-to-objstore"`` serves it on
-    #: a slow bypass path (cold function + object-store fetches) that never
-    #: touches the serving tier's cache or queues.
-    shed_policy: str = "drop"
 
     def __post_init__(self) -> None:
         if self.default_function_memory_bytes > self.max_function_memory_bytes:
@@ -203,19 +187,6 @@ class ServerlessConfig:
             raise ConfigurationError("replication_factor must be >= 0")
         if self.max_warm_functions <= 0:
             raise ConfigurationError("max_warm_functions must be positive")
-        if self.function_concurrency <= 0:
-            raise ConfigurationError("function_concurrency must be positive")
-        if self.queue_discipline not in QUEUE_DISCIPLINES:
-            raise ConfigurationError(
-                f"queue_discipline must be one of {QUEUE_DISCIPLINES}, "
-                f"got {self.queue_discipline!r}"
-            )
-        if self.max_queue_depth < 0:
-            raise ConfigurationError("max_queue_depth must be >= 0 (0 means unbounded)")
-        if self.shed_policy not in SHED_POLICIES:
-            raise ConfigurationError(
-                f"shed_policy must be one of {SHED_POLICIES}, got {self.shed_policy!r}"
-            )
 
 
 @dataclass(frozen=True)

@@ -145,8 +145,10 @@ class ControlSignals:
     capacity_units: int
     #: Requests in flight at the front door (queued + executing + scheduled).
     inflight: int
-    #: SLO accounting deltas since the previous tick (0 unless the tier's
-    #: ``watch_slo_seconds`` — or per-tenant SLOs — arm violation counting).
+    #: SLO accounting deltas since the previous tick, from the shards'
+    #: per-flow tally (``flow_tally``): finishes, and those over their flow's
+    #: SLO (the tenant's own, or the tier's ``slo_seconds`` for untagged
+    #: requests; a flow without an SLO never violates).
     slo_violation_delta: int = 0
     finished_delta: int = 0
     #: Worst per-tenant violation rate over the last window (0.0 on
@@ -164,11 +166,11 @@ class ControlSampler:
 
     Both control loops — the :class:`Autoscaler` and the remediation
     controller (:mod:`repro.engine.remediate`) — read the front door the same
-    way.  Construction snapshots the tier's lifetime counters; each
-    :meth:`sample` call returns the signals whose deltas cover the interval
-    since the previous call (or since construction).  ``interval_seconds``
-    turns the arrival delta into a rate, and ``ewma_alpha`` smooths it into
-    ``arrival_rate_ewma``.
+    way.  Construction snapshots the tier's lifetime counters and per-flow
+    tally; each :meth:`sample` call returns the signals whose deltas cover
+    the interval since the previous call (or since construction).
+    ``interval_seconds`` turns the arrival delta into a rate, and
+    ``ewma_alpha`` smooths it into ``arrival_rate_ewma``.
     """
 
     def __init__(self, tier, interval_seconds: float, ewma_alpha: float = 0.4) -> None:
@@ -180,10 +182,7 @@ class ControlSampler:
         self._seen_shed = tier.shed_requests
         self._seen_degraded = tier.degraded_requests
         self._seen_requeued = tier.requeued_requests
-        self._seen_violations = tier.slo_violations_total
-        self._seen_finished = tier.finished_total
-        self._seen_tenant_finished = dict(tier.tenant_finished)
-        self._seen_tenant_violations = dict(tier.tenant_slo_violations)
+        self._seen_tally = tier.flow_tally()
 
     def sample(self) -> ControlSignals:
         """The signals of the interval since the previous sample."""
@@ -196,23 +195,21 @@ class ControlSampler:
         shed = tier.shed_requests
         degraded = tier.degraded_requests
         requeued = tier.requeued_requests
-        violations = tier.slo_violations_total
-        finished = tier.finished_total
-        # Per-tenant *window* rates (deltas over the interval): the worst
-        # tenant's rate drives the "slo" policy, so one noisy-neighbour
-        # victim is enough to trigger a scale-up even when the aggregate
-        # rate looks healthy.
-        tenant_finished = dict(tier.tenant_finished)
-        tenant_violations = tier.tenant_slo_violations
+        # Per-flow *window* deltas: their sums are the aggregate signals, and
+        # the worst tenant's rate drives the "slo" policy, so one
+        # noisy-neighbour victim is enough to trigger a scale-up even when
+        # the aggregate rate looks healthy.
+        tally = tier.flow_tally()
+        finished_delta = violation_delta = 0
         max_tenant_rate = 0.0
-        for tenant, total_finished in tenant_finished.items():
-            finished_delta = total_finished - self._seen_tenant_finished.get(tenant, 0)
-            if finished_delta <= 0:
-                continue
-            violation_delta = tenant_violations.get(
-                tenant, 0
-            ) - self._seen_tenant_violations.get(tenant, 0)
-            max_tenant_rate = max(max_tenant_rate, violation_delta / finished_delta)
+        for flow, (finished, violations) in tally.items():
+            seen_finished, seen_violations = self._seen_tally.get(flow, (0, 0))
+            flow_finished = finished - seen_finished
+            flow_violations = violations - seen_violations
+            finished_delta += flow_finished
+            violation_delta += flow_violations
+            if flow is not None and flow_finished > 0:
+                max_tenant_rate = max(max_tenant_rate, flow_violations / flow_finished)
         signals = ControlSignals(
             now=tier.loop.now,
             queue_depth=tier.waiting_requests,
@@ -225,14 +222,12 @@ class ControlSampler:
             slots_per_function=tier.slots_per_function,
             capacity_units=tier.capacity_units,
             inflight=tier.inflight,
-            slo_violation_delta=violations - self._seen_violations,
-            finished_delta=finished - self._seen_finished,
+            slo_violation_delta=violation_delta,
+            finished_delta=finished_delta,
             max_tenant_violation_rate=max_tenant_rate,
         )
         self._seen_shed, self._seen_degraded, self._seen_requeued = shed, degraded, requeued
-        self._seen_violations, self._seen_finished = violations, finished
-        self._seen_tenant_finished = tenant_finished
-        self._seen_tenant_violations = dict(tenant_violations)
+        self._seen_tally = tally
         return signals
 
 

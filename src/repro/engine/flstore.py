@@ -10,9 +10,10 @@ are); the shard adds what the analytic path cannot express:
 
 * requests arrive at virtual times (open-loop load from
   :mod:`repro.traces.arrivals`) instead of back to back,
-* each execution function admits ``config.serverless.function_concurrency``
-  concurrent requests; excess requests wait in the function's FIFO/priority
-  queue (:class:`repro.serverless.function.RequestQueue`), so *sojourn time*
+* each execution function admits the front door's ``slots_per_function``
+  concurrent requests; excess requests wait in the function's queue, ordered
+  by the front door's ``queue_discipline``
+  (:class:`repro.serverless.function.RequestQueue`), so *sojourn time*
   (queue wait + service) degrades under load,
 * keep-alive pings fire as *scheduled events* on the event heap instead of
   eager per-request callbacks; provider reclamations arrive the same way, as
@@ -211,7 +212,10 @@ class LoadReport:
     shed: int = 0
     shed_rate: float = 0.0
     #: Fraction of completed (non-shed) requests whose sojourn exceeded the
-    #: SLO (0.0 when no SLO was set for the run).
+    #: run's aggregate SLO (0.0 when no SLO was set for the run).  It counts
+    #: every finished request, tenant-tagged ones included, against that one
+    #: SLO; the tenant rows and the control loops measure each tenant against
+    #: its own.
     violation_rate: float = 0.0
     slo_seconds: float | None = None
     #: Per-tenant breakdown rows (empty on single-tenant runs).  Each row
@@ -379,15 +383,16 @@ class EngineFLStore:
     """One engine-backed shard of the serving tier, driven by the front door.
 
     The routing front door (:class:`repro.engine.sharded.ShardedEngineFLStore`)
-    schedules arrivals, retains the outcome rows, and owns the tier-level
-    counters; the shard serves what is routed to it.  Admission control
-    reads ``config.serverless``: at most ``max_queue_depth`` requests wait
+    schedules arrivals, retains the outcome rows, and owns every tier
+    setting; the shard serves what is routed to it, and on construction
+    sets its platform's slots and waiter queues from the front door.
+    Admission control: at most the tier's ``max_queue_depth`` requests wait
     for a slot on this shard (``0`` means unbounded), and arrivals beyond
     that are shed per the tier's ``shed_policy`` (``"drop"`` or
     ``"degrade-to-objstore"``), which the front door may switch online.
-    The tenant weights and SLOs that drive queue disciplines and push-out
-    admission are the tier's too; only the push-out ranking's counters
-    (:attr:`tenant_finished`, :attr:`tenant_slo_violations`) are per shard.
+    The shard keeps the one tally of finished requests (:meth:`_record`),
+    whose rates rank push-out victims and which the control loops read
+    summed over the tier.
 
     Parameters
     ----------
@@ -399,8 +404,7 @@ class EngineFLStore:
         The front door.  The shard runs on its event loop, reports each
         ``+1`` / ``-1`` change of this shard's waiting count to its
         ``note_queue_change`` (summed into the tier-wide queue depth), and
-        reads its ``shed_policy``, ``tenant_weights`` and
-        ``tenant_slo_seconds``.
+        reads its settings and tenant policy.
     """
 
     def __init__(self, flstore: FLStore, tier: ShardedEngineFLStore) -> None:
@@ -408,7 +412,9 @@ class EngineFLStore:
         self.tier = tier
         self.loop = tier.loop
         self.platform = flstore.platform
-        self.max_queue_depth = flstore.config.serverless.max_queue_depth
+        self.platform.queue_discipline = tier.queue_discipline
+        self.platform.max_queue_depth = tier.max_queue_depth
+        self.platform.set_function_concurrency(tier.slots_per_function)
         self.keepalive_pings = 0
         self.reclamations = 0
         self.shed_requests = 0
@@ -426,11 +432,10 @@ class EngineFLStore:
         self.network_fault_multiplier = 1.0
         self._outstanding = 0
         self._waiting = 0
-        #: Lifetime finished/violation counts per tenant on this shard; with
-        #: the tier's SLOs they rank push-out victims (empty on single-tenant
-        #: tiers, which keeps every untagged code path byte-identical).
-        self.tenant_finished: dict[str, int] = {}
-        self.tenant_slo_violations: dict[str, int] = {}
+        #: Lifetime finished (non-shed) requests per flow on this shard, and
+        #: those whose sojourn exceeded the flow's SLO (see :meth:`_record`).
+        self.finished: dict[str | None, int] = {}
+        self.violations: dict[str | None, int] = {}
         self._tenant_waiting: dict[str, int] = {}
         # One keep-alive daemon at a time: a shard retired and re-activated
         # within one interval would otherwise end up with two concurrent
@@ -456,13 +461,13 @@ class EngineFLStore:
     # ---------------------------------------------------------------- tenancy
 
     def tenant_violation_rate(self, tenant: str | None) -> float:
-        """Lifetime SLO-violation rate of ``tenant`` (0.0 before any finish)."""
+        """Lifetime SLO-violation rate of ``tenant`` (0.0 before any finish, and for ``None``)."""
         if tenant is None:
             return 0.0
-        finished = self.tenant_finished.get(tenant, 0)
+        finished = self.finished.get(tenant, 0)
         if not finished:
             return 0.0
-        return self.tenant_slo_violations.get(tenant, 0) / finished
+        return self.violations.get(tenant, 0) / finished
 
     def _pushout_victim(
         self, arriving: str | None, queued: Mapping[str, int]
@@ -526,11 +531,8 @@ class EngineFLStore:
         resolves ``task`` before this call returns.
         """
         self._outstanding += 1
-        if (
-            self.max_queue_depth > 0
-            and self._waiting >= self.max_queue_depth
-            and not self._try_pushout(request)
-        ):
+        bound = self.tier.max_queue_depth
+        if bound > 0 and self._waiting >= bound and not self._try_pushout(request):
             process = self._shed_process(request, self.loop.now)
         else:
             process = self._request_process(request, priority)
@@ -650,14 +652,20 @@ class EngineFLStore:
         return outcome
 
     def _record(self, outcome: EngineOutcome) -> None:
-        """Count a finished tenant request toward this shard's push-out ranking."""
-        tenant = outcome.request.tenant_id
-        if tenant is None or outcome.disposition == "shed":
+        """Tally a finished (non-shed) request once, per flow, against the flow's SLO.
+
+        The flow is the tenant id, whose SLO is its own (a tenant without one
+        never violates), or ``None`` for an untagged request, measured
+        against the front door's ``slo_seconds``.
+        """
+        if outcome.disposition == "shed":
             return
-        self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
-        slo = self.tier.tenant_slo_seconds.get(tenant)
+        flow = outcome.request.tenant_id
+        self.finished[flow] = self.finished.get(flow, 0) + 1
+        tier = self.tier
+        slo = tier.slo_seconds if flow is None else tier.tenant_slo_seconds.get(flow)
         if slo is not None and outcome.sojourn_seconds > slo:
-            self.tenant_slo_violations[tenant] = self.tenant_slo_violations.get(tenant, 0) + 1
+            self.violations[flow] = self.violations.get(flow, 0) + 1
 
     def _note_queue_change(self, delta: int) -> None:
         self._waiting += delta

@@ -10,9 +10,11 @@ detect → propose → verify → actuate loop (the k8s-auto-fix shape):
 1. **Detect.**  Each tick compares the sampled signals against EWMA
    baselines learned from the run's own healthy ticks: queue depth and
    SLO-violation-rate anomalies (relative to baseline, with absolute
-   floors), plus two *structural* signals no healthy run produces —
-   capacity below the spec's nominal (a crashed shard, demoted slots) and
-   bursts of force-drained waiters (``requeued`` deltas, the
+   floors; the violation rate comes from the shards' per-flow tally, and
+   only a tier with an SLO of its own arms that detector), plus two
+   *structural* signals no healthy run produces — capacity below the
+   spec's nominal (a crashed shard, demoted slots) and bursts of
+   force-drained waiters (``requeued`` deltas, the
    conservation-pressure signature of reclamation storms and crashes).
 2. **Propose.**  Anomalies map to a ranked action list: re-add the lost
    shard, promote per-function slots back to nominal, reroute arrivals via
@@ -208,10 +210,8 @@ class RemediationController:
     tier:
         The :class:`~repro.engine.sharded.ShardedEngineFLStore` to guard.
     config:
-        Control-loop tunables.
-    slo_seconds:
-        The sojourn SLO backing the violation-rate signal (``None`` disables
-        that detector).
+        Control-loop tunables.  The violation-rate detector reads the tier's
+        own SLO (its ``slo_seconds``; ``None`` disables that detector).
     nominal_shards / nominal_slots:
         The spec's intended capacity.  Detection flags capacity below it;
         actuation never raises capacity above it (equal warm-capacity cost
@@ -228,14 +228,12 @@ class RemediationController:
         self,
         tier,
         config: RemediationConfig | None = None,
-        slo_seconds: float | None = None,
         nominal_shards: int | None = None,
         nominal_slots: int | None = None,
         shadow_runner=None,
     ) -> None:
         self.tier = tier
         self.config = config or RemediationConfig()
-        self.slo_seconds = slo_seconds
         self.nominal_shards = nominal_shards if nominal_shards is not None else tier.num_shards
         self.nominal_slots = (
             nominal_slots if nominal_slots is not None else tier.slots_per_function
@@ -258,17 +256,8 @@ class RemediationController:
         """Begin the control loop (called by ``run_open_loop`` after submit)."""
         if self._sampler is not None:
             raise RuntimeError("a RemediationController instance drives exactly one run")
-        # Arm the tier's lifetime SLO-violation counter before the sampler
-        # snapshots it: every control tick then reads a per-window violation
-        # rate as two O(1) counter deltas instead of slicing the (unboundedly
-        # growing) completed-outcome list.
-        if self.slo_seconds is not None:
-            self.tier.watch_slo_seconds = self.slo_seconds
         self._sampler = ControlSampler(self.tier, self.config.control_interval_seconds)
         self.tier.loop.schedule(self.config.control_interval_seconds, self._tick)
-
-    def finalize(self) -> None:
-        """End-of-run hook (symmetry with the autoscaler driver)."""
 
     # ------------------------------------------------------- the control tick
 
@@ -300,8 +289,8 @@ class RemediationController:
             self.tier.loop.schedule(self.config.control_interval_seconds, self._tick)
 
     def _violation_rate(self, signals: ControlSignals) -> float:
-        """The window violation rate, when an SLO arms that detector."""
-        return signals.violation_rate if self.slo_seconds is not None else 0.0
+        """The window violation rate, when the tier's SLO arms that detector."""
+        return signals.violation_rate if self.tier.slo_seconds is not None else 0.0
 
     # -------------------------------------------------------------- detection
 

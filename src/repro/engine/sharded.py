@@ -12,9 +12,9 @@ queue-depth profile summed from the shards' ``+1``/``-1`` queue reports, and
 cache-liveness accounting (cached bytes, live keys, warm functions) summed
 over the tier.
 
-Each shard keeps its own admission controller
-(``ServerlessConfig.max_queue_depth``, shedding per the tier's
-``shed_policy``), so overload on a hot shard sheds or degrades only that
+The front door owns every tier setting (slots, queue discipline,
+admission, SLO, tenant policy).  Each shard applies the admission bound to
+its own waiters, so overload on a hot shard sheds or degrades only that
 shard's arrivals while cold shards keep serving — the scaling behaviour a
 ``tier.shards`` sweep of the ``sharded-burst`` scenario measures.
 
@@ -48,7 +48,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.cloud.payload import payload_size_bytes
 from repro.common.errors import ConfigurationError
-from repro.config import SHED_POLICIES
+from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES
 from repro.core.flstore import FLStore, ServeResult, build_default_flstore
 from repro.core.serverless_cache import PLACEMENT_ERRORS
 from repro.engine.flstore import (
@@ -109,6 +109,29 @@ class ShardedEngineFLStore:
         after ``hot_threshold`` observed arrivals.  Replication also warms
         shard joins: :meth:`add_shard` seeds the joining shard from live
         replicas instead of replaying the round log into its cache cold.
+    function_concurrency:
+        Execution slots per function (warm instances behind each logical
+        function) on every shard; the autoscaler re-scales them online
+        (:meth:`set_function_concurrency`).
+    queue_discipline:
+        Order of every function's waiter queue: ``"fifo"``, ``"priority"``
+        (lower priority value served first), ``"wfq"`` (weighted fair
+        queueing across tenant flows) or ``"drr"`` (deficit round robin
+        across tenant flows).
+    max_queue_depth:
+        Admission control: the most requests allowed to wait for a slot on
+        one shard (and on any one function queue).  ``0`` means unbounded:
+        every request is admitted.
+    shed_policy:
+        What happens to an arrival refused admission: ``"drop"`` rejects it
+        outright, ``"degrade-to-objstore"`` serves it on a slow bypass path
+        (cold function + object-store fetches) that never touches the
+        tier's cache or queues.  Remediation may switch it online
+        (:meth:`set_shed_policy`).
+    slo_seconds:
+        The run's sojourn SLO (``None``: no SLO).  The reports measure
+        ``violation_rate`` against it, and untagged requests are tallied
+        against it; tenants use their own (:meth:`configure_tenants`).
     """
 
     system_name = "sharded-engine-flstore"
@@ -123,10 +146,31 @@ class ShardedEngineFLStore:
         replication_factor: int = 1,
         replication_policy: str = "none",
         hot_threshold: int = 8,
+        function_concurrency: int = 1,
+        queue_discipline: str = "fifo",
+        max_queue_depth: int = 0,
+        shed_policy: str = "drop",
+        slo_seconds: float | None = None,
     ) -> None:
         flstores = list(flstores)
         if not flstores:
             raise ValueError("a sharded tier needs at least one shard")
+        if function_concurrency <= 0:
+            raise ConfigurationError("function_concurrency must be positive")
+        if queue_discipline not in QUEUE_DISCIPLINES:
+            raise ConfigurationError(
+                f"queue_discipline must be one of {QUEUE_DISCIPLINES}, "
+                f"got {queue_discipline!r}"
+            )
+        if max_queue_depth < 0:
+            raise ConfigurationError("max_queue_depth must be >= 0 (0 means unbounded)")
+        self.set_shed_policy(shed_policy)
+        self.queue_discipline = queue_discipline
+        self.max_queue_depth = int(max_queue_depth)
+        self.slo_seconds = slo_seconds
+        #: Per-function slots currently provisioned across the tier (the
+        #: within-shard warm-capacity lever; see ``set_function_concurrency``).
+        self.slots_per_function = int(function_concurrency)
         self.loop = loop or EventLoop()
         self.router = router or make_router("consistent-hash", len(flstores))
         if self.router.num_shards != len(flstores):
@@ -162,9 +206,10 @@ class ShardedEngineFLStore:
         self.replica_warm_events = 0
         #: Hot-key arrivals served by a non-primary replica holder.
         self.replica_hits = 0
-        #: The shedding policy every shard applies (``config.serverless``
-        #: until :meth:`set_shed_policy` switches it online).
-        self.shed_policy = flstores[0].config.serverless.shed_policy
+        #: Tenant policy (:meth:`configure_tenants`), read by every shard's
+        #: queue disciplines, push-out admission and tally.
+        self.tenant_weights: dict[str, float] = {}
+        self.tenant_slo_seconds: dict[str, float] = {}
         #: Requests waiting for a slot tier-wide — the running sum of the
         #: shards' queue reports — and the current run's profile of it.
         self._queue_depth = 0
@@ -183,9 +228,6 @@ class ShardedEngineFLStore:
         #: Requests whose arrival (routing) event has fired — the
         #: autoscaler's arrival-rate control signal.
         self.arrived_requests = 0
-        #: Per-function slots currently provisioned across the tier (the
-        #: within-shard warm-capacity lever; see ``set_function_concurrency``).
-        self.slots_per_function = self.config.serverless.function_concurrency
         #: Rounds ingested through the front door (or passed as
         #: ``warm_rounds``); replayed into shards added later.
         self._round_log: list = list(warm_rounds) if warm_rounds is not None else []
@@ -201,20 +243,6 @@ class ShardedEngineFLStore:
         #: Where resolved outcomes go: the retained rows, or a streaming
         #: run's collector.
         self._outcome_sink: Callable[[EngineOutcome], None] = self._completed.append
-        #: Tier-lifetime outcome counters: the control loops read per-window
-        #: deltas off these (``watch_slo_seconds`` arms the violation
-        #: counter) instead of re-scanning ``_completed`` every control tick,
-        #: and the streaming metrics mode depends on them because it retains
-        #: no rows at all.
-        self.finished_total = 0
-        self.slo_violations_total = 0
-        self.watch_slo_seconds: float | None = None
-        #: Tenant policy (:meth:`configure_tenants`), read by every shard's
-        #: queue disciplines and push-out admission.
-        self.tenant_weights: dict[str, float] = {}
-        self.tenant_slo_seconds: dict[str, float] = {}
-        self.tenant_finished: dict[str, int] = {}
-        self.tenant_slo_violations: dict[str, int] = {}
 
     @classmethod
     def build(
@@ -303,9 +331,9 @@ class ShardedEngineFLStore:
         ``weights`` drive the ``wfq``/``drr`` queue disciplines and the
         push-out victim ranking; ``slo_seconds`` gives each tenant its own
         sojourn SLO (``None`` entries disable violation accounting for that
-        tenant).  Every shard reads both from the tier, so shards re-activated
-        or added later apply them too.  An empty ``weights`` mapping disarms
-        tenancy.
+        tenant, in the shards' tally and the report).  Every shard reads both
+        from the tier, so shards re-activated or added later apply them too.
+        An empty ``weights`` mapping disarms tenancy.
         """
         self.tenant_weights = dict(weights)
         self.tenant_slo_seconds = {
@@ -342,22 +370,7 @@ class ShardedEngineFLStore:
         self.shards[shard_index].admit(request, task, priority)
 
     def _collect(self, outcome: EngineOutcome) -> None:
-        """Aggregate one resolved outcome (fires in global completion order)."""
-        if outcome.disposition != "shed":
-            self.finished_total += 1
-            watch = self.watch_slo_seconds
-            tenant = outcome.request.tenant_id
-            if tenant is None:
-                if watch is not None and outcome.sojourn_seconds > watch:
-                    self.slo_violations_total += 1
-            else:
-                self.tenant_finished[tenant] = self.tenant_finished.get(tenant, 0) + 1
-                slo = self.tenant_slo_seconds.get(tenant, watch)
-                if slo is not None and outcome.sojourn_seconds > slo:
-                    self.slo_violations_total += 1
-                    self.tenant_slo_violations[tenant] = (
-                        self.tenant_slo_violations.get(tenant, 0) + 1
-                    )
+        """Hand one resolved outcome to the run's sink (global completion order)."""
         self._outcome_sink(outcome)
         self._inflight -= 1
 
@@ -365,6 +378,22 @@ class ShardedEngineFLStore:
     def inflight(self) -> int:
         """Requests submitted to the front door but not yet resolved."""
         return self._inflight
+
+    def flow_tally(self) -> dict[str | None, tuple[int, int]]:
+        """Lifetime ``(finished, SLO violations)`` per flow, over every shard.
+
+        Sums each shard's tally (:meth:`EngineFLStore._record`) over every
+        shard ever built, retired ones included, keyed by tenant id (``None``
+        for untagged requests).  The control loops read per-window deltas
+        off it (:class:`~repro.engine.autoscale.ControlSampler`).
+        """
+        tally: dict[str | None, tuple[int, int]] = {}
+        for shard in self.shards:
+            violations = shard.violations
+            for flow, finished in shard.finished.items():
+                done, violated = tally.get(flow, (0, 0))
+                tally[flow] = (done + finished, violated + violations.get(flow, 0))
+        return tally
 
     # -------------------------------------------------- hot-key replication
 
@@ -565,6 +594,9 @@ class ShardedEngineFLStore:
             self._ingested_counts[index] = len(self._round_log)
             if missed and not warm_join:
                 self._cold_join(shard.flstore)
+            # A fresh shard takes the tier's slots when it is built; this one
+            # may have missed a re-scale while it was retired.
+            shard.set_function_concurrency(self.slots_per_function)
         else:
             if self._shard_factory is None:
                 raise RuntimeError(
@@ -583,9 +615,6 @@ class ShardedEngineFLStore:
             self.shards.append(shard)
             self.routed_counts.append(0)
             self._ingested_counts.append(len(self._round_log))
-        # Keep the provisioned per-function slots in lockstep with the tier:
-        # they may have been re-scaled while this shard was retired.
-        shard.set_function_concurrency(self.slots_per_function)
         self._active.append(index)
         self.router = self.router.resized(len(self._active))
         self._bind_router()
@@ -688,7 +717,6 @@ class ShardedEngineFLStore:
         priorities: Sequence[float] | None = None,
         label: str = "open-loop",
         keepalive: bool = False,
-        slo_seconds: float | None = None,
         autoscaler=None,
         fault_plan=None,
         remediation=None,
@@ -701,8 +729,8 @@ class ShardedEngineFLStore:
         run (the loop's current virtual time), so repeated runs on one tier
         compose; overlapping requests contend for execution slots and queue
         per function.  With ``keepalive`` the keep-alive daemons run as
-        recurring events.  ``slo_seconds`` (optional) sets the sojourn-time
-        SLO the report's ``violation_rate`` is measured against.  Per-run
+        recurring events.  The report's ``violation_rate`` is measured
+        against the front door's ``slo_seconds``.  Per-run
         counters (keep-alive pings, reclamations, shed accounting) are
         reported per run, not tier-lifetime, and the report aggregates
         outcomes in global completion order with one tier-wide queue-depth
@@ -740,7 +768,7 @@ class ShardedEngineFLStore:
         collector: StreamingLoadCollector | None = None
         if metrics == "streaming":
             collector = StreamingLoadCollector(
-                slo_seconds, tenant_slos=self.tenant_slo_seconds or None
+                self.slo_seconds, tenant_slos=self.tenant_slo_seconds or None
             )
             self._outcome_sink = collector.fold
             self._note_depth = collector.note_depth
@@ -764,8 +792,6 @@ class ShardedEngineFLStore:
         self.loop.run()
         if autoscaler is not None:
             autoscaler.finalize()
-        if remediation is not None:
-            remediation.finalize()
         self._keepalive_active = False
         if collector is not None:
             return collector.build_report(
@@ -783,7 +809,7 @@ class ShardedEngineFLStore:
             depth,
             keepalive_pings=self.keepalive_pings - pings_before,
             reclamations=self.reclamations - reclamations_before,
-            slo_seconds=slo_seconds,
+            slo_seconds=self.slo_seconds,
             tenant_slos=self.tenant_slo_seconds or None,
         )
 
@@ -816,8 +842,11 @@ class ShardedEngineFLStore:
 
     @property
     def waiting_requests(self) -> int:
-        """Requests queued for an execution slot across the active shards."""
-        return sum(self.shards[index].waiting for index in self._active)
+        """Requests queued for an execution slot across the tier.
+
+        The running sum the depth profile folds; retired shards hold none.
+        """
+        return self._queue_depth
 
     @property
     def cached_bytes(self) -> int:

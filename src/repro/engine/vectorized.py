@@ -428,14 +428,15 @@ def _serve_stream(
     )
 
 
-def run_fast_path(store, spec, arrival_process, slo_seconds, label):
+def run_fast_path(store, spec, arrival_process, label):
     """Serve ``spec``'s mix on the fast path; return a streaming ``LoadReport``.
 
     ``store`` is the built (fully ingested) one-shard
     :class:`~repro.engine.sharded.ShardedEngineFLStore`; the caller has
     already checked :func:`fast_path_eligible`.  The report has the
     streaming pipeline's shape: ``outcomes`` empty, percentiles sketched,
-    every other column closed-form.
+    every other column closed-form, and ``violation_rate`` measured against
+    the front door's ``slo_seconds``.
     """
     shard = store.shards[0]
     workload_names = list(spec.workload.workloads)
@@ -460,8 +461,8 @@ def run_fast_path(store, spec, arrival_process, slo_seconds, label):
         _class_stream(spec.seed, lookup, num_requests),
         service_by_class,
         function_by_class,
-        [[-inf] * spec.tier.function_concurrency for _ in functions],
-        StreamingLoadCollector(slo_seconds),
+        [[-inf] * store.slots_per_function for _ in functions],
+        StreamingLoadCollector(store.slo_seconds),
         label=label,
         source=arrival_process,
     )

@@ -26,7 +26,7 @@ from typing import Any, Mapping, get_args, get_origin
 import numpy as np
 
 from repro.analysis.runner import prepare_setup
-from repro.config import ServerlessConfig, SimulationConfig
+from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine.autoscale import (
     AutoscaleConfig,
@@ -59,38 +59,21 @@ def paper_experiment_config(model_name: str, seed: int = 7) -> SimulationConfig:
     return SimulationConfig.paper(model_name=model_name, seed=seed).with_job(reduced_dim=64)
 
 
-def base_config(spec: ScenarioSpec) -> SimulationConfig:
-    """The paper-evaluation config of the spec, before tier knobs."""
-    return paper_experiment_config(spec.model, seed=spec.seed)
-
-
-#: The :class:`~repro.config.ServerlessConfig` fields a spec's tier sets
-#: (:func:`scenario_config`).  They shape spawned functions' slot limits,
-#: request queues and admission, which only the engine uses: closed-loop
-#: ``FLStore.serve`` reads none of them.
-TIER_KNOBS: tuple[str, ...] = (
-    "max_queue_depth",
-    "shed_policy",
-    "function_concurrency",
-    "queue_discipline",
-)
-
-
 def scenario_config(spec: ScenarioSpec) -> SimulationConfig:
-    """The full simulation config: base config plus the spec's tier knobs."""
-    return base_config(spec).with_serverless(
-        max_queue_depth=spec.tier.admission.max_queue_depth,
-        shed_policy=spec.tier.admission.shed_policy,
-        function_concurrency=spec.tier.function_concurrency,
-        queue_discipline=spec.tier.queue_discipline,
-    )
+    """The simulation config of the spec: the paper's, for its model and seed.
+
+    The tier's own settings (slots, queue discipline, admission, SLO) are
+    not part of it: :func:`build_tier` hands them to the front door, so
+    specs that differ only in those share one calibration and one setup
+    master.
+    """
+    return paper_experiment_config(spec.model, seed=spec.seed)
 
 
 # Calibration memo: E[S] is a pure function of its key, and one sweep (or
 # one CI smoke over many specs sharing a mix) asks for the same value
 # repeatedly.
 _calibration_cache: dict[tuple, float] = {}
-_DEFAULT_TIER_KNOBS = {name: getattr(ServerlessConfig(), name) for name in TIER_KNOBS}
 
 
 def clear_calibration_cache() -> None:
@@ -125,21 +108,18 @@ def calibrate_mean_service_seconds(
     :func:`calibrate` passes the config the tier is built from, so the store
     served here comes from the same setup-cache entries as the tier's
     shards: one cold :func:`build_tier` simulates the FL job once and
-    ingests once, and every shard is a snapshot of that one master.  The
-    tier knobs (:data:`TIER_KNOBS`) cannot change a closed-loop service
-    time, so the memo ignores them and specs that differ only in those
-    share one calibration.
+    ingests once, and every shard is a snapshot of that one master.
 
-    The closed-loop sample is capped at 256 requests: the mix cycles its
-    signature classes within far fewer requests than that, so a longer
-    sample only re-averages the same steady-state latencies — and a
-    million-request spec must not pay a million-request calibration.  (Every
-    pre-cap caller asked for <= 160, so capped and uncapped calibrations are
-    identical where both exist.)
+    The closed-loop sample is capped at 256 requests, so a million-request
+    spec does not pay a million-request calibration.  The cap costs
+    accuracy, because 256 requests are a noisy sample of the mix's
+    latencies: for ``engine-baseline`` at seeds 1-8, ``calibrate()`` reads
+    6.60-12.01 s, while requests 1024-4096 of a 4096-request sample average
+    9.00-9.57 s.  (Every pre-cap caller asked for <= 160, so capped and
+    uncapped calibrations are identical where both exist.)
     """
     num_requests = min(num_requests, 256)
-    untiered = config.with_serverless(**_DEFAULT_TIER_KNOBS)
-    key = (repr(untiered), tuple(workloads), num_rounds, num_requests)
+    key = (repr(config), tuple(workloads), num_rounds, num_requests)
     if key in _calibration_cache:
         return _calibration_cache[key]
     setup = prepare_setup(config, num_rounds=num_rounds, systems=("flstore",))
@@ -214,12 +194,15 @@ def build_tier(spec: ScenarioSpec) -> Tier:
     factory.  Resizability alone changes no behavior — an untouched
     resizable tier runs byte-identical to a fixed one.
 
-    Calibration (:func:`calibrate`) and the shards ask the setup cache for
-    the same config, so a cold build simulates the FL job once and builds,
-    ingests and pickles one master (one rounds miss and one snapshot miss
-    in ``setup_cache.stats``); each shard is a snapshot of that master.
-    Calibration reads only modeled latencies, so a cold build executes no
-    workload and writes no result: serving starts with :func:`run`.
+    The tier's settings (slots, queue discipline, admission, the run's SLO)
+    go to the front door here, not into the config.  So calibration
+    (:func:`calibrate`), the shards and every spec differing only in those
+    settings ask the setup cache for the same config: a cold build
+    simulates the FL job once and builds, ingests and pickles one master
+    (one rounds miss and one snapshot miss in ``setup_cache.stats``); each
+    shard is a snapshot of that master.  Calibration reads only modeled
+    latencies, so a cold build executes no workload and writes no result:
+    serving starts with :func:`run`.
     """
     config = scenario_config(spec)
     mean_service = calibrate(spec)
@@ -237,6 +220,11 @@ def build_tier(spec: ScenarioSpec) -> Tier:
         replication_factor=spec.tier.replication.factor,
         replication_policy=spec.tier.replication.policy,
         hot_threshold=spec.tier.replication.hot_threshold,
+        function_concurrency=spec.tier.function_concurrency,
+        queue_discipline=spec.tier.queue_discipline,
+        max_queue_depth=spec.tier.admission.max_queue_depth,
+        shed_policy=spec.tier.admission.shed_policy,
+        slo_seconds=spec.slo_multiplier * mean_service if spec.slo_multiplier else None,
     )
     autoscaler = None
     if spec.tier.autoscaler.enabled:
@@ -256,13 +244,6 @@ def build_tier(spec: ScenarioSpec) -> Tier:
                 for tenant in spec.tenants
             },
         )
-    if autoscaler is not None and spec.tier.autoscaler.policy == "slo":
-        # The SLO policy acts on violation deltas; arm tier-lifetime
-        # violation counting against the spec's SLO (per-tenant SLOs, when
-        # configured above, take precedence per tenant).
-        store.watch_slo_seconds = (
-            spec.slo_multiplier * mean_service if spec.slo_multiplier else None
-        )
     fault_plan = FaultPlan(store, spec.faults, seed=spec.seed) if spec.faults else None
     remediation = None
     if spec.remediation.enabled:
@@ -273,7 +254,6 @@ def build_tier(spec: ScenarioSpec) -> Tier:
                 cooldown_seconds=spec.remediation.cooldown_seconds,
                 max_actions=spec.remediation.max_actions,
             ),
-            slo_seconds=spec.slo_multiplier * mean_service if spec.slo_multiplier else None,
             nominal_shards=spec.tier.shards,
             nominal_slots=spec.tier.function_concurrency,
             shadow_runner=make_shadow_runner(spec, mean_service),
@@ -615,7 +595,6 @@ def run(spec: ScenarioSpec) -> RunReport:
     """
     tier = build_tier(spec)
     mean_service = tier.mean_service_seconds
-    slo_seconds = spec.slo_multiplier * mean_service if spec.slo_multiplier else None
     if spec.tenants:
         trace, arrivals, priorities, rate = _merge_tenant_traces(spec, tier, mean_service)
     elif spec.arrival.rate_rps is not None:
@@ -627,9 +606,7 @@ def run(spec: ScenarioSpec) -> RunReport:
         # loop — this is what makes million-request specs single-digit
         # seconds (see repro.engine.vectorized for what it approximates).
         arrival_process = make_arrival_process(spec.arrival.kind, rate, seed=spec.seed)
-        report = run_fast_path(
-            tier.store, spec, arrival_process, slo_seconds, label=spec.arrival.kind
-        )
+        report = run_fast_path(tier.store, spec, arrival_process, label=spec.arrival.kind)
     else:
         if not spec.tenants:
             arrival_process = make_arrival_process(spec.arrival.kind, rate, seed=spec.seed)
@@ -648,7 +625,6 @@ def run(spec: ScenarioSpec) -> RunReport:
             priorities=priorities,
             label=label,
             keepalive=True,
-            slo_seconds=slo_seconds,
             autoscaler=tier.autoscaler,
             fault_plan=tier.fault_plan,
             remediation=tier.remediation,
@@ -697,7 +673,7 @@ def run(spec: ScenarioSpec) -> RunReport:
         spec=spec,
         load=report,
         mean_service_seconds=mean_service,
-        slo_seconds=slo_seconds,
+        slo_seconds=store.slo_seconds,
         offered_rate_rps=rate,
         conserved=True,
         cached_bytes=store.cached_bytes,

@@ -79,11 +79,16 @@ class ServerlessPlatform:
         #: Per-function queues of requests waiting for an execution slot
         #: (populated by the discrete-event engine; empty on the analytic path).
         self._queues: dict[str, RequestQueue] = {}
-        #: Concurrency limit applied to newly spawned functions.  Starts at
-        #: the config value; the autoscaler re-scales it at runtime (see
-        #: :meth:`set_function_concurrency`) to model spawning/retiring warm
-        #: instances behind each logical function.
-        self._function_concurrency = self.config.function_concurrency
+        #: Discipline and bound of the waiter queues created from now on.
+        #: The serving shard sets both from its front door; until then the
+        #: queues are unbounded FIFO.
+        self.queue_discipline = "fifo"
+        self.max_queue_depth = 0
+        #: Concurrency limit applied to newly spawned functions: one slot (one
+        #: instance per function) until the serving shard or the autoscaler
+        #: re-scales it (see :meth:`set_function_concurrency`) to model
+        #: spawning/retiring warm instances behind each logical function.
+        self._function_concurrency = 1
 
     def add_reclamation_listener(self, listener: Callable[[str], None]) -> None:
         """Subscribe to reclamation events (called with the function id).
@@ -260,19 +265,19 @@ class ServerlessPlatform:
     # The discrete-event engine (repro.engine) executes requests as timed
     # processes.  Each warm function admits ``concurrency_limit`` concurrent
     # executions; excess requests park an opaque waiter token in the
-    # function's queue (FIFO or priority, per ``config.queue_discipline``).
-    # The engine owns the tokens; the platform owns the ordering.
+    # function's queue (ordered per ``queue_discipline``).  The engine owns
+    # the tokens; the platform owns the ordering.
 
     def request_queue(self, function_id: str) -> RequestQueue:
         """The waiter queue of ``function_id`` (created on first use).
 
-        The queue inherits the platform's discipline and admission bound
-        (``config.max_queue_depth``; 0 keeps it unbounded) — the same bound
+        The queue takes the platform's ``queue_discipline`` and admission
+        bound ``max_queue_depth`` (0 keeps it unbounded) — the same bound
         the engine's admission control enforces.
         """
         queue = self._queues.get(function_id)
         if queue is None:
-            queue = RequestQueue(self.config.queue_discipline, capacity=self.config.max_queue_depth)
+            queue = RequestQueue(self.queue_discipline, capacity=self.max_queue_depth)
             self._queues[function_id] = queue
         return queue
 

@@ -48,7 +48,11 @@ class InferenceWorkload(Workload):
         # Python-level wrapper: the results are equal bit for bit.
         inputs = rng.standard_normal((batch_size, aggregate.dim))
         logits = inputs @ aggregate.weights
-        probabilities = 1.0 / (1.0 + np.exp(-logits))
+        # A logit below about -709 overflows ``exp`` to inf, which makes the
+        # sigmoid exactly 0.0, its limit: nothing is lost, so the overflow
+        # warning is silenced.
+        with np.errstate(over="ignore"):
+            probabilities = 1.0 / (1.0 + np.exp(-logits))
         predictions = (probabilities >= 0.5).astype(int)
         return {
             "round_id": request.round_id,

@@ -1,10 +1,10 @@
-"""Vectorized arrival generation is byte-identical to the original loops.
+"""Arrival generation is byte-identical to the original scalar loops.
 
-The reference functions below are verbatim copies of the pre-vectorization
-scalar loops (same draw order, same float accumulation).  Every process must
-reproduce them bit-for-bit at seed 7 — both through ``times()`` (list API)
-and ``times_array()`` (ndarray API) — across sizes that cross the internal
-block boundaries and across non-default parameters.
+The reference functions below are verbatim copies of the original scalar
+loops (same draw order, same float accumulation), kept as independent
+copies of what each process computes.  Every process must reproduce them
+bit-for-bit at seed 7 — both through ``times()`` (list API) and
+``times_array()`` (ndarray API) — across sizes and non-default parameters.
 """
 
 from __future__ import annotations
@@ -83,21 +83,19 @@ class TestByteIdentityAtSeed7:
 
     def test_bursty_with_long_quiet_gaps(self):
         # Sparse windows: most windows hold zero or one arrival, exercising
-        # the empty-chunk and terminal-draw bookkeeping.
+        # the terminating-draw bookkeeping.
         process = BurstyArrivals(0.5, seed=7, mean_on_seconds=0.2, mean_off_seconds=30.0)
         assert process.times(400) == _reference_bursty(process, 400)
 
     def test_bursty_across_internal_block_boundaries(self):
         # A high-rate burst pulls tens of thousands of gap draws from one
-        # window, forcing the pre-drawn exponential block to refill
-        # mid-window (the extend path).
+        # window.
         process = BurstyArrivals(20000.0, seed=7, mean_on_seconds=10.0, mean_off_seconds=5.0)
         assert process.times(150_000) == _reference_bursty(process, 150_000)
 
     def test_sparse_bursty_windows_stay_linear(self):
-        # At 0.1 req/s an ON window holds about two arrivals, so a window
-        # that cumsummed the rest of the pre-drawn block (up to 65,536 gaps)
-        # and kept it until the end would cost quadratic time and memory.
+        # At 0.1 req/s an ON window holds about two arrivals; generation must
+        # hold no memory beyond its output, whatever the window count.
         process = BurstyArrivals(0.1, seed=7)
         tracemalloc.start()
         try:
@@ -111,11 +109,9 @@ class TestByteIdentityAtSeed7:
     @pytest.mark.parametrize(
         ("rate", "num_requests"),
         [
-            # noisy-neighbor's bursty tenant: about two arrivals per window,
-            # so nearly every window ends inside its first walked segment.
+            # noisy-neighbor's bursty tenant: about two arrivals per window.
             (0.092, 3000),
-            # hotkey-replicated's offered rate: about 39 arrivals per window,
-            # so most windows continue into the numpy segments.
+            # hotkey-replicated's offered rate: about 39 arrivals per window.
             (1.97, 1500),
         ],
     )

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.config import ServerlessConfig, SimulationConfig
+from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import (
     AUTOSCALER_KINDS,
@@ -23,6 +23,7 @@ from repro.engine import (
     make_autoscaler_policy,
 )
 from repro.fl.trainer import FLJobSimulator
+from repro.scenario import get_scenario, list_scenarios, run
 from repro.serverless.platform import ServerlessPlatform
 from repro.traces.generator import RequestTraceGenerator
 from repro.workloads.registry import list_workloads
@@ -150,32 +151,40 @@ class TestPolicies:
 # ---------------------------------------------------------------------------
 
 
+def _shard_tally(finished, violations):
+    """A shard stand-in holding only the per-flow tally the sampler reads."""
+    return SimpleNamespace(finished=dict(finished), violations=dict(violations))
+
+
 class TestControlSampler:
     def test_two_ticks_give_exact_deltas_and_worst_tenant_rate(self):
+        # Two shards' tallies: the sampler reads their sum through the front
+        # door's ``flow_tally``, so tenant "a" finishing on both shards is
+        # one flow, and untagged requests (``None``) count in the aggregate
+        # deltas but never as a tenant.
         tier = SimpleNamespace(
             loop=SimpleNamespace(now=0.0),
             arrived_requests=3,
             shed_requests=1,
             degraded_requests=0,
             requeued_requests=0,
-            slo_violations_total=1,
-            finished_total=2,
-            tenant_finished={"a": 1, "b": 1},
-            tenant_slo_violations={"a": 1},
+            shards=[_shard_tally({"a": 1}, {"a": 1}), _shard_tally({"b": 1}, {})],
             waiting_requests=0,
             num_shards=2,
             slots_per_function=1,
             capacity_units=2,
             inflight=1,
         )
+        tier.flow_tally = lambda: ShardedEngineFLStore.flow_tally(tier)
         sampler = ControlSampler(tier, interval_seconds=5.0, ewma_alpha=0.5)
 
         tier.loop.now = 5.0
         tier.arrived_requests = 13
         tier.shed_requests, tier.degraded_requests, tier.requeued_requests = 3, 1, 2
-        tier.slo_violations_total, tier.finished_total = 4, 8
-        tier.tenant_finished = {"a": 4, "b": 5}
-        tier.tenant_slo_violations = {"a": 2, "b": 1}
+        tier.shards = [
+            _shard_tally({"a": 3, None: 2}, {"a": 2, None: 2}),
+            _shard_tally({"a": 1, "b": 2}, {}),
+        ]
         tier.waiting_requests, tier.inflight = 7, 9
         first = sampler.sample()
         assert first.now == 5.0
@@ -185,18 +194,22 @@ class TestControlSampler:
         assert (first.shed_delta, first.degraded_delta, first.requeued_delta) == (2, 1, 2)
         assert (first.slo_violation_delta, first.finished_delta) == (3, 6)
         assert first.violation_rate == 0.5
-        # Tenant "a" violated 1 of 3 window finishes, "b" 1 of 4.
+        # Tenant "a" violated 1 of 3 window finishes and "b" 0 of 1; the
+        # untagged requests' 2 of 2 count in the aggregate only.
         assert first.max_tenant_violation_rate == 1 / 3
         assert (first.active_shards, first.slots_per_function, first.capacity_units) == (2, 1, 2)
 
         # The second window sees only what happened since the first sample;
-        # a tenant with no new finishes does not count.
+        # a tenant with no new finishes does not count, and a shard built
+        # since (the third) adds its whole tally.
         tier.loop.now = 10.0
         tier.arrived_requests = 18
         tier.requeued_requests = 5
-        tier.slo_violations_total, tier.finished_total = 6, 10
-        tier.tenant_finished = {"a": 6, "b": 5}
-        tier.tenant_slo_violations = {"a": 4, "b": 1}
+        tier.shards = [
+            _shard_tally({"a": 4, None: 2}, {"a": 3, None: 2}),
+            _shard_tally({"a": 1, "b": 2}, {}),
+            _shard_tally({"a": 1}, {"a": 1}),
+        ]
         second = sampler.sample()
         assert second.arrival_rate == 1.0
         assert second.arrival_rate_ewma == 1.0
@@ -204,6 +217,37 @@ class TestControlSampler:
         assert (second.slo_violation_delta, second.finished_delta) == (2, 2)
         assert second.violation_rate == 1.0
         assert second.max_tenant_violation_rate == 1.0
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            name
+            for name in list_scenarios()
+            if get_scenario(name).tier.autoscaler.enabled or get_scenario(name).remediation.enabled
+        ],
+    )
+    def test_queue_depth_is_every_shards_waiters_at_every_tick(self, name, monkeypatch):
+        """The front door's running queue depth, which the sampler reads,
+        equals the waiters its active shards hold, and a retired shard
+        holds none."""
+        ticks = []
+        sample = ControlSampler.sample
+
+        def checked(sampler):
+            tier = sampler.tier
+            ticks.append(
+                (
+                    tier.waiting_requests,
+                    sum(shard.waiting for shard in tier.active_shards),
+                    sum(shard.waiting for shard in tier.shards),
+                )
+            )
+            return sample(sampler)
+
+        monkeypatch.setattr(ControlSampler, "sample", checked)
+        run(get_scenario(name))
+        assert any(depth > 0 for depth, _, _ in ticks)
+        assert all(depth == active == every for depth, active, every in ticks)
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +257,9 @@ class TestControlSampler:
 
 class TestConcurrencyScaling:
     def test_platform_rescale_grants_queued_waiters(self):
-        platform = ServerlessPlatform(config=ServerlessConfig(function_concurrency=1))
+        platform = ServerlessPlatform()
         function, _ = platform.spawn_function()
+        assert function.concurrency_limit == 1  # one slot until re-scaled
         fid = function.function_id
         assert platform.try_acquire_slot(fid)
         platform.enqueue_waiter(fid, "first")
@@ -226,7 +271,8 @@ class TestConcurrencyScaling:
         assert platform.queue_depth(fid) == 1
 
     def test_lowering_concurrency_is_lazy(self):
-        platform = ServerlessPlatform(config=ServerlessConfig(function_concurrency=3))
+        platform = ServerlessPlatform()
+        platform.set_function_concurrency(3)
         function, _ = platform.spawn_function()
         fid = function.function_id
         for _ in range(3):
@@ -251,7 +297,8 @@ class TestConcurrencyScaling:
             platform.set_function_concurrency(0)
 
     def test_provisioned_slots_and_gb_track_limits(self):
-        platform = ServerlessPlatform(config=ServerlessConfig(function_concurrency=2))
+        platform = ServerlessPlatform()
+        platform.set_function_concurrency(2)
         platform.spawn_function()
         platform.spawn_function()
         assert platform.provisioned_slots == 4
@@ -377,18 +424,12 @@ class TestOnlineResize:
             assert report.requeued == tier.requeued_requests
 
     def test_added_shard_inherits_tighter_bound_and_slots(self, scale_config, scale_rounds):
-        from dataclasses import replace
-
-        config = replace(
-            scale_config,
-            serverless=replace(scale_config.serverless, max_queue_depth=3),
-        )
-        tier = _built_tier(config, scale_rounds)
+        tier = _built_tier(scale_config, scale_rounds, max_queue_depth=3, queue_discipline="drr")
         tier.set_function_concurrency(2)
         tier.add_shard()
         added = tier.shards[-1]
-        assert added.max_queue_depth == 3
-        assert added.platform.request_queue("probe").capacity == 3
+        queue = added.platform.request_queue("probe")
+        assert (queue.capacity, queue.discipline) == (3, "drr")
         assert added.platform.function_concurrency == 2
 
     def test_online_shed_policy_reaches_every_shard(self, scale_config, scale_rounds):
@@ -408,8 +449,8 @@ class TestOnlineResize:
             tier.loop.run()
             return tasks[-1].result.disposition
 
-        tier = _built_tier(scale_config.with_serverless(max_queue_depth=1), scale_rounds)
-        assert scale_config.serverless.shed_policy == "drop"
+        tier = _built_tier(scale_config, scale_rounds, max_queue_depth=1)
+        assert tier.shed_policy == "drop"
         assert refused(tier.shards[0]) == "shed"
         retired = tier.shards[tier.add_shard()]
         tier.remove_shard()

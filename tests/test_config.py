@@ -74,23 +74,6 @@ class TestServerlessConfig:
     def test_lambda_limit_is_10gb(self):
         assert ServerlessConfig().max_function_memory_bytes == 10 * 1024**3
 
-    def test_admission_defaults_are_unbounded_drop(self):
-        config = ServerlessConfig()
-        assert config.max_queue_depth == 0
-        assert config.shed_policy == "drop"
-
-    def test_rejects_negative_queue_depth(self):
-        with pytest.raises(ConfigurationError):
-            ServerlessConfig(max_queue_depth=-1)
-
-    def test_rejects_unknown_shed_policy(self):
-        with pytest.raises(ConfigurationError):
-            ServerlessConfig(shed_policy="retry-forever")
-
-    def test_accepts_degrade_to_objstore(self):
-        config = ServerlessConfig(max_queue_depth=4, shed_policy="degrade-to-objstore")
-        assert config.max_queue_depth == 4
-
 
 class TestCachePolicyConfig:
     def test_rejects_nonpositive_recent_rounds(self):

@@ -420,11 +420,9 @@ class TestPriorityServing:
         from repro.traces.arrivals import BurstyArrivals
         from repro.workloads.registry import workload_priority
 
-        config = replace(
-            engine_config,
-            serverless=replace(engine_config.serverless, queue_discipline=discipline),
+        engine = ShardedEngineFLStore(
+            [_ingested_flstore(engine_config, engine_rounds)], queue_discipline=discipline
         )
-        engine = ShardedEngineFLStore([_ingested_flstore(config, engine_rounds)])
         generator = RequestTraceGenerator(engine.catalog, seed=3)
         # inference is P1 (priority 1.0), scheduling_perf is P4 (priority 4.0).
         trace = generator.mixed_trace(["inference", "scheduling_perf"], 40)

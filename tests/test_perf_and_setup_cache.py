@@ -14,16 +14,17 @@ from repro.analysis.runner import map_tasks, prepare_setup, run_trace
 from repro.cloud.object_store import ObjectStore
 from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES, SimulationConfig
 from repro.scenario import (
+    ScenarioSpec,
+    WorkloadMixSpec,
     build_tier,
     calibrate,
     calibrate_mean_service_seconds,
     clear_calibration_cache,
     get_scenario,
     list_scenarios,
-    paper_experiment_config,
     scenario_config,
+    sweep,
 )
-from repro.scenario import build as scenario_build
 from repro.simulation.records import (
     CostAccumulator,
     CostBreakdown,
@@ -59,7 +60,7 @@ class TestSetupCache:
         # that differ elsewhere share one entry...
         elsewhere = replace(
             config,
-            serverless=replace(config.serverless, function_concurrency=3, queue_discipline="wfq"),
+            serverless=replace(config.serverless, cold_start_seconds=3.0, replication_factor=2),
             network=replace(config.network, client_rtt_seconds=0.5),
             trace_num_requests=7,
         )
@@ -111,14 +112,21 @@ class TestSetupCache:
         assert not cloned.cluster.is_live(key)
 
 
-#: The four ``ServerlessConfig`` fields a spec's tier sets, drawn over their
-#: valid values.
+#: The tier knobs a spec hands its front door, each at its default.
+_DEFAULT_TIER_KNOBS = {
+    "tier.admission.max_queue_depth": 0,
+    "tier.admission.shed_policy": "drop",
+    "tier.function_concurrency": 1,
+    "tier.queue_discipline": "fifo",
+}
+
+#: The same knobs as spec overrides, drawn over their valid values.
 _tier_knobs = st.fixed_dictionaries(
     {
-        "max_queue_depth": st.integers(min_value=0, max_value=8),
-        "shed_policy": st.sampled_from(SHED_POLICIES),
-        "function_concurrency": st.integers(min_value=1, max_value=4),
-        "queue_discipline": st.sampled_from(QUEUE_DISCIPLINES),
+        "tier.admission.max_queue_depth": st.integers(min_value=0, max_value=8),
+        "tier.admission.shed_policy": st.sampled_from(SHED_POLICIES),
+        "tier.function_concurrency": st.integers(min_value=1, max_value=4),
+        "tier.queue_discipline": st.sampled_from(QUEUE_DISCIPLINES),
     }
 )
 
@@ -133,12 +141,11 @@ class TestScenarioSetUp:
         clear_calibration_cache()
 
     @pytest.mark.parametrize("name", list_scenarios())
-    def test_calibrating_on_the_tier_config_equals_the_paper_config(self, name, monkeypatch):
+    def test_calibration_equals_the_one_with_default_tier_knobs(self, name):
         spec = get_scenario(name)
         on_tier = calibrate(spec)
         clear_calibration_cache()
-        monkeypatch.setattr(scenario_build, "scenario_config", scenario_build.base_config)
-        assert calibrate(spec) == on_tier
+        assert calibrate(spec.with_overrides(_DEFAULT_TIER_KNOBS)) == on_tier
 
     @settings(
         max_examples=20,
@@ -147,25 +154,56 @@ class TestScenarioSetUp:
     )
     @given(knobs=_tier_knobs, seed=st.sampled_from((7, 11)))
     def test_tier_knobs_never_move_a_calibration(self, knobs, seed):
-        paper = paper_experiment_config("efficientnet_v2_small", seed=seed)
-        tiered = replace(paper, serverless=replace(paper.serverless, **knobs))
-        mix = ("clustering", "inference", "scheduling_perf", "incentives")
+        spec = ScenarioSpec(
+            name="knobs",
+            seed=seed,
+            num_rounds=4,
+            workload=WorkloadMixSpec(
+                workloads=("clustering", "inference", "scheduling_perf", "incentives"),
+                num_requests=24,
+            ),
+        )
         clear_calibration_cache()
-        expected = calibrate_mean_service_seconds(paper, mix, 4, 24)
+        expected = calibrate(spec)
         clear_calibration_cache()
-        assert calibrate_mean_service_seconds(tiered, mix, 4, 24) == expected
+        assert calibrate(spec.with_overrides(knobs)) == expected
 
     def test_the_memo_is_shared_across_tier_knobs_only(self):
-        paper = paper_experiment_config("resnet18", seed=7)
-        mix = ("inference",)
-        first = calibrate_mean_service_seconds(paper, mix, 3, 8)
+        spec = ScenarioSpec(
+            name="memo",
+            model="resnet18",
+            num_rounds=3,
+            workload=WorkloadMixSpec(workloads=("inference",), num_requests=8),
+        )
+        first = calibrate(spec)
         misses = setup_cache.stats.snapshot_misses
-        tiered = replace(paper, serverless=replace(paper.serverless, function_concurrency=2))
-        assert calibrate_mean_service_seconds(tiered, mix, 3, 8) == first
+        tiered = spec.with_overrides({"tier.function_concurrency": 2})
+        assert calibrate(tiered) == first
         assert setup_cache.stats.snapshot_misses == misses  # answered by the memo
-        # Any other field is a different calibration, not a stale memo entry.
+        # Any config field is a different calibration, not a stale memo entry.
+        paper = scenario_config(spec)
         slower = replace(paper, network=replace(paper.network, client_rtt_seconds=1.0))
-        assert calibrate_mean_service_seconds(slower, mix, 3, 8) > first
+        assert calibrate_mean_service_seconds(slower, ("inference",), 3, 8) > first
+
+    def test_a_tier_knob_sweep_sets_up_once(self):
+        """Cells that differ only in tier knobs share one config, so one master."""
+        axes = {
+            "tier.queue_discipline": ["fifo", "wfq", "drr"],
+            "tier.admission.max_queue_depth": [8, 16],
+        }
+        rows = sweep(get_scenario("noisy-neighbor"), axes)
+        assert setup_cache.stats.snapshot_misses == 1
+        assert setup_cache.stats.snapshot_hits == 6
+        # Recorded when each knob cell built its own master: sharing one
+        # moves no row.
+        assert [row["p99_sojourn_seconds"] for row in rows] == [
+            178.42486501984195,
+            195.43644332746115,
+            174.325991783059,
+            210.7088260741732,
+            171.5191620167298,
+            209.54899021546657,
+        ]
 
     @pytest.mark.parametrize("name", list_scenarios())
     def test_calibration_is_the_mean_served_latency(self, name):

@@ -307,9 +307,9 @@ class TestFaultRecoverySweep:
 class TestCounterDeltaSamplingPin:
     """The control loop once recomputed its per-window violation rate by
     slicing the tier's ever-growing completed-outcome list each tick — an
-    O(n^2) term over a run.  It now reads two O(1) counter deltas
-    (``finished_total`` / ``slo_violations_total``, armed via
-    ``watch_slo_seconds``).  This pin asserts the refactor is decision-for-
+    O(n^2) term over a run.  It now reads per-window deltas of the shards'
+    per-flow tally (``ShardedEngineFLStore.flow_tally``), measured against
+    the tier's own SLO.  This pin asserts the refactor is decision-for-
     decision invisible: the registry fault-recovery scenario at seed 7 must
     reproduce the exact control trace the slicing implementation produced.
     """

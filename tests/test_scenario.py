@@ -35,6 +35,7 @@ from repro.scenario import (
     expand_axes,
     get_scenario,
     list_scenarios,
+    paper_experiment_config,
     register_scenario,
     run,
     smoke_spec,
@@ -477,23 +478,42 @@ class TestBuildTier:
         # The resizable tier can actually scale out (factory + warm rounds).
         assert tier.store._shard_factory is not None
 
-    def test_tier_knobs_reach_the_serverless_config(self):
-        tier = build_tier(
-            _tiny_spec(
-                **{
-                    "tier.admission.max_queue_depth": 5,
-                    "tier.admission.shed_policy": "degrade-to-objstore",
-                    "tier.function_concurrency": 2,
-                    "tier.queue_discipline": "priority",
-                }
-            )
+    def test_tier_knobs_reach_the_front_door_and_every_shard(self):
+        """The spec's tier settings go to the front door once, not into the
+        config; every shard's platform takes them when the shard is built,
+        and a re-activated shard catches up with slots re-scaled while it
+        was retired."""
+        spec = _tiny_spec(
+            **{
+                "tier.admission.max_queue_depth": 5,
+                "tier.admission.shed_policy": "degrade-to-objstore",
+                "tier.function_concurrency": 2,
+                "tier.queue_discipline": "priority",
+                "tier.router_kind": "consistent-hash",
+                "tier.autoscaler.enabled": True,
+            }
         )
-        serverless = tier.config.serverless
-        assert serverless.max_queue_depth == 5
-        assert serverless.shed_policy == "degrade-to-objstore"
-        assert serverless.function_concurrency == 2
-        assert serverless.queue_discipline == "priority"
-        assert tier.store.shards[0].max_queue_depth == 5
+        tier = build_tier(spec)
+        store = tier.store
+        assert (store.max_queue_depth, store.shed_policy) == (5, "degrade-to-objstore")
+        assert (store.slots_per_function, store.queue_discipline) == (2, "priority")
+        assert store.slo_seconds == spec.slo_multiplier * tier.mean_service_seconds
+        assert tier.config == paper_experiment_config(spec.model, seed=spec.seed)
+
+        def settings(shard):
+            queue = shard.platform.request_queue("probe")
+            limits = {function.concurrency_limit for function in shard.platform.functions()}
+            return queue.discipline, queue.capacity, shard.platform.function_concurrency, limits
+
+        assert settings(store.shards[0]) == ("priority", 5, 2, {2})
+        built = store.shards[store.add_shard()]
+        assert settings(built) == ("priority", 5, 2, {2})
+        store.remove_shard()
+        store.set_function_concurrency(3)
+        assert store.shards[store.add_shard()] is built
+        fresh = store.shards[store.add_shard()]
+        for shard in (store.shards[0], built, fresh):
+            assert settings(shard) == ("priority", 5, 3, {3})
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,11 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.common.errors import CapacityError
+from repro.common.errors import CapacityError, ConfigurationError
 from repro.config import SimulationConfig
 from repro.core.flstore import build_default_flstore
 from repro.engine import ShardedEngineFLStore
@@ -216,10 +215,11 @@ class TestBoundedQueue:
             RequestQueue("fifo", capacity=-1)
 
     def test_platform_queue_capacity_and_fullness(self):
-        from repro.config import ServerlessConfig
         from repro.serverless.platform import ServerlessPlatform
 
-        platform = ServerlessPlatform(config=ServerlessConfig(max_queue_depth=1))
+        platform = ServerlessPlatform()
+        assert platform.request_queue("unset").capacity == 0  # unbounded by default
+        platform.max_queue_depth = 1
         function, _ = platform.spawn_function()
         fid = function.function_id
         assert not platform.request_queue(fid).full
@@ -239,11 +239,6 @@ def _ingested_flstore(config, rounds):
     return system
 
 
-def _admitting(config, **serverless):
-    """``config`` with the given ``ServerlessConfig`` (admission) knobs."""
-    return replace(config, serverless=replace(config.serverless, **serverless))
-
-
 @pytest.fixture(scope="module")
 def shard_config():
     return SimulationConfig.small(seed=11)
@@ -258,7 +253,9 @@ def shard_rounds(shard_config):
 #: topology became a one-shard front door.  Regenerate them only from that
 #: pre-change code (as with ``tests/data/golden_sweeps/``): each case below
 #: ran with ``make_tier = EngineFLStore`` and was dumped with
-#: ``json.dumps(case(...), indent=1)``.
+#: ``json.dumps(case(...), indent=1)``.  The recorded runs read the queue
+#: discipline and admission bound from the config and took the SLO as a
+#: ``run_open_loop`` argument; the cases now hand all three to ``make_tier``.
 ONE_SHARD_GOLDEN_DIR = Path(__file__).parent / "data" / "one_shard_engine"
 
 
@@ -304,8 +301,12 @@ def wfq_pushout_case(make_tier, config, rounds) -> dict:
     """Two tenants under WFQ with a two-deep queue: the noisy tenant floods
     the queue and violates its tight SLO, so steady arrivals push its
     waiters out."""
-    wfq = _admitting(config, queue_discipline="wfq", max_queue_depth=2)
-    tier = make_tier(_ingested_flstore(wfq, rounds))
+    tier = make_tier(
+        _ingested_flstore(config, rounds),
+        queue_discipline="wfq",
+        max_queue_depth=2,
+        slo_seconds=0.2,
+    )
     tier.configure_tenants({"noisy": 1.0, "steady": 3.0}, {"noisy": 0.2, "steady": 5.0})
     generator = RequestTraceGenerator(tier.catalog, seed=3)
     noisy = generator.tenant_trace("noisy", ["inference"], 40)
@@ -320,25 +321,24 @@ def wfq_pushout_case(make_tier, config, rounds) -> dict:
         [item[0] for item in merged],
         label="wfq-pushout",
         keepalive=True,
-        slo_seconds=0.2,
     )
     return report_snapshot(report)
 
 
 def streaming_case(make_tier, config, rounds) -> dict:
     """Poisson arrivals on a bounded queue, folded by the streaming pipeline."""
-    tier = make_tier(_ingested_flstore(_admitting(config, max_queue_depth=3), rounds))
+    tier = make_tier(_ingested_flstore(config, rounds), max_queue_depth=3, slo_seconds=1.0)
     generator = RequestTraceGenerator(tier.catalog, seed=3)
     trace = generator.mixed_trace(["inference", "clustering", "scheduling_perf"], 30)
     arrivals = PoissonArrivals(rate_rps=0.3, seed=5).times(len(trace))
     report = tier.run_open_loop(
-        trace, arrivals, label="stream", keepalive=True, slo_seconds=1.0, metrics="streaming"
+        trace, arrivals, label="stream", keepalive=True, metrics="streaming"
     )
     return report_snapshot(report)
 
 
-def one_shard_tier(flstore) -> ShardedEngineFLStore:
-    return ShardedEngineFLStore([flstore])
+def one_shard_tier(flstore, **settings) -> ShardedEngineFLStore:
+    return ShardedEngineFLStore([flstore], **settings)
 
 
 def recorded(case: str):
@@ -503,6 +503,37 @@ class TestMultiShard:
             ShardedEngineFLStore([])
 
 
+class TestTierSettings:
+    """The front door owns the tier's settings and rejects bad ones when built."""
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        return build_default_flstore(SimulationConfig.small(seed=11))
+
+    def test_defaults_are_one_slot_fifo_unbounded_drop_without_slo(self, store):
+        tier = ShardedEngineFLStore([store])
+        assert (tier.slots_per_function, tier.queue_discipline) == (1, "fifo")
+        assert (tier.max_queue_depth, tier.shed_policy) == (0, "drop")
+        assert tier.slo_seconds is None
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"max_queue_depth": -1},
+            {"shed_policy": "retry-forever"},
+            {"function_concurrency": 0},
+            {"queue_discipline": "lifo"},
+        ],
+    )
+    def test_rejects_a_bad_setting(self, store, setting):
+        with pytest.raises(ConfigurationError):
+            ShardedEngineFLStore([store], **setting)
+
+    def test_accepts_degrade_to_objstore(self, store):
+        tier = ShardedEngineFLStore([store], max_queue_depth=4, shed_policy="degrade-to-objstore")
+        assert (tier.max_queue_depth, tier.shed_policy) == (4, "degrade-to-objstore")
+
+
 class TestAdmissionControl:
     def _burst(self, sharded, num_requests=12):
         generator = RequestTraceGenerator(sharded.catalog, seed=3)
@@ -510,8 +541,9 @@ class TestAdmissionControl:
         return sharded.run_open_loop(trace, [0.0] * len(trace), label="burst")
 
     def test_drop_policy_sheds_and_conserves(self, shard_config, shard_rounds):
-        config = _admitting(shard_config, max_queue_depth=2, shed_policy="drop")
-        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
+        sharded = ShardedEngineFLStore(
+            [_ingested_flstore(shard_config, shard_rounds)], max_queue_depth=2, shed_policy="drop"
+        )
         report = self._burst(sharded, num_requests=12)
         assert report.shed > 0
         assert report.degraded == 0
@@ -531,8 +563,11 @@ class TestAdmissionControl:
         assert sharded.shards[0].shed_requests == report.shed
 
     def test_degrade_policy_serves_on_objstore_path(self, shard_config, shard_rounds):
-        config = _admitting(shard_config, max_queue_depth=2, shed_policy="degrade-to-objstore")
-        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
+        sharded = ShardedEngineFLStore(
+            [_ingested_flstore(shard_config, shard_rounds)],
+            max_queue_depth=2,
+            shed_policy="degrade-to-objstore",
+        )
         report = self._burst(sharded, num_requests=12)
         assert report.degraded > 0
         assert report.shed == 0
@@ -550,17 +585,19 @@ class TestAdmissionControl:
         assert sharded.degraded_requests == report.degraded
 
     def test_unbounded_queue_never_sheds(self, shard_config, shard_rounds):
-        config = _admitting(shard_config, max_queue_depth=0)
-        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
+        sharded = ShardedEngineFLStore(
+            [_ingested_flstore(shard_config, shard_rounds)], max_queue_depth=0
+        )
         report = self._burst(sharded, num_requests=12)
         assert report.shed == 0 and report.degraded == 0
         assert report.served == report.submitted
 
     def test_shedding_is_deterministic(self, shard_config, shard_rounds):
         def run_once():
-            config = _admitting(shard_config, max_queue_depth=2, shed_policy="drop")
             sharded = ShardedEngineFLStore(
-                [_ingested_flstore(config, shard_rounds) for _ in range(2)]
+                [_ingested_flstore(shard_config, shard_rounds) for _ in range(2)],
+                max_queue_depth=2,
+                shed_policy="drop",
             )
             generator = RequestTraceGenerator(sharded.catalog, seed=3)
             trace = generator.mixed_trace(["inference", "clustering"], 20)
@@ -602,8 +639,9 @@ class TestArrivalEvent:
         self, shard_config, shard_rounds
     ):
         """A burst overflows a one-deep queue; each drop resolves in the event that routed it."""
-        config = _admitting(shard_config, max_queue_depth=1, shed_policy="drop")
-        sharded = ShardedEngineFLStore([_ingested_flstore(config, shard_rounds)])
+        sharded = ShardedEngineFLStore(
+            [_ingested_flstore(shard_config, shard_rounds)], max_queue_depth=1, shed_policy="drop"
+        )
         loop = sharded.loop
         routed_at, resolved_at, outcomes = {}, {}, []
         route = sharded._route
@@ -629,9 +667,11 @@ class TestArrivalEvent:
     @staticmethod
     def _jsq_pair(config, rounds):
         """Two JSQ shards in front of one-deep queues that drop on overflow."""
-        config = _admitting(config, max_queue_depth=1, shed_policy="drop")
         return ShardedEngineFLStore(
-            [_ingested_flstore(config, rounds) for _ in range(2)], router=make_router("jsq", 2)
+            [_ingested_flstore(config, rounds) for _ in range(2)],
+            router=make_router("jsq", 2),
+            max_queue_depth=1,
+            shed_policy="drop",
         )
 
     @staticmethod

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.engine.autoscale import (
     AUTOSCALER_KINDS,
     AutoscaleConfig,
+    ControlSampler,
     ControlSignals,
     SLOViolationAutoscaler,
     make_autoscaler_policy,
@@ -428,6 +429,50 @@ def test_slo_autoscaler_relieves_the_noisy_neighbor():
     scaled_bursty = _tenant_row(scaled, "bursty")
     static_bursty = _tenant_row(static, "bursty")
     assert scaled_bursty["violation_rate"] < static_bursty["violation_rate"]
+
+
+def test_a_tenant_without_an_slo_never_counts_as_violating(monkeypatch):
+    """``slo_multiplier=0`` gives a tenant no SLO, on the control path too.
+
+    The shards' tally holds no violation of the ``bursty`` tenant, so every
+    tick's worst-tenant rate is the ``steady`` tenant's window rate, and the
+    tally agrees with the report's tenant rows.
+    """
+    spec = get_scenario("noisy-neighbor").with_overrides(
+        {
+            "tier.router_kind": "consistent-hash",
+            "tier.autoscaler.enabled": True,
+            "tier.autoscaler.policy": "slo",
+            "tenants.bursty.slo_multiplier": 0,
+        }
+    )
+    tiers, ticks = [], []
+    sample = ControlSampler.sample
+
+    def recording(sampler):
+        signals = sample(sampler)
+        tiers.append(sampler.tier)
+        ticks.append((sampler.tier.flow_tally(), signals))
+        return signals
+
+    monkeypatch.setattr(ControlSampler, "sample", recording)
+    report = run(spec)
+    assert ticks
+    seen = {}
+    for tally, signals in ticks:
+        steady, last = tally.get("steady", (0, 0)), seen.get("steady", (0, 0))
+        finished, violations = steady[0] - last[0], steady[1] - last[1]
+        steady_rate = violations / finished if finished else 0.0
+        assert signals.max_tenant_violation_rate == steady_rate
+        seen = tally
+    tally = tiers[-1].flow_tally()
+    assert tally["bursty"][0] > 0 and tally["bursty"][1] == 0
+    for name in ("steady", "bursty"):
+        row = _tenant_row(report, name)
+        finished = row["served"] + row["requeued"] + row["degraded"]
+        assert tally[name] == (finished, round(row["violation_rate"] * finished))
+    assert _tenant_row(report, "bursty")["slo_seconds"] is None
+    assert report.autoscale.scale_events == 10
 
 
 # ---------------------------------------------------------------------------

@@ -216,8 +216,10 @@ class TestComputations:
             params = {} if case % 5 == 0 else {"batch_size": int(cases.integers(1, 129))}
             request_id = f"req-{int(cases.integers(0, 10**6)):06d}" if case % 2 else f"t{case}"
             request = WorkloadRequest(request_id, "inference", round_id, params=params)
-            with np.errstate(over="ignore"):  # the largest scale saturates the sigmoid
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # the saturated sigmoid warns no more
                 result = workload.compute(request, {DataKey.aggregate(round_id): aggregate})
+            with np.errstate(over="ignore"):  # the largest scale saturates the sigmoid
                 expected = _inference_before_the_rewrite(request, aggregate)
             assert result == expected
             assert [type(value) for value in result.values()] == [
