@@ -2,7 +2,8 @@
 
 Every figure/table experiment follows the same skeleton:
 
-1. simulate an FL job to obtain the metadata stream (:class:`FLJobSimulator`),
+1. simulate an FL job to obtain the metadata stream
+   (:class:`~repro.fl.trainer.FLJobSimulator`),
 2. build the systems under comparison (FLStore variants and/or the two
    baselines), ingest the same rounds into each,
 3. generate a non-training request trace from the job's round catalog,
@@ -32,7 +33,6 @@ from repro.baselines.objstore_agg import ObjStoreAggregator
 from repro.config import SimulationConfig
 from repro.core.flstore import FLStore, build_default_flstore
 from repro.fl.rounds import RoundRecord
-from repro.fl.trainer import FLJobSimulator
 from repro.simulation.metrics import MetricsCollector, RequestRecord
 from repro.traces.generator import RequestTraceGenerator
 from repro.workloads.base import WorkloadRequest
@@ -67,10 +67,9 @@ KNOWN_SYSTEMS: tuple[str, ...] = ("flstore", "objstore-agg", "cache-agg")
 
 @dataclass
 class ExperimentSetup:
-    """Everything a figure experiment needs: job, rounds, systems, trace generator."""
+    """Everything a figure experiment needs: config, rounds, systems, trace generator."""
 
     config: SimulationConfig
-    simulator: FLJobSimulator
     rounds: list[RoundRecord]
     systems: dict[str, object] = field(default_factory=dict)
     generator: RequestTraceGenerator | None = None
@@ -106,7 +105,7 @@ def prepare_setup(
     build-and-ingest phase.
     """
     config = config or SimulationConfig()
-    simulator, rounds = setup_cache.simulate_job(config, num_rounds)
+    rounds = setup_cache.simulate_rounds(config, num_rounds)
 
     cache_key = setup_cache.snapshot_key(config, num_rounds, systems, policy_mode)
     built = setup_cache.get_system_snapshots(cache_key)
@@ -132,9 +131,7 @@ def prepare_setup(
 
     catalog = next(iter(built.values())).catalog if built else None
     generator = RequestTraceGenerator(catalog, seed=config.seed) if catalog is not None else None
-    return ExperimentSetup(
-        config=config, simulator=simulator, rounds=rounds, systems=built, generator=generator
-    )
+    return ExperimentSetup(config=config, rounds=rounds, systems=built, generator=generator)
 
 
 def run_trace(

@@ -13,8 +13,9 @@ This module caches two products:
 * **simulated rounds** — ``FLJobSimulator(config).run_rounds(num_rounds)``
   keyed on what the simulator reads: the job config, the seed and the round
   count.  Configs that differ only elsewhere (network, pricing, serverless
-  knobs, cache policy) share one entry.  The cached records are treated as
-  immutable by every consumer.
+  knobs, cache policy) share one entry.  An entry holds the round list only:
+  the simulator that produced it, with its client population, is not kept.
+  The cached records are treated as immutable by every consumer.
 * **ingested system snapshots** — the fully built-and-ingested systems dict,
   stored pristine (never served against) and handed out as structural
   snapshots, so each experiment starts from exactly the state a fresh
@@ -57,12 +58,11 @@ from repro.config import SimulationConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.fl.rounds import RoundRecord
-    from repro.fl.trainer import FLJobSimulator
 
 #: Upper bound on entries per cache; oldest entries are discarded first.
 _MAX_ENTRIES = 32
 
-_rounds_cache: dict[tuple, tuple["FLJobSimulator", list["RoundRecord"]]] = {}
+_rounds_cache: dict[tuple, list["RoundRecord"]] = {}
 #: Pristine masters: ``key -> (pickle bytes, shared payload list)``.
 _snapshot_cache: dict[tuple, tuple[bytes, list]] = {}
 _shared_types: frozenset[type] | None = None
@@ -200,37 +200,30 @@ def _trim(cache: dict) -> None:
         cache.pop(next(iter(cache)))
 
 
-def simulate_job(
-    config: SimulationConfig, num_rounds: int
-) -> tuple["FLJobSimulator", list["RoundRecord"]]:
-    """Cached ``FLJobSimulator(config)`` plus its first ``num_rounds`` rounds.
+def simulate_rounds(config: SimulationConfig, num_rounds: int) -> list["RoundRecord"]:
+    """Cached first ``num_rounds`` rounds of ``FLJobSimulator(config)``.
 
     The simulator reads only ``config.job`` and ``config.seed``, so the entry
     is keyed on those and ``num_rounds``: a scenario tier's config and the
-    paper config it extends with tier knobs share one simulated job.
+    paper config it extends share one list of simulated rounds.  The cache
+    holds the rounds only; the simulator (its client population and model
+    state) is dropped once it has produced them.
 
-    Both the simulator and the records are shared across callers and must not
-    be mutated or advanced; experiment code only reads them (ingestion copies
-    payloads into stores).
+    The records are shared across callers and must not be mutated;
+    experiment code only reads them (ingestion copies payloads into stores).
     """
     from repro.fl.trainer import FLJobSimulator
 
     key = (repr(config.job), config.seed, num_rounds)
-    cached = _rounds_cache.get(key)
-    if cached is not None:
+    rounds = _rounds_cache.get(key)
+    if rounds is not None:
         stats.rounds_hits += 1
-        return cached
+        return rounds
     stats.rounds_misses += 1
-    simulator = FLJobSimulator(config)
-    rounds = simulator.run_rounds(num_rounds)
-    _rounds_cache[key] = (simulator, rounds)
+    rounds = FLJobSimulator(config).run_rounds(num_rounds)
+    _rounds_cache[key] = rounds
     _trim(_rounds_cache)
-    return simulator, rounds
-
-
-def simulate_rounds(config: SimulationConfig, num_rounds: int) -> list["RoundRecord"]:
-    """Cached simulated rounds (see :func:`simulate_job`)."""
-    return simulate_job(config, num_rounds)[1]
+    return rounds
 
 
 def snapshot_key(

@@ -20,7 +20,7 @@ from repro.network.model import NetworkLink
 from repro.simulation.records import CostBreakdown, LatencyBreakdown, OperationResult
 
 
-@dataclass
+@dataclass(slots=True)
 class _StoredObject:
     value: Any
     size_bytes: int

@@ -163,8 +163,6 @@ class ServerlessConfig:
     max_function_memory_bytes: int = 10 * GB
     #: Default provisioned memory for cache functions holding large models.
     default_function_memory_bytes: int = 4 * GB
-    #: Provisioned memory for cache functions holding small models.
-    small_function_memory_bytes: int = 2 * GB
     #: Cold-start latency for a newly spawned function.
     cold_start_seconds: float = 1.2
     #: Warm invocation overhead.

@@ -45,7 +45,7 @@ from repro.simulation.records import LatencyBreakdown
 _FUNCTION_WARM = FunctionState.WARM
 
 
-@dataclass
+@dataclass(slots=True)
 class PlacementResult:
     """Outcome of placing one object into the serverless cache."""
 

@@ -124,7 +124,7 @@ class AutoscaleConfig:
         return self.max_shards * self.max_slots_per_function
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlSignals:
     """One control tick's sampled view of the serving tier."""
 
@@ -231,7 +231,7 @@ class ControlSampler:
         return signals
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaleDecision:
     """A policy's verdict for one control tick.
 
@@ -473,7 +473,7 @@ def make_autoscaler_policy(
     raise ValueError(f"unknown autoscaler policy {kind!r}; expected one of {AUTOSCALER_KINDS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScaleEvent:
     """One actuated capacity change on the tier's virtual timeline."""
 

@@ -64,7 +64,7 @@ FAULT_KINDS: tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaultRecord:
     """One injected fault event on the run's virtual timeline."""
 

@@ -109,7 +109,7 @@ class RemediationConfig:
             raise ConfigurationError("regression_tolerance must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Anomaly:
     """One detected deviation from the tier's healthy baseline."""
 
@@ -124,7 +124,7 @@ class Anomaly:
         return self.kind in ("capacity-loss", "requeue-spike")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """One ranked candidate action for a detected anomaly set."""
 
@@ -132,7 +132,7 @@ class Proposal:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RemediationRecord:
     """One verification attempt: the proposal, the forecast, the verdict."""
 

@@ -751,8 +751,9 @@ class ShardedEngineFLStore:
         (:mod:`repro.engine.streaming`) — every scalar column except the
         percentile sketches stays exact, and ``report.outcomes`` is empty.
         The shards still keep each served request's persisted result and
-        tracker entry in either mode: about 584 B per request on
-        ``sharded-burst``.
+        tracker entry in either mode: about 553 B per request on
+        ``sharded-burst`` (tracemalloc, the slope between 500 and 1,500
+        requests).
         """
         if len(requests) != len(arrival_times):
             raise ValueError("requests and arrival_times must have the same length")

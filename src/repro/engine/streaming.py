@@ -32,12 +32,12 @@ count:
 
 The collector is O(1) in the request count; the run around it is not.  On
 the event path the stores keep the oracle's own model state for every
-served request: its persisted result (the object store's entry and key,
-and the result itself), its request tracker entry, and the request id both
-share.  A streaming ``sharded-burst`` run still holds about 584 B per
-offered request once it ends (tracemalloc, equal between 500 and 1,500
-requests and between 2,000 and 8,000; ``tests/test_streaming_metrics.py``
-pins the slope), and its traced peak grows about 1,055 B per request,
+served request: its persisted result (the object store's slotted entry
+and key, and the result itself), its request tracker entry, and the request
+id both share.  A streaming ``sharded-burst`` run still holds about 553 B
+per offered request once it ends (tracemalloc: 553 B between 500 and 1,500
+requests, 554 B between 2,000 and 8,000; ``tests/test_streaming_metrics.py``
+pins the slope), and its traced peak grows about 1,010 B per request,
 because the trace's request objects are alive while it runs.
 
 A run on the vectorized fast path (:mod:`repro.engine.vectorized`) holds,

@@ -24,7 +24,7 @@ from repro.config import FLJobConfig
 from repro.fl.metadata import ResourceProfile
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientDevice:
     """Static description of one client device in the population."""
 

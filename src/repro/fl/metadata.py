@@ -15,7 +15,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import KB
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HyperParameters:
     """Hyperparameters a client used for one round of local training."""
 
@@ -39,7 +39,7 @@ class HyperParameters:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceProfile:
     """Device resources reported by a client for scheduling decisions."""
 
@@ -63,7 +63,7 @@ class ResourceProfile:
         return self.cpu_ghz * 0.4 + self.memory_gb * 0.1 + self.bandwidth_mbps * 0.02 + self.availability
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClientRoundMetadata:
     """Everything recorded about one client's participation in one round.
 

@@ -111,7 +111,7 @@ def average_model_size_mb() -> float:
     return float(np.mean([spec.size_mb for spec in MODEL_ZOO.values()]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelUpdate:
     """One client's model update (or an aggregated global model) for one round.
 

@@ -16,7 +16,7 @@ from repro.fl.metadata import ClientRoundMetadata
 from repro.fl.models import ModelUpdate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundRecord:
     """Everything produced by one FL training round."""
 

@@ -424,7 +424,7 @@ class ScenarioSpec:
     #: request count — required for million-request scale, approximate only
     #: in the percentile columns.  The stores still keep their model state
     #: per served request (persisted results, tracked request ids): about
-    #: 584 B a request on ``sharded-burst`` (see ``repro.engine.streaming``).
+    #: 553 B a request on ``sharded-burst`` (see ``repro.engine.streaming``).
     metrics: str = "full"
     workload: WorkloadMixSpec = field(default_factory=WorkloadMixSpec)
     arrival: ArrivalSpec = field(default_factory=ArrivalSpec)

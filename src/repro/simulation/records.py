@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LatencyBreakdown:
     """Latency of one operation or one request, split by origin (seconds)."""
 
@@ -68,7 +68,7 @@ class LatencyBreakdown:
         return cls(computation_seconds=seconds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CostBreakdown:
     """Dollar cost of one operation or one request, split by origin."""
 

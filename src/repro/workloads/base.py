@@ -43,7 +43,7 @@ class PolicyClass(enum.Enum):
     P4_METADATA = "P4"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkloadRequest:
     """One non-training request submitted to a serving system."""
 

@@ -1,7 +1,10 @@
-"""Setup cache, snapshot copies, a scenario tier's set-up, accumulators, parallel runner."""
+"""Setup cache, snapshot copies, a tier's set-up, slotted records, accumulators, parallel runner."""
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +14,18 @@ from hypothesis import strategies as st
 
 from repro.analysis import setup_cache
 from repro.analysis.runner import map_tasks, prepare_setup, run_trace
-from repro.cloud.object_store import ObjectStore
+from repro.cloud.object_store import ObjectStore, _StoredObject
 from repro.config import QUEUE_DISCIPLINES, SHED_POLICIES, SimulationConfig
+from repro.core.serverless_cache import PlacementResult
+from repro.engine.autoscale import ControlSignals, ScaleDecision, ScaleEvent
+from repro.engine.faults import FaultRecord
+from repro.engine.remediate import Anomaly, Proposal, RemediationRecord
+from repro.fl.clients import ClientDevice, ClientPopulation
+from repro.fl.keys import DataKey
+from repro.fl.metadata import ClientRoundMetadata, HyperParameters, ResourceProfile
+from repro.fl.models import ModelUpdate
+from repro.fl.rounds import RoundRecord
+from repro.fl.trainer import FLJobSimulator
 from repro.scenario import (
     ScenarioSpec,
     WorkloadMixSpec,
@@ -31,6 +44,7 @@ from repro.simulation.records import (
     LatencyAccumulator,
     LatencyBreakdown,
 )
+from repro.workloads.base import WorkloadRequest
 
 
 @pytest.fixture(autouse=True)
@@ -72,6 +86,17 @@ class TestSetupCache:
         assert other_job is not first and other_seed is not first
         assert setup_cache.stats.rounds_misses == 4
 
+    def test_the_rounds_cache_holds_rounds_only(self):
+        setup = prepare_setup(_tiny_config(), num_rounds=3, systems=("flstore",))
+        assert not hasattr(setup, "simulator")
+        (entry,) = setup_cache._rounds_cache.values()
+        assert entry is setup.rounds
+        assert type(entry) is list and [type(r) for r in entry] == [RoundRecord] * 3
+        # Nothing the cache reaches is the simulator or its client population.
+        reached = _reachable_types(setup_cache._rounds_cache)
+        assert RoundRecord in reached and ModelUpdate in reached
+        assert not reached & {FLJobSimulator, ClientPopulation, ClientDevice}
+
     def test_snapshot_hit_serves_equal_but_independent_systems(self):
         config = _tiny_config()
         first = prepare_setup(config, num_rounds=3, systems=("flstore",))
@@ -110,6 +135,22 @@ class TestSetupCache:
         cloned.cluster.evict(key)
         assert original.cluster.is_live(key)
         assert not cloned.cluster.is_live(key)
+
+
+def _reachable_types(root) -> set[type]:
+    """Types of every object reachable from ``root`` through containers and repro objects."""
+    seen: set[int] = set()
+    found: set[type] = set()
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        found.add(type(obj))
+        if isinstance(obj, (list, tuple, dict)) or type(obj).__module__.startswith("repro."):
+            stack.extend(gc.get_referents(obj))
+    return found
 
 
 #: The tier knobs a spec hands its front door, each at its default.
@@ -248,6 +289,79 @@ class TestScenarioSetUp:
         assert (stats.rounds_misses, stats.snapshot_misses) == (1, 1)
         # Every shard is a snapshot of the one master calibration built.
         assert stats.snapshot_hits == spec.tier.shards
+
+
+def _aggregate_model() -> ModelUpdate:
+    return ModelUpdate(
+        client_id=-1, round_id=0, model_name="resnet18", weights=np.zeros(4), size_bytes=1
+    )
+
+
+#: One instance of every record type the simulator holds in bulk: per request
+#: (requests, latency and cost breakdowns, placements, stored objects), per
+#: control tick (signals, decisions, events, anomalies, proposals, remediation
+#: and fault records) and per FL object (updates, metadata, rounds, devices).
+_BULK_RECORDS = [
+    LatencyBreakdown(communication_seconds=0.5),
+    CostBreakdown(transfer_dollars=0.25),
+    WorkloadRequest(request_id="r-1", workload="clustering", round_id=0),
+    _StoredObject(value=b"blob", size_bytes=4),
+    PlacementResult(key=DataKey.aggregate(0), primary_function_id="fn-0"),
+    Anomaly(time=1.0, kind="queue-depth", value=9.0, baseline=2.0),
+    Proposal(action="add-shard", reason="queue depth"),
+    RemediationRecord(
+        time=1.0, anomalies=("queue-depth",), action="add-shard", accepted=True, reason="ok"
+    ),
+    ControlSignals(
+        now=1.0,
+        queue_depth=3,
+        arrival_rate=2.0,
+        arrival_rate_ewma=2.0,
+        shed_delta=0,
+        degraded_delta=0,
+        requeued_delta=0,
+        active_shards=1,
+        slots_per_function=1,
+        capacity_units=1,
+        inflight=4,
+    ),
+    ScaleDecision(target_capacity_units=2, reason="up"),
+    ScaleEvent(
+        time=1.0, action="slots-up", reason="up", shards=1, slots_per_function=2, capacity_units=2
+    ),
+    FaultRecord(time=1.0, clause_index=0, kind="shard-crash", detail="shard 1"),
+    _aggregate_model(),
+    HyperParameters(),
+    ResourceProfile(),
+    ClientRoundMetadata(
+        client_id=3, round_id=0, hyperparameters=HyperParameters(), resources=ResourceProfile()
+    ),
+    ClientDevice(
+        client_id=3, cluster_id=0, resources=ResourceProfile(), num_samples=8, data_quality=0.9
+    ),
+    RoundRecord(round_id=0, updates={}, aggregate=_aggregate_model()),
+]
+
+
+class TestBulkRecords:
+    """Records held per request, per control tick and per FL object carry no instance dict."""
+
+    @pytest.mark.parametrize("record", _BULK_RECORDS, ids=lambda record: type(record).__name__)
+    def test_the_record_is_slotted(self, record):
+        cls = type(record)
+        assert "__slots__" in cls.__dict__
+        assert not hasattr(record, "__dict__")
+        assert cls.__slots__ == tuple(field.name for field in dataclasses.fields(cls))
+
+    @pytest.mark.parametrize("record", _BULK_RECORDS, ids=lambda record: type(record).__name__)
+    def test_the_record_keeps_its_behaviour(self, record):
+        cls = type(record)
+        field = dataclasses.fields(cls)[0].name
+        if cls.__dataclass_params__.frozen:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, getattr(record, field))
+        # Snapshots and worker processes pickle records; a copy keeps every field.
+        assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
 
 
 class TestAccumulators:

@@ -75,7 +75,7 @@ def result_digest(result: dict) -> str:
 def serve_cell(replication_factor: int, policy: str) -> list[dict]:
     """Serve the mixed trace on one freshly ingested store; one row per request."""
     config = _config()
-    _, rounds = setup_cache.simulate_job(config, NUM_ROUNDS)
+    rounds = setup_cache.simulate_rounds(config, NUM_ROUNDS)
     store = build_default_flstore(
         config.with_serverless(replication_factor=replication_factor), policy_mode=policy
     )

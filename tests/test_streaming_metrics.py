@@ -290,8 +290,8 @@ class TestEventPathStreamingMemory:
     stores it reports on do: every served request leaves its persisted
     result (object-store entry, key and the result itself), its request
     tracker entry and its request id behind.  On ``sharded-burst`` that is
-    about 584 B per offered request, measured equal between 500 and 1,500
-    requests and between 2,000 and 8,000.  The band fails if a change starts
+    about 553 B per offered request: 553 B between 500 and 1,500 requests
+    and 554 B between 2,000 and 8,000.  The band fails if a change starts
     retaining rows (a full-metrics outcome alone is larger than the band)
     or if the model state's cost moves, which the docs quote.
     """
